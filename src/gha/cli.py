@@ -20,7 +20,7 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__, qft
-from .errors import GhaError
+from .errors import DomainError, GhaError
 from .hartree import (OscillatorModel, classical_well_depth,
                       critical_coupling, solve_level)
 from .hipt import second_order
@@ -418,6 +418,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except GhaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

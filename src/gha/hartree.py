@@ -176,7 +176,7 @@ def _polish(fn, dfn, w: float) -> float:
     return w
 
 
-def _bracketed_root(fn, dfn, tol: float) -> float:
+def _bracketed_root(fn, dfn, scale) -> float:
     lo, hi = 1e-8, 1.0
     expansions = 0
     while fn(hi) <= 0.0:
@@ -193,6 +193,7 @@ def _bracketed_root(fn, dfn, tol: float) -> float:
         else:
             lo = mid
     w = _polish(fn, dfn, 0.5 * (lo + hi))
+    tol = 1e-12 * scale(w)
     if abs(fn(w)) > tol:
         raise NonConvergence(f"gap residual {fn(w):.3e} above tolerance {tol:.3e}")
     return w
@@ -226,7 +227,14 @@ def solve_gap(model: OscillatorModel, n: int, phase: Phase) -> float:
             raise NoPhysicalRoot("broken-symmetry frequency came out nonpositive")
         return w
     fn, dfn, c0 = _gap_poly(model, xi, phase)
-    return _bracketed_root(fn, dfn, tol=1e-12 * max(1.0, abs(c0)))
+    k, g = model.k, abs(model.g)
+
+    def scale(w):
+        # the residual is a sum of ω^{k+1}, gω^{k−1} and c₀; rounding in the
+        # largest of them bounds how small it can get
+        return max(1.0, w ** (k + 1), g * w ** (k - 1), abs(c0))
+
+    return _bracketed_root(fn, dfn, scale)
 
 
 def hartree_coefficients(

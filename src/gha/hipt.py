@@ -67,9 +67,13 @@ def second_order(
     sol = solve_level(model, n)
     h_prime = build_h_prime(model, sol)
 
-    # first-order term is zero by construction of C; asserted, never added
+    # first-order term is zero by construction of C; checked, never added
     diag = model.lam * ladder.matrix_element(h_prime, n, n)
-    assert abs(diag) <= 1e-9 * max(1.0, abs(sol.energy)), diag
+    bound = 1e-9 * max(1.0, abs(sol.energy))
+    if not abs(diag) <= bound:
+        raise NonConvergence(
+            f"first-order term {diag:.3e} of level {n} exceeds {bound:.3e}"
+        )
 
     window = range(max(0, n - model.power), n + model.power + 1)
     raw = []

@@ -1,8 +1,24 @@
 """Independent eigenvalue oracle: dense diagonalization in a truncated basis.
 
-The Hamiltonian H = ½p² + ½gφ² + λφ^{2k} is assembled exactly (via the
-ladder algebra) in the number basis of a harmonic oscillator of chosen
-frequency with σ = 0, giving a symmetric banded matrix of bandwidth 2k.
+The Hamiltonian H = ½p² + ½gφ² + λφ^{2k} is assembled with numpy alone in
+the number basis of a harmonic oscillator of chosen frequency ω with σ = 0,
+giving a symmetric banded matrix of bandwidth 2k.  It shares no code with
+the ladder algebra of `gha.ladder`, which the Hartree coefficients and the
+perturbation theory use, so an error there shows up as a disagreement with
+this oracle instead of moving both together.
+
+In that basis the position operator X is tridiagonal with
+X[j, j+1] = X[j+1, j] = √((j+1)/(2ω)), and ½p² + ½ω²X² is diagonal, so
+
+    H = diag(ω(n + ½)) + ½(g − ω²) X² + λ X^{2k}.
+
+The powers of X are built in banded storage (offsets −2k..2k), one shifted
+multiply per power.  A product of truncated matrices differs from the
+truncation of the infinite product only through paths that leave the basis;
+a path of 2k unit steps between levels m and n climbs at most k levels above
+max(m, n).  The powers are therefore formed in dimension N + k and cropped to
+N, which makes every element of the N×N block exact.
+
 Because the potential is even, the even- and odd-index sectors decouple and
 are diagonalized separately.  Dimensions double until the requested levels
 stop moving, which both validates the Hartree results and reproduces the
@@ -17,9 +33,8 @@ from typing import Tuple
 
 import numpy as np
 
-from . import ladder
 from .errors import BudgetExceeded, DomainError, NonConvergence
-from .hartree import OscillatorModel, hamiltonian_polynomial, solve_level
+from .hartree import OscillatorModel, solve_level
 
 _START_DIMENSION = 64
 _MAX_DIMENSION = 4096
@@ -45,17 +60,37 @@ class SpectrumEstimate:
 
 
 def hamiltonian_matrix(model: OscillatorModel, basis: TruncatedBasis) -> np.ndarray:
-    """Exact H_{mn} in the σ=0 ladder basis of the given frequency."""
-    mode = ladder.ModeParameters(omega=basis.basis_frequency, sigma=0.0)
-    poly = hamiltonian_polynomial(model, mode)
-    n_dim = basis.dimension
+    """Exact H_{mn} in the σ=0 number basis of the given frequency."""
+    n_dim, w, k = basis.dimension, basis.basis_frequency, model.k
+    padded = n_dim + k
+    width = 2 * k
+    # banded storage: band[r, i] = A[i, i + r − width]; steps[r, i] is
+    # X[j, j+1] at j = i + r − width, zero where j + 1 leaves the basis
+    padded_x = np.zeros(padded + 2 * width)
+    padded_x[width : width + padded - 1] = np.sqrt(np.arange(1, padded) / (2.0 * w))
+    steps = np.lib.stride_tricks.sliding_window_view(padded_x, padded)
+
+    band = np.zeros((2 * width + 1, padded))
+    band[width] = 1.0
+    for power in range(1, model.power + 1):
+        # (A·X)[i, j] = A[i, j − 1] X[j − 1, j] + A[i, j + 1] X[j, j + 1]
+        product = np.zeros_like(band)
+        product[1:] += band[:-1] * steps[:-1]
+        product[:-1] += band[1:] * steps[:-1]
+        band = product
+        if power == 2:
+            x_squared = band[width : width + 3, :n_dim]
+    # offsets 0..2k of the upper triangle, cropped to the basis
+    upper = model.lam * band[width:, :n_dim]
+    upper[:3] += 0.5 * (model.g - w * w) * x_squared
+    upper[0] += w * (np.arange(n_dim) + 0.5)
+
     h = np.zeros((n_dim, n_dim))
-    for n in range(n_dim):
-        h[n, n] = ladder.matrix_element(poly, n, n)
-        for m in range(n + 1, min(n_dim, n + model.power + 1)):
-            val = ladder.matrix_element(poly, m, n)
-            h[m, n] = val
-            h[n, m] = val
+    flat = h.reshape(-1)
+    for d in range(width + 1):
+        diagonal = upper[d, : n_dim - d]
+        flat[d :: n_dim + 1][: n_dim - d] = diagonal
+        flat[d * n_dim :: n_dim + 1][: n_dim - d] = diagonal
     return h
 
 
@@ -93,9 +128,16 @@ def converged_levels(
         raise DomainError(f"n_max must be nonnegative, got {n_max}")
     if tol < 1e-10:
         raise DomainError(f"tolerance below 1e-10 is not supported, got {tol}")
+    budget = f"levels 0..{n_max} not converged to {tol} within dimension {_MAX_DIMENSION}"
+    n_dim = _START_DIMENSION
+    # every compared spectrum must hold levels 0..n_max, and convergence
+    # needs two of them within the budget
+    while n_dim <= n_max:
+        n_dim *= 2
+    if 2 * n_dim > _MAX_DIMENSION:
+        raise BudgetExceeded(budget)
     frequency = solve_level(model, n_max).omega
     previous = None
-    n_dim = _START_DIMENSION
     while n_dim <= _MAX_DIMENSION:
         basis = TruncatedBasis(dimension=n_dim, basis_frequency=frequency)
         levels = _sector_levels(hamiltonian_matrix(model, basis))[: n_max + 1]
@@ -109,6 +151,4 @@ def converged_levels(
                 )
         previous = levels
         n_dim *= 2
-    raise BudgetExceeded(
-        f"levels 0..{n_max} not converged to {tol} within dimension {_MAX_DIMENSION}"
-    )
+    raise BudgetExceeded(budget)

@@ -195,6 +195,19 @@ def test_numerical_failure_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_domain_errors_exit_two(capsys):
+    assert main(["oracle", "--g", "1", "--lambda", "1", "--nmax", "-1"]) == 2
+    assert "error: n_max must be nonnegative" in capsys.readouterr().err
+    assert main(["spectrum", "--g", "1", "--lambda", "nan"]) == 2
+    assert "error: coupling must be positive" in capsys.readouterr().err
+
+
+def test_oracle_beyond_start_dimension(capsys):
+    doc = run_json(capsys, ["oracle", "--g", "1", "--lambda", "1", "--nmax", "100"])
+    assert len(doc["levels"]) == 101
+    assert doc["dimension"] == 512
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as info:
         main(["spectrum", "--g", "1"])  # missing --lambda

@@ -276,6 +276,23 @@ def test_residuals_scale_with_constant_term():
     assert gap_residual_scale(QUARTIC, 0, Phase.AHO) == 6.0
 
 
+@pytest.mark.parametrize("power", [4, 6, 8])
+def test_gap_tolerance_scales_with_largest_term(power):
+    # g = 1e6, lambda = 1e-6: the root sits at omega ~ sqrt(g) = 1e3, where
+    # omega^{k+1} and g omega^{k-1} are ~1e9..1e15 while the constant term is
+    # below 1; rounding in the large terms alone leaves residuals far above
+    # 1e-12 |c0|
+    m = OscillatorModel(power=power, g=1e6, lam=1e-6)
+    k = m.k
+    for n in (0, 10):
+        sol = solve_level(m, n)
+        w = sol.omega
+        assert w == pytest.approx(1e3, rel=1e-9)
+        gap, _ = general_gap_residuals(m, n, w, 0.0)
+        assert abs(gap) <= 1e-12 * w ** (k + 1)
+        assert sol.energy == pytest.approx(1e3 * (n + 0.5), rel=1e-9)
+
+
 def test_phase_errors():
     with pytest.raises(PhaseUnavailable):
         solve_gap(QUARTIC, 0, Phase.DWO_SR)

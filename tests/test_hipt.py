@@ -1,10 +1,14 @@
 """Second-order corrections on the Hartree basis."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from gha import ladder
+from gha import hipt, ladder
+from gha.errors import NonConvergence
 from gha.hartree import OscillatorModel, classical_well_depth, solve_level
 from gha.hipt import build_h_prime, second_order
 
@@ -108,3 +112,32 @@ def test_excited_levels_run_clean():
             rep = second_order(m, n)
             assert rep.e2 == rep.e0 + rep.delta_e2
             assert math.isfinite(rep.delta_e2)
+
+
+def test_nonzero_first_order_term_raises(monkeypatch):
+    def shifted(model, sol):
+        return build_h_prime(model, sol) + ladder.constant(1e-3)
+
+    monkeypatch.setattr(hipt, "build_h_prime", shifted)
+    with pytest.raises(NonConvergence, match="first-order term 1.000e-03"):
+        second_order(QUARTIC, 0)
+
+
+def test_first_order_check_survives_optimized_mode():
+    script = (
+        "from gha import hipt, ladder\n"
+        "from gha.errors import NonConvergence\n"
+        "from gha.hartree import OscillatorModel\n"
+        "real = hipt.build_h_prime\n"
+        "hipt.build_h_prime = lambda m, s: real(m, s) + ladder.constant(1.0)\n"
+        "try:\n"
+        "    hipt.second_order(OscillatorModel(4, 1.0, 1.0), 0)\n"
+        "except NonConvergence:\n"
+        "    raise SystemExit(3)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 3, proc.stderr

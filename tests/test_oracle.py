@@ -1,10 +1,15 @@
 """Dense-diagonalization benchmark: matrix assembly and convergence control."""
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
-from gha.errors import DomainError
-from gha.hartree import OscillatorModel, solve_level
+import gha.oracle
+from gha import ladder
+from gha.errors import BudgetExceeded, DomainError
+from gha.hartree import OscillatorModel, hamiltonian_polynomial, solve_level
 from gha.oracle import (
     SpectrumEstimate,
     TruncatedBasis,
@@ -127,3 +132,63 @@ def test_variational_upper_bound():
     for m in grid:
         exact = converged_levels(m, 0, 1e-8).levels[0]
         assert solve_level(m, 0).energy >= exact - 1e-10
+
+
+def test_levels_beyond_start_dimension():
+    est = converged_levels(QUARTIC, 100, 1e-7)
+    assert len(est.levels) == 101
+    assert len(est.convergence_error) == 101
+    assert est.dimension_used == 512
+    assert all(a < b for a, b in zip(est.levels, est.levels[1:]))
+    assert est.levels[0] == pytest.approx(0.8037706512, abs=1e-9)
+
+
+def test_levels_beyond_dimension_budget():
+    # from n_max = 2048 on, two spectra holding levels 0..n_max do not fit
+    # below the dimension cap, so nothing is built
+    for n_max in (2048, 5000):
+        with pytest.raises(BudgetExceeded):
+            converged_levels(QUARTIC, n_max, 1e-7)
+
+
+def ladder_band(model, basis):
+    """The band of H from the normal-ordered ladder algebra, element by element."""
+    mode = ladder.ModeParameters(omega=basis.basis_frequency, sigma=0.0)
+    poly = hamiltonian_polynomial(model, mode)
+    n_dim = basis.dimension
+    h = np.zeros((n_dim, n_dim))
+    for n in range(n_dim):
+        for m in range(n, min(n_dim, n + model.power + 1)):
+            h[m, n] = h[n, m] = ladder.matrix_element(poly, m, n)
+    return h
+
+
+@pytest.mark.parametrize("model", [
+    OscillatorModel(power=4, g=1.0, lam=1.0),
+    OscillatorModel(power=4, g=-1.0, lam=0.3),
+    OscillatorModel(power=6, g=1.0, lam=0.7),
+    OscillatorModel(power=8, g=1.0, lam=0.05),
+])
+def test_matrix_agrees_with_ladder_algebra(model):
+    # the oracle builds H from numpy X alone; the ladder algebra that the
+    # Hartree and perturbative layers use must give the same band
+    for dim in (16, 17, 64, 256):
+        for freq in (0.5, 1.0, 2.7):
+            basis = TruncatedBasis(dim, freq)
+            h = hamiltonian_matrix(model, basis)
+            ref = ladder_band(model, basis)
+            assert np.abs(h - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_oracle_does_not_import_ladder():
+    tree = ast.parse(inspect.getsource(gha.oracle))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+    assert not any("ladder" in name for name in imported), imported
+    assert not hasattr(gha.oracle, "ladder")
+    assert not hasattr(gha.oracle, "hamiltonian_polynomial")

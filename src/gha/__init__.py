@@ -9,7 +9,7 @@ spectra for validation.
 """
 
 from .errors import (BudgetExceeded, DomainError, GhaError, NoPhysicalRoot,
-                     NonConvergence, NoRoot, PhaseUnavailable)
+                     NonConvergence, PhaseUnavailable)
 from .hartree import (BranchInfo, HartreeSolution, OscillatorModel, Phase,
                       classical_well_depth, critical_coupling,
                       general_gap_residuals, hartree_coefficients,
@@ -24,8 +24,7 @@ from .oracle import (SpectrumEstimate, TruncatedBasis, converged_levels,
 from .qft import (FieldTheory, GapState, RenormalizedParams, bessel_k1,
                   density_ratio, effective_potential, occupation,
                   peak_density, renormalized, solve_mass_gap,
-                  static_potential, stevenson, structure_function,
-                  vev_branches)
+                  static_potential, stevenson, structure_function)
 from .tables import (ComparisonReport, ComparisonRow, Provenance,
                      ReferenceCell, ReferenceTable, reference_table,
                      run_table)
@@ -37,7 +36,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BranchInfo", "BudgetExceeded", "ComparisonReport", "ComparisonRow",
     "Contribution", "DomainError", "FieldTheory", "GapState", "GhaError",
-    "HartreeSolution", "ModeParameters", "NoPhysicalRoot", "NoRoot",
+    "HartreeSolution", "ModeParameters", "NoPhysicalRoot",
     "NonConvergence", "NormalOrderedPolynomial", "OscillatorModel",
     "PerturbationReport", "Phase", "PhaseUnavailable", "Provenance",
     "ReferenceCell", "ReferenceTable", "RenormalizedParams",
@@ -51,5 +50,5 @@ __all__ = [
     "second_order", "solve_gap", "solve_level", "solve_mass_gap",
     "ssb_sigma_squared", "static_potential", "stevenson",
     "strong_coupling_scaling", "structure_function", "vacuum_structure",
-    "vev_branches", "zeroth_energy",
+    "zeroth_energy",
 ]

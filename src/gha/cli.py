@@ -248,6 +248,8 @@ def _cmd_qft_potential(args):
     if args.points < 2:
         print("qft potential: --points must be at least 2", file=sys.stderr)
         return 2
+    if not args.sigma_max > 0.0:
+        raise DomainError(f"--sigma-max must be positive, got {args.sigma_max}")
     step = args.sigma_max / (args.points - 1)
     rows = []
     for i in range(args.points):

@@ -23,7 +23,3 @@ class NonConvergence(GhaError, ArithmeticError):
 
 class BudgetExceeded(GhaError):
     """An adaptive computation hit its resource cap before converging."""
-
-
-class NoRoot(GhaError, ArithmeticError):
-    """A scalar equation turned out to have no root (defensive check)."""

@@ -12,7 +12,17 @@ the square in H₀ = ½p² + ½gφ² + λV identifies the mode frequency and shi
 (ω, σ) and yields, per level, a gap equation for ω and a ground-state
 configuration equation for σ.
 
-With ξ = n + ½ the simplified (σ = 0) gap equations are
+Every σ-dependent quantity follows from the exact moments of the number
+states of the mode φ = σ + (b + b†)/√(2ω),
+
+    c_j(n) = ω^j ⟨n|(φ − σ)^{2j}|n⟩ = (2j−1)!!/2^j Σ_{i=0..j} C(j,i) C(n,i) 2^i,
+
+through ⟨φ^{2k}⟩ = Σ_j C(2k,2j) σ^{2k−2j} c_j/ω^j.  With ξ = n + ½ the
+gap equation is ω² = g + 2λA, and at σ = 0 it reads
+
+    ω^{k+1} − gω^{k−1} − 2kλ c_k(n)/ξ = 0,
+
+with level energy E = ξ[(k+1)ω + (k−1)g/ω]/(2k).  Worked instances:
 
     quartic:  ω³ − gω  − 6λ f(ξ) = 0,          f(ξ) = ξ + 1/(4ξ)
     sextic:   ω⁴ − gω² − (15λ/4)(4ξ² + 5) = 0
@@ -87,25 +97,39 @@ class HartreeSolution:
     branches: Optional[Tuple[BranchInfo, ...]] = None
 
 
-def xi_f(xi: float) -> float:
-    """f(ξ) = ξ + 1/(4ξ), quartic gap-equation combination."""
-    return xi + 1.0 / (4.0 * xi)
-
-
 def xi_p(xi: float) -> float:
     """p(ξ) = 5ξ − 1/(4ξ), broken-phase cubic combination."""
     return 5.0 * xi - 1.0 / (4.0 * xi)
-
-
-def xi_h(xi: float) -> float:
-    """h(ξ) = ξ³ + 7ξ/2 + 9/(16ξ), octic gap-equation combination."""
-    return xi**3 + 3.5 * xi + 9.0 / (16.0 * xi)
 
 
 def _xi(n: int) -> float:
     if n < 0:
         raise DomainError(f"level index must be nonnegative, got {n}")
     return n + 0.5
+
+
+def moment(j: int, n: int) -> float:
+    """c_j(n) = ω^j⟨n|(φ−σ)^{2j}|n⟩, summed exactly in integers and rounded once."""
+    if j < 0 or n < 0:
+        raise DomainError(f"moment needs j >= 0 and n >= 0, got j={j}, n={n}")
+    total = sum(math.comb(j, i) * math.comb(n, i) * 2**i for i in range(j + 1))
+    return math.prod(range(1, 2 * j, 2)) * total / 2**j
+
+
+def _field_averages(k: int, n: int, omega: float, sigma: float):
+    """⟨φ^{2k}⟩, ∂_σ⟨φ^{2k}⟩ and A = Σ_{j≥1} C(2k,2j) σ^{2k−2j} j c_j/(ξω^{j−1})
+    in level n of the mode (ω, σ)."""
+    xi = _xi(n)
+    avg = d_sigma = a = 0.0
+    for j in range(k + 1):
+        p = 2 * k - 2 * j
+        term = math.comb(2 * k, 2 * j) * moment(j, n) / omega**j
+        avg += term * sigma**p
+        if p:
+            d_sigma += p * term * sigma ** (p - 1)
+        if j:
+            a += j * term * omega * sigma**p / xi
+    return avg, d_sigma, a
 
 
 def critical_coupling(xi: float, g: float) -> float:
@@ -118,9 +142,9 @@ def critical_coupling(xi: float, g: float) -> float:
     return (-2.0 * g / 3.0) ** 1.5 / (3.0 * xi_p(xi))
 
 
-def _gap_poly(model: OscillatorModel, xi: float, phase: Phase):
+def _gap_poly(model: OscillatorModel, n: int, phase: Phase):
     """Residual polynomial, derivative, and constant-term scale for the phase."""
-    g, lam = model.g, model.lam
+    xi, g, lam = _xi(n), model.g, model.lam
     if phase is Phase.DWO_SSB:
         c0 = 6.0 * lam * xi_p(xi)
 
@@ -131,32 +155,14 @@ def _gap_poly(model: OscillatorModel, xi: float, phase: Phase):
             return 3.0 * w * w + 2.0 * g
 
         return fn, dfn, c0
-    if model.power == 4:
-        c0 = 6.0 * lam * xi_f(xi)
+    k = model.k
+    c0 = 2 * k * lam * moment(k, n) / xi
 
-        def fn(w):
-            return w**3 - g * w - c0
+    def fn(w):
+        return w ** (k + 1) - g * w ** (k - 1) - c0
 
-        def dfn(w):
-            return 3.0 * w * w - g
-
-    elif model.power == 6:
-        c0 = 3.75 * lam * (4.0 * xi * xi + 5.0)
-
-        def fn(w):
-            return w**4 - g * w * w - c0
-
-        def dfn(w):
-            return 4.0 * w**3 - 2.0 * g * w
-
-    else:
-        c0 = 35.0 * lam * xi_h(xi)
-
-        def fn(w):
-            return w**5 - g * w**3 - c0
-
-        def dfn(w):
-            return 5.0 * w**4 - 3.0 * g * w * w
+    def dfn(w):
+        return (k + 1) * w**k - (k - 1) * g * w ** (k - 2)
 
     return fn, dfn, c0
 
@@ -177,7 +183,9 @@ def _polish(fn, dfn, w: float) -> float:
 
 
 def _bracketed_root(fn, dfn, scale) -> float:
-    lo, hi = 1e-8, 1.0
+    # fn(0) = −c₀ < 0 in every σ = 0 phase, so the bracket starts at zero and
+    # reaches roots of any smallness
+    lo, hi = 0.0, 1.0
     expansions = 0
     while fn(hi) <= 0.0:
         hi *= 2.0
@@ -215,7 +223,7 @@ def solve_gap(model: OscillatorModel, n: int, phase: Phase) -> float:
             raise PhaseUnavailable(
                 f"no broken-symmetry branch: lambda={model.lam} exceeds lambda_c={lam_c}"
             )
-        fn, dfn, c0 = _gap_poly(model, xi, phase)
+        fn, dfn, c0 = _gap_poly(model, n, phase)
         # closed form, exact up to rounding; Newton cleans the last bits
         w = (
             2.0
@@ -226,7 +234,7 @@ def solve_gap(model: OscillatorModel, n: int, phase: Phase) -> float:
         if w <= 0.0:
             raise NoPhysicalRoot("broken-symmetry frequency came out nonpositive")
         return w
-    fn, dfn, c0 = _gap_poly(model, xi, phase)
+    fn, dfn, c0 = _gap_poly(model, n, phase)
     k, g = model.k, abs(model.g)
 
     def scale(w):
@@ -240,62 +248,30 @@ def solve_gap(model: OscillatorModel, n: int, phase: Phase) -> float:
 def hartree_coefficients(
     model: OscillatorModel, n: int, omega: float, sigma: float
 ) -> Tuple[float, float, float]:
-    """Closed-form A and B of the Hartree potential V = Aφ² − Bφ + C, with C
-    fixed from the quantum averages so that ⟨V⟩ = ⟨φ^{2k}⟩ identically."""
-    if not omega > 0.0:
-        raise DomainError(f"omega must be positive, got {omega}")
+    """A and B of the Hartree potential V = Aφ² − Bφ + C from the level-n
+    moments, with C fixed so that ⟨V⟩ = ⟨φ^{2k}⟩ identically."""
+    if not omega > 0.0 or not math.isfinite(omega):
+        raise DomainError(f"omega must be positive and finite, got {omega}")
+    if not math.isfinite(sigma):
+        raise DomainError(f"sigma must be finite, got {sigma}")
     xi = _xi(n)
-    g, lam, w, s = model.g, model.lam, omega, sigma
-    if model.power == 4:
-        A = 6.0 * s * s + 3.0 * xi_f(xi) / w
-        B = (1.0 + g) * s * w * w / lam + 4.0 * w * w * s**3 + 12.0 * w * s * xi
-    elif model.power == 6:
-        A = (
-            15.0 * s**4
-            + 45.0 * s * s * (4.0 * xi * xi + 1.0) / (4.0 * xi * w)
-            + 15.0 / (8.0 * w * w) * (4.0 * xi * xi + 5.0)
-        )
-        B = s * (
-            (1.0 + g) * w * w / lam
-            + 6.0 * w * w * s**4
-            + 60.0 * s * s * xi * w
-            + 11.25 * (4.0 * xi * xi + 1.0)
-        )
-    else:
-        A = (
-            28.0 * s**6
-            + 105.0 * s**4 * (4.0 * xi * xi + 1.0) / (2.0 * xi * w)
-            + 105.0 / (2.0 * w * w) * s * s * (4.0 * xi * xi + 5.0)
-            + 35.0 * xi_h(xi) / (2.0 * w**3)
-        )
-        B = s * (
-            (1.0 + g) * w * w / lam
-            + 8.0 * w * w * s**6
-            + 168.0 * s**4 * xi * w
-            + 105.0 * s * s * (4.0 * xi * xi + 1.0)
-            + 35.0 * xi * (4.0 * xi * xi + 5.0) / w
-        )
-    mode = ladder.ModeParameters(omega=w, sigma=s)
-    avg_int = ladder.expectation(ladder.field_power(model.power, mode), n)
-    avg_phi2 = ladder.expectation(ladder.field_power(2, mode), n)
-    C = avg_int - A * avg_phi2 + B * s
+    w, s = omega, sigma
+    avg, d_sigma, A = _field_averages(model.k, n, w, s)
+    B = (1.0 + model.g) * s * w * w / model.lam + w * w * d_sigma
+    C = avg - A * (s * s + xi / w) + B * s
     return A, B, C
 
 
 def zeroth_energy(model: OscillatorModel, n: int, omega: float, phase: Phase) -> float:
     """Closed-form level energy of the Hartree Hamiltonian H₀."""
     xi = _xi(n)
-    g, lam, w = model.g, model.lam, omega
+    g, w, k = model.g, omega, model.k
     phase = Phase(phase)
     if phase is Phase.DWO_SSB:
         if model.power != 4:
             raise PhaseUnavailable("broken-symmetry energies are quartic-only here")
-        return 0.25 * xi * (3.0 * w - 2.0 * g / w) - g * g / (16.0 * lam)
-    if model.power == 4:
-        return 0.25 * xi * (3.0 * w + g / w)
-    if model.power == 6:
-        return xi / 3.0 * (2.0 * w + g / w)
-    return 0.125 * xi * (5.0 * w + 3.0 * g / w)
+        return 0.25 * xi * (3.0 * w - 2.0 * g / w) - g * g / (16.0 * model.lam)
+    return xi * ((k + 1) * w + (k - 1) * g / w) / (2 * k)
 
 
 def ssb_sigma_squared(model: OscillatorModel, n: int, omega: float) -> float:
@@ -357,50 +333,20 @@ def solve_level(model: OscillatorModel, n: int) -> HartreeSolution:
 def general_gap_residuals(
     model: OscillatorModel, n: int, omega: float, sigma: float
 ) -> Tuple[float, float]:
-    """Residuals of the full σ ≠ 0 gap polynomial and of σ times the
-    ground-state-configuration bracket, for exploratory studies."""
+    """Residuals of the full σ ≠ 0 gap polynomial ω^{k−1}(ω² − g − 2λA) and
+    of the ground-state configuration gσ + λ∂_σ⟨φ^{2k}⟩, for exploratory
+    studies."""
     if not omega > 0.0:
         raise DomainError(f"omega must be positive, got {omega}")
-    xi = _xi(n)
-    g, lam, w, s = model.g, model.lam, omega, sigma
-    if model.power == 4:
-        gap = w**3 - w * (g + 12.0 * lam * s * s) - 6.0 * lam * xi_f(xi)
-        bracket = g + 4.0 * lam * s * s + 12.0 * lam * xi / w
-    elif model.power == 6:
-        gap = (
-            w**4
-            - w * w * (g + 30.0 * lam * s**4)
-            - 45.0 * lam * s * s * w * (4.0 * xi * xi + 1.0) / (2.0 * xi)
-            - 3.75 * lam * (4.0 * xi * xi + 5.0)
-        )
-        bracket = (
-            g
-            + 6.0 * lam * s**4
-            + 60.0 * lam * s * s * xi / w
-            + 11.25 * lam * (4.0 * xi * xi + 1.0) / (w * w)
-        )
-    else:
-        gap = (
-            w**5
-            - w**3 * (g + 56.0 * lam * s**6)
-            - 105.0 * lam * s**4 * w * w * (4.0 * xi * xi + 1.0) / xi
-            - 105.0 * lam * s * s * w * (4.0 * xi * xi + 5.0)
-            - 35.0 * lam * xi_h(xi)
-        )
-        bracket = (
-            g
-            + 8.0 * lam * s**6
-            + 168.0 * lam * s**4 * xi / w
-            + 105.0 * lam * s * s * (4.0 * xi * xi + 1.0) / (w * w)
-            + 35.0 * lam * xi * (4.0 * xi * xi + 5.0) / w**3
-        )
-    return gap, sigma * bracket
+    g, lam, w = model.g, model.lam, omega
+    _, d_sigma, A = _field_averages(model.k, n, w, sigma)
+    return w ** (model.k - 1) * (w * w - g - 2.0 * lam * A), g * sigma + lam * d_sigma
 
 
 def gap_residual_scale(model: OscillatorModel, n: int, phase: Phase) -> float:
     """Natural magnitude of the gap polynomial's constant term, used to judge
     residual smallness without pretending float64 can do better than eps."""
-    _, _, c0 = _gap_poly(model, _xi(n), Phase(phase))
+    _, _, c0 = _gap_poly(model, n, Phase(phase))
     return max(1.0, abs(c0))
 
 
@@ -425,13 +371,3 @@ def potential_polynomial(A: float, B: float, C: float, mode: ladder.ModeParamete
     v = v + ladder.constant(C)
     return v
 
-
-if __name__ == "__main__":
-    # quick look at the quartic double well around the critical coupling
-    for lam in (0.05, 0.08, 0.0905, 0.095, 0.1, 1.0):
-        m = OscillatorModel(power=4, g=-1.0, lam=lam)
-        sol = solve_level(m, 0)
-        print(
-            f"lambda={lam:<8g} phase={sol.phase.value:<8} omega={sol.omega:.6f} "
-            f"sigma={sol.sigma:.6f} E0_raw={sol.energy:+.6f}"
-        )

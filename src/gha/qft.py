@@ -14,7 +14,8 @@ has quasiparticle mass M and shift σ determined by
     VEV:  σ [M² − 8λσ²] = 0,
 
 with effective potential U(σ) = I₁ − 3λI₀² + ½m²σ² + λσ⁴ evaluated on the
-gap solution M²(σ).  For m² > 0 the only physical vacuum is σ = 0.  The
+gap solution M²(σ).  For m² > 0 the only physical vacuum is σ = 0: a σ ≠ 0
+root would need −M²/2 = m² + 12λI₀(M²), whose sides differ in sign.  The
 curvatures of U at the origin give the renormalized parameters
 
     m_R² = m² + 12λ I₀(M̄²) = M̄²,
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NoRoot, NonConvergence
+from .errors import DomainError, NonConvergence
 
 _FOUR_PI2 = 4.0 * math.pi * math.pi
 _HALF_PI = 0.5 * math.pi
@@ -50,8 +51,8 @@ class FieldTheory:
             raise DomainError(f"bare mass^2 must be positive, got {self.m2}")
         if not (self.lam > 0.0) or not math.isfinite(self.lam):
             raise DomainError(f"coupling must be positive, got {self.lam}")
-        if not (self.cutoff > 0.0):
-            raise DomainError(f"cutoff must be positive, got {self.cutoff}")
+        if not (self.cutoff > 0.0) or not math.isfinite(self.cutoff):
+            raise DomainError(f"cutoff must be positive and finite, got {self.cutoff}")
 
 
 @dataclass(frozen=True)
@@ -93,8 +94,6 @@ def solve_mass_gap(theory: FieldTheory, sigma: float) -> GapState:
     F(M²) = M² − m² − 12λσ² − 12λI₀(M²) is strictly increasing with
     F' = 1 + 6λI₋₁ > 0; Newton with a bisection safeguard converges fast.
     """
-    if theory.cutoff <= 0.0:
-        raise NoRoot("cutoff must be positive for the gap integrals")
     lam, cut = theory.lam, theory.cutoff
     base = theory.m2 + 12.0 * lam * sigma * sigma
 
@@ -126,24 +125,6 @@ def solve_mass_gap(theory: FieldTheory, sigma: float) -> GapState:
         i1=stevenson(1, m2, cut),
         im1=stevenson(-1, m2, cut),
     )
-
-
-def vev_branches(theory: FieldTheory):
-    """All (σ, M²) vacuum branches; the head of the list is physical.
-
-    A σ ≠ 0 branch would need M² = 8λσ² together with the gap equation,
-    i.e. −M²/2 = m² + 12λI₀(M²), impossible for m² > 0 (left side negative,
-    right side positive).  A sign scan confirms this defensively.
-    """
-    zero = solve_mass_gap(theory, 0.0)
-    branches = [(0.0, zero.M2)]
-    probe = theory.m2 * 1e-6
-    top = max(zero.M2 * 10.0, theory.m2 * 10.0)
-    while probe <= top:
-        if theory.m2 + 12.0 * theory.lam * stevenson(0, probe, theory.cutoff) + 0.5 * probe <= 0.0:
-            branches.append((math.sqrt(probe / (8.0 * theory.lam)), probe))
-        probe *= 4.0
-    return branches
 
 
 def effective_potential(theory: FieldTheory, sigma: float) -> float:

@@ -541,9 +541,3 @@ def render_md(report: ComparisonReport) -> str:
                  f"{s['cells']} cells, {s['failures']} failures, "
                  f"{s['disputed']} disputed")
     return "\n".join(lines) + "\n"
-
-
-if __name__ == "__main__":
-    for tid in (1, 2, 3, 4):
-        rep = run_table(tid)
-        print(render_md(rep))

@@ -153,6 +153,17 @@ def test_qft_potential(capsys):
     assert "--points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sigma_max", ["-1", "0", "nan"])
+def test_qft_potential_rejects_nonpositive_sigma_max(capsys, sigma_max):
+    assert main([
+        "qft", "potential", "--mass2", "1", "--lambda", "0.1",
+        "--cutoff", "10", "--sigma-max", sigma_max,
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --sigma-max must be positive" in captured.err
+
+
 def test_qft_static(capsys):
     doc = run_json(capsys, ["qft", "static", "--mr", "1", "--r", "1,2"])
     assert len(doc["rows"]) == 2

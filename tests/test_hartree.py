@@ -10,12 +10,14 @@ from gha.errors import DomainError, PhaseUnavailable
 from gha.hartree import (
     OscillatorModel,
     Phase,
+    _gap_poly,
     classical_well_depth,
     critical_coupling,
     gap_residual_scale,
     general_gap_residuals,
     hamiltonian_polynomial,
     hartree_coefficients,
+    moment,
     potential_polynomial,
     solve_gap,
     solve_level,
@@ -317,3 +319,176 @@ def test_model_validation():
         solve_level(QUARTIC, -1)
     with pytest.raises(DomainError):
         hartree_coefficients(QUARTIC, 0, -1.0, 0.0)
+    for w, s in ((math.inf, 0.0), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(DomainError):
+            hartree_coefficients(QUARTIC, 0, w, s)
+    with pytest.raises(DomainError):
+        moment(1, -1)
+
+
+# Hand-expanded per-power formulas, kept as the reference for the moment
+# core.  Each returns the terms of its expression, so agreement can be
+# judged against the largest term rather than a cancelled sum.
+
+
+def _f(xi):
+    return xi + 1.0 / (4.0 * xi)
+
+
+def _h(xi):
+    return xi**3 + 3.5 * xi + 9.0 / (16.0 * xi)
+
+
+def reference_a(power, xi, w, s):
+    if power == 4:
+        return [6.0 * s * s, 3.0 * _f(xi) / w]
+    if power == 6:
+        return [
+            15.0 * s**4,
+            45.0 * s * s * (4.0 * xi * xi + 1.0) / (4.0 * xi * w),
+            15.0 / (8.0 * w * w) * (4.0 * xi * xi + 5.0),
+        ]
+    return [
+        28.0 * s**6,
+        105.0 * s**4 * (4.0 * xi * xi + 1.0) / (2.0 * xi * w),
+        105.0 / (2.0 * w * w) * s * s * (4.0 * xi * xi + 5.0),
+        35.0 * _h(xi) / (2.0 * w**3),
+    ]
+
+
+def reference_b(power, g, lam, xi, w, s):
+    if power == 4:
+        return [(1.0 + g) * s * w * w / lam, 4.0 * w * w * s**3, 12.0 * w * s * xi]
+    if power == 6:
+        return [
+            s * (1.0 + g) * w * w / lam,
+            s * 6.0 * w * w * s**4,
+            s * 60.0 * s * s * xi * w,
+            s * 11.25 * (4.0 * xi * xi + 1.0),
+        ]
+    return [
+        s * (1.0 + g) * w * w / lam,
+        s * 8.0 * w * w * s**6,
+        s * 168.0 * s**4 * xi * w,
+        s * 105.0 * s * s * (4.0 * xi * xi + 1.0),
+        s * 35.0 * xi * (4.0 * xi * xi + 5.0) / w,
+    ]
+
+
+def reference_gap(power, g, lam, xi, w, s):
+    if power == 4:
+        return [w**3, -w * g, -w * 12.0 * lam * s * s, -6.0 * lam * _f(xi)]
+    if power == 6:
+        return [
+            w**4,
+            -w * w * g,
+            -w * w * 30.0 * lam * s**4,
+            -45.0 * lam * s * s * w * (4.0 * xi * xi + 1.0) / (2.0 * xi),
+            -3.75 * lam * (4.0 * xi * xi + 5.0),
+        ]
+    return [
+        w**5,
+        -(w**3) * g,
+        -(w**3) * 56.0 * lam * s**6,
+        -105.0 * lam * s**4 * w * w * (4.0 * xi * xi + 1.0) / xi,
+        -105.0 * lam * s * s * w * (4.0 * xi * xi + 5.0),
+        -35.0 * lam * _h(xi),
+    ]
+
+
+def reference_gap_derivative(power, g, w):
+    """d/dω of the σ = 0 gap polynomial."""
+    if power == 4:
+        return [3.0 * w * w, -g]
+    if power == 6:
+        return [4.0 * w**3, -2.0 * g * w]
+    return [5.0 * w**4, -3.0 * g * w * w]
+
+
+def reference_bracket(power, g, lam, xi, w, s):
+    """Terms of σ times the ground-state-configuration bracket."""
+    if power == 4:
+        terms = [g, 4.0 * lam * s * s, 12.0 * lam * xi / w]
+    elif power == 6:
+        terms = [
+            g,
+            6.0 * lam * s**4,
+            60.0 * lam * s * s * xi / w,
+            11.25 * lam * (4.0 * xi * xi + 1.0) / (w * w),
+        ]
+    else:
+        terms = [
+            g,
+            8.0 * lam * s**6,
+            168.0 * lam * s**4 * xi / w,
+            105.0 * lam * s * s * (4.0 * xi * xi + 1.0) / (w * w),
+            35.0 * lam * xi * (4.0 * xi * xi + 5.0) / w**3,
+        ]
+    return [s * t for t in terms]
+
+
+def reference_energy(power, g, xi, w):
+    if power == 4:
+        return [0.25 * xi * 3.0 * w, 0.25 * xi * g / w]
+    if power == 6:
+        return [xi / 3.0 * 2.0 * w, xi / 3.0 * g / w]
+    return [0.125 * xi * 5.0 * w, 0.125 * xi * 3.0 * g / w]
+
+
+def assert_matches_terms(value, terms, rel=1e-13):
+    assert abs(value - math.fsum(terms)) <= rel * max(abs(t) for t in terms)
+
+
+@pytest.mark.parametrize("power", [4, 6, 8])
+def test_moment_core_reproduces_closed_forms(power):
+    rng = np.random.default_rng(power)
+    for _ in range(150):
+        g = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3))
+        lam = float(10.0 ** rng.uniform(-4, 4))
+        w = float(10.0 ** rng.uniform(-1.5, 1.5))
+        s = float(rng.uniform(-3.0, 3.0))
+        n = int(rng.integers(0, 41))
+        xi = n + 0.5
+        m = OscillatorModel(power=power, g=g, lam=lam)
+        A, B, C = hartree_coefficients(m, n, w, s)
+        a_terms = reference_a(power, xi, w, s)
+        b_terms = reference_b(power, g, lam, xi, w, s)
+        assert_matches_terms(A, a_terms)
+        assert_matches_terms(B, b_terms)
+        mode = ladder.ModeParameters(omega=w, sigma=s)
+        avg = ladder.expectation(ladder.field_power(power, mode), n)
+        avg_phi2 = s * s + xi / w
+        c_terms = [avg, -math.fsum(a_terms) * avg_phi2, math.fsum(b_terms) * s]
+        assert_matches_terms(C, c_terms)
+
+        gap, config = general_gap_residuals(m, n, w, s)
+        assert_matches_terms(gap, reference_gap(power, g, lam, xi, w, s))
+        assert_matches_terms(config, reference_bracket(power, g, lam, xi, w, s))
+
+        phase = Phase.AHO if g > 0 else Phase.DWO_SR
+        fn, dfn, _ = _gap_poly(m, n, phase)
+        assert_matches_terms(fn(w), reference_gap(power, g, lam, xi, w, 0.0))
+        assert_matches_terms(dfn(w), reference_gap_derivative(power, g, w))
+        energy = zeroth_energy(m, n, w, phase)
+        assert_matches_terms(energy, reference_energy(power, g, xi, w))
+
+
+def test_moments_match_ladder_algebra():
+    unit = ladder.ModeParameters(1.0)
+    for j in range(7):
+        poly = ladder.field_power(2 * j, unit)
+        for n in range(41):
+            assert moment(j, n) == pytest.approx(
+                ladder.expectation(poly, n), rel=1e-14, abs=0.0
+            )
+
+
+def test_symmetry_restored_root_below_old_bracket():
+    # the symmetry-restored root 6 lambda f / |g| ~ 6e-12 lies far below any
+    # fixed positive lower bracket; the broken branch wins by energy
+    m = OscillatorModel(power=4, g=-1e6, lam=1e-6)
+    w_sr = solve_gap(m, 0, Phase.DWO_SR)
+    assert w_sr == pytest.approx(6e-12, rel=1e-9)
+    sol = solve_level(m, 0)
+    assert sol.phase is Phase.DWO_SSB
+    assert sol.omega == pytest.approx(math.sqrt(2e6), rel=1e-12)

@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gha.hartree import (
@@ -11,6 +11,7 @@ from gha.hartree import (
     gap_residual_scale,
     general_gap_residuals,
     hamiltonian_polynomial,
+    moment,
     solve_level,
 )
 from gha.hipt import second_order
@@ -75,3 +76,26 @@ def test_double_well_phases_cover_the_coupling_axis(lam, n):
     if sol.branches:
         # when both phases solve, the reported one is the lower
         assert sol.energy == min(b.energy for b in sol.branches)
+
+
+# the quartic double well and the three anharmonic oscillators
+signed_powers = st.sampled_from([(4, -1.0), (4, 1.0), (6, 1.0), (8, 1.0)])
+wide_stiffness = st.floats(min_value=-3.0, max_value=6.0, allow_nan=False)
+wide_couplings = st.floats(min_value=-6.0, max_value=3.0, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_powers, wide_stiffness, wide_couplings, levels)
+# g = -1e6, lam = 1e-6: the symmetry-restored root ~6e-12 sits below any
+# fixed positive lower bracket
+@example((4, -1.0), 6.0, -6.0, 0)
+def test_levels_solve_at_extreme_coupling_ratios(signed_power, lg, ll, n):
+    power, sign = signed_power
+    model = OscillatorModel(power=power, g=sign * 10.0**lg, lam=10.0**ll)
+    sol = solve_level(model, n)
+    assert math.isfinite(sol.energy)
+    k, w, g = model.k, sol.omega, abs(model.g)
+    c0 = 2 * k * model.lam * moment(k, n) / (n + 0.5)
+    scale = max(w ** (k + 1), g * w ** (k - 1), 12.0 * model.lam * sol.sigma**2 * w, c0)
+    gap, _ = general_gap_residuals(model, n, w, sol.sigma)
+    assert abs(gap) <= 1e-12 * scale

@@ -22,7 +22,6 @@ from gha.qft import (
     static_potential,
     stevenson,
     structure_function,
-    vev_branches,
 )
 
 FOUR_PI2 = 4.0 * math.pi**2
@@ -87,6 +86,12 @@ def test_theory_validation():
         FieldTheory(m2=math.inf, lam=0.1, cutoff=10.0)
 
 
+@pytest.mark.parametrize("cutoff", [math.inf, math.nan])
+def test_non_finite_cutoff_is_rejected(cutoff):
+    with pytest.raises(DomainError, match="cutoff"):
+        FieldTheory(m2=1.0, lam=0.1, cutoff=cutoff)
+
+
 def test_mass_gap_solution():
     state = solve_mass_gap(THEORY, 0.0)
     residual = state.M2 - THEORY.m2 - 12.0 * THEORY.lam * state.i0
@@ -132,15 +137,6 @@ def test_mass_gap_root_is_unique():
 def test_weak_coupling_gap_reduces_to_bare_mass():
     weak = FieldTheory(m2=1.0, lam=1e-12, cutoff=10.0)
     assert solve_mass_gap(weak, 0.0).M2 == pytest.approx(1.0, rel=1e-9)
-
-
-def test_symmetric_vacuum_is_the_only_branch():
-    for cutoff in (10.0, 1e6):
-        t = FieldTheory(m2=1.0, lam=0.1, cutoff=cutoff)
-        branches = vev_branches(t)
-        assert len(branches) == 1
-        assert branches[0][0] == 0.0
-        assert branches[0][1] == pytest.approx(solve_mass_gap(t, 0.0).M2)
 
 
 def test_effective_potential_shape():

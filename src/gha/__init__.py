@@ -20,7 +20,7 @@ from .ladder import (ModeParameters, NormalOrderedPolynomial, constant,
                      expectation, field_power, matrix_element,
                      momentum_squared, multiply)
 from .oracle import (SpectrumEstimate, TruncatedBasis, converged_levels,
-                     eigenvalues, hamiltonian_matrix)
+                     hamiltonian_matrix)
 from .qft import (FieldTheory, GapState, RenormalizedParams, bessel_k1,
                   density_ratio, effective_potential, occupation,
                   peak_density, renormalized, solve_mass_gap,
@@ -43,7 +43,7 @@ __all__ = [
     "SpectrumEstimate", "TruncatedBasis", "VacuumStructure", "bessel_k1",
     "build_h_prime", "classical_well_depth", "constant", "converged_levels",
     "critical_coupling", "density_ratio", "effective_potential",
-    "eigenvalues", "expectation", "field_power", "general_gap_residuals",
+    "expectation", "field_power", "general_gap_residuals",
     "hamiltonian_matrix", "hartree_coefficients", "loglog_slope",
     "matrix_element", "momentum_squared", "multiply", "occupation",
     "peak_density", "reference_table", "renormalized", "run_table",

@@ -25,8 +25,7 @@ from .hartree import (OscillatorModel, classical_well_depth,
                       critical_coupling, solve_level)
 from .hipt import second_order
 from .oracle import converged_levels
-from .tables import (reference_table, render_csv, render_json, render_md,
-                     run_table)
+from .tables import reference_table, run_table
 from .vacuum import loglog_slope, strong_coupling_scaling, vacuum_structure
 
 
@@ -300,14 +299,17 @@ def _cmd_table(args):
                    "convention": table.convention, "rows": rows}
         return _emit(args, payload,
                      ["lambda", "n", "provenance", "text", "disputed"], rows)
-    report = run_table(args.table_id, tol=args.tol, threads=args.threads)
-    if args.format == "json":
-        meta = None if args.no_meta else _meta()
-        print(render_json(report, meta))
-    elif args.format == "csv":
-        print(render_csv(report), end="")
-    else:
-        print(render_md(report), end="")
+    report = run_table(args.table_id, tol=args.tol)
+    rows = [{"lambda": r.lam, "n": r.n, "provenance": r.provenance,
+             "computed": r.computed, "reference": r.reference,
+             "rel_error": r.rel_error, "pass": r.passed, "disputed": r.disputed}
+            for r in report.rows]
+    payload = {"table": report.table_id, "rows": rows,
+               "summary": report.summary()}
+    fields = ["table", "lambda", "n", "provenance", "computed", "reference",
+              "rel_error", "pass", "disputed"]
+    _emit(args, payload, fields,
+          [{"table": report.table_id, **row} for row in rows])
     return 0 if report.ok else 1
 
 
@@ -409,7 +411,6 @@ def build_parser():
     p.add_argument("table_id", type=int, choices=(1, 2, 3, 4))
     p.add_argument("--compare", action="store_true")
     p.add_argument("--tol", type=float)
-    p.add_argument("--threads", type=int)
     p.set_defaults(func=_cmd_table)
 
     return parser

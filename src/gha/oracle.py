@@ -33,7 +33,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import BudgetExceeded, DomainError, NonConvergence
+from .errors import BudgetExceeded, DomainError
 from .hartree import OscillatorModel, solve_level
 
 _START_DIMENSION = 64
@@ -94,20 +94,6 @@ def hamiltonian_matrix(model: OscillatorModel, basis: TruncatedBasis) -> np.ndar
     return h
 
 
-def eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending."""
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {a.shape}")
-    scale = np.abs(a).max() if a.size else 0.0
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * max(1.0, scale)):
-        raise DomainError("matrix is not symmetric")
-    try:
-        return np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"eigensolver failed: {exc}") from exc
-
-
 def _sector_levels(h: np.ndarray) -> np.ndarray:
     even = np.linalg.eigvalsh(h[0::2, 0::2])
     odd = np.linalg.eigvalsh(h[1::2, 1::2])
@@ -126,8 +112,8 @@ def converged_levels(
     """
     if n_max < 0:
         raise DomainError(f"n_max must be nonnegative, got {n_max}")
-    if tol < 1e-10:
-        raise DomainError(f"tolerance below 1e-10 is not supported, got {tol}")
+    if not 1e-10 <= tol < math.inf:
+        raise DomainError(f"tolerance must lie in [1e-10, inf), got {tol}")
     budget = f"levels 0..{n_max} not converged to {tol} within dimension {_MAX_DIMENSION}"
     n_dim = _START_DIMENSION
     # every compared spectrum must hold levels 0..n_max, and convergence

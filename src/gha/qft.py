@@ -74,8 +74,8 @@ def stevenson(n: int, M2: float, cutoff: float) -> float:
     """Closed-form cutoff integral I_n(M²) for n ∈ {−1, 0, 1}."""
     if n not in (-1, 0, 1):
         raise DomainError(f"only n in {{-1, 0, 1}} supported, got {n}")
-    if not (M2 > 0.0) or not (cutoff > 0.0):
-        raise DomainError(f"need M2 > 0 and cutoff > 0, got {M2}, {cutoff}")
+    if not 0.0 < M2 < math.inf or not 0.0 < cutoff < math.inf:
+        raise DomainError(f"need finite M2 > 0 and cutoff > 0, got {M2}, {cutoff}")
     length = float(cutoff)
     mass = math.sqrt(M2)
     s = math.hypot(length, mass)  # overflow-safe sqrt(L² + M²)

@@ -23,15 +23,14 @@ stated alongside the data.  A handful of printed cells are internally
 inconsistent (digit slips); these are marked disputed: they are computed and
 reported but never fail a run.  The sextic table's bracketed percent rows
 are recomputed from the energy rows rather than trusted as printed.
+
+`run_table` recomputes one table serially; `gha table N --compare` renders
+its report through the same output path as every other subcommand.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Optional, Tuple
@@ -376,7 +375,7 @@ def _report_value(table: ReferenceTable, model: OscillatorModel, raw: float) -> 
     return raw
 
 
-def _column_worker(table, lam, cells, pct_cells):
+def _column_values(table, lam, cells, pct_cells):
     """Compute every cell in one coupling column. Returns {(n, kind): value}."""
     model = _model_for(table, lam)
     out = {}
@@ -401,40 +400,26 @@ def _column_worker(table, lam, cells, pct_cells):
     return out
 
 
-def _worker_count(threads: Optional[int], columns: int) -> int:
-    try:
-        cap = int(os.environ.get("GHA_THREADS", "0"))
-    except ValueError:
-        cap = 0
-    want = threads if threads and threads > 0 else (os.cpu_count() or 1)
-    if cap > 0:
-        want = min(want, cap)
-    return max(1, min(want, columns))
-
-
 def run_table(table_id: int,
               tol: Optional[float] = None,
-              gha_tol: Optional[float] = None,
-              hipt_tol: Optional[float] = None,
-              external_tol: Optional[float] = None,
               threads: Optional[int] = None) -> ComparisonReport:
     """Recompute one benchmark table and compare against its printed values.
 
-    Cells are computed in parallel across coupling columns; the report is
-    assembled single-threaded in the embedded order, so the output does not
-    depend on scheduling.  `tol` overrides every per-provenance tolerance at
-    once; the specific overrides take precedence over `tol`.
+    Columns are computed serially, in the embedded order.  `tol`, when
+    given, replaces every per-provenance tolerance at once and must lie in
+    (0, inf).  `threads` accepts only None or 1; it stays while
+    bench/make_expected.py passes threads=1 and goes at the next change to
+    the benchmark.
     """
     table = reference_table(table_id)
-    tols = {
-        "GHA": gha_tol if gha_tol is not None else (
-            tol if tol is not None else GHA_TOL[table_id]),
-        "HIPT": hipt_tol if hipt_tol is not None else (
-            tol if tol is not None else HIPT_TOL.get(table_id, 2e-3)),
-        "EXTERNAL_REF": external_tol if external_tol is not None else (
-            tol if tol is not None else EXTERNAL_TOL),
-        "PERCENT": tol if tol is not None else EXTERNAL_TOL,
-    }
+    if threads not in (None, 1):
+        raise DomainError(f"tables are computed serially; threads must be 1, got {threads}")
+    if tol is not None and not 0.0 < tol < math.inf:
+        raise DomainError(f"tolerance must lie in (0, inf), got {tol}")
+    tols = {"GHA": GHA_TOL[table_id], "HIPT": HIPT_TOL.get(table_id, 2e-3),
+            "EXTERNAL_REF": EXTERNAL_TOL}
+    if tol is not None:
+        tols = dict.fromkeys(tols, tol)
 
     columns: Dict[float, list] = {}
     for c in table.cells:
@@ -442,21 +427,8 @@ def run_table(table_id: int,
     pct_by_col: Dict[float, list] = {}
     for p in table.percent_cells:
         pct_by_col.setdefault(p.lam, []).append(p)
-
-    lams = list(columns)
-    computed: Dict[float, Dict] = {}
-    workers = _worker_count(threads, len(lams))
-    if workers == 1:
-        for lam in lams:
-            computed[lam] = _column_worker(table, lam, columns[lam],
-                                           pct_by_col.get(lam, []))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {lam: pool.submit(_column_worker, table, lam,
-                                        columns[lam], pct_by_col.get(lam, []))
-                       for lam in lams}
-            for lam in lams:
-                computed[lam] = futures[lam].result()
+    computed = {lam: _column_values(table, lam, cells, pct_by_col.get(lam, []))
+                for lam, cells in columns.items()}
 
     rows = []
     for c in table.cells:
@@ -480,64 +452,3 @@ def run_table(table_id: int,
     return ComparisonReport(table_id=table_id, rows=tuple(rows),
                             max_rel_error=max(live) if live else 0.0,
                             failures=failures)
-
-
-def _row_dict(row: ComparisonRow) -> Dict[str, object]:
-    return {
-        "lambda": row.lam,
-        "n": row.n,
-        "provenance": row.provenance,
-        "computed": row.computed,
-        "reference": row.reference,
-        "rel_error": row.rel_error,
-        "pass": row.passed,
-        "disputed": row.disputed,
-    }
-
-
-def report_payload(report: ComparisonReport,
-                   meta: Optional[Dict[str, object]] = None) -> Dict[str, object]:
-    payload: Dict[str, object] = {"table": report.table_id}
-    if meta is not None:
-        payload["meta"] = meta
-    payload["rows"] = [_row_dict(r) for r in report.rows]
-    payload["summary"] = report.summary()
-    return payload
-
-
-def render_json(report: ComparisonReport,
-                meta: Optional[Dict[str, object]] = None) -> str:
-    return json.dumps(report_payload(report, meta), indent=2)
-
-
-_CSV_FIELDS = ("table", "lambda", "n", "provenance", "computed", "reference",
-               "rel_error", "pass", "disputed")
-
-
-def render_csv(report: ComparisonReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)  # RFC-4180 quoting and CRLF line ends
-    writer.writerow(_CSV_FIELDS)
-    for r in report.rows:
-        writer.writerow([report.table_id, repr(r.lam), r.n, r.provenance,
-                         repr(r.computed), repr(r.reference), repr(r.rel_error),
-                         str(r.passed).lower(), str(r.disputed).lower()])
-    return buf.getvalue()
-
-
-def render_md(report: ComparisonReport) -> str:
-    lines = [f"### table {report.table_id}",
-             "",
-             "| lambda | n | provenance | computed | reference | rel_error | pass | disputed |",
-             "| --- | --- | --- | --- | --- | --- | --- | --- |"]
-    for r in report.rows:
-        mark = "yes" if r.passed else ("disputed" if r.disputed else "NO")
-        lines.append(f"| {r.lam:g} | {r.n} | {r.provenance} | {r.computed:.6g} "
-                     f"| {r.reference:g} | {r.rel_error:.2e} | {mark} | "
-                     f"{'yes' if r.disputed else 'no'} |")
-    s = report.summary()
-    lines.append("")
-    lines.append(f"max rel error {s['max_rel_error']:.3e} over "
-                 f"{s['cells']} cells, {s['failures']} failures, "
-                 f"{s['disputed']} disputed")
-    return "\n".join(lines) + "\n"

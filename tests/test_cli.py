@@ -192,6 +192,12 @@ def test_table_compare_exit_codes(capsys):
     assert main(["table", "1", "--compare", "--tol", "1e-12", "--no-meta"]) == 1
     capsys.readouterr()
 
+    for tol in ("nan", "-1", "0", "inf"):
+        assert main(["table", "1", "--compare", "--tol", tol, "--no-meta"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: tolerance must lie in (0, inf)" in captured.err
+
 
 def test_table_listing(capsys):
     doc = run_json(capsys, ["table", "1"])
@@ -211,6 +217,14 @@ def test_domain_errors_exit_two(capsys):
     assert "error: n_max must be nonnegative" in capsys.readouterr().err
     assert main(["spectrum", "--g", "1", "--lambda", "nan"]) == 2
     assert "error: coupling must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "1e-11"])
+def test_oracle_rejects_meaningless_tolerance(capsys, tol):
+    assert main(["oracle", "--g", "1", "--lambda", "1", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: tolerance must lie in [1e-10, inf)" in captured.err
 
 
 def test_oracle_beyond_start_dimension(capsys):

@@ -52,6 +52,10 @@ def test_cutoff_integral_validation():
         stevenson(0, -1.0, 10.0)
     with pytest.raises(DomainError):
         stevenson(0, 1.0, 0.0)
+    for M2, cutoff in ((math.inf, 10.0), (1.0, math.inf), (math.nan, 10.0),
+                       (1.0, math.nan)):
+        with pytest.raises(DomainError):
+            stevenson(0, M2, cutoff)
 
 
 def test_heavy_mass_asymptotics():

@@ -3,20 +3,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gha
+from gha.cli import main
 from gha.errors import DomainError
-from gha.tables import (
-    ComparisonReport,
-    Provenance,
-    reference_table,
-    render_csv,
-    render_json,
-    render_md,
-    report_payload,
-    run_table,
-)
+from gha.tables import ComparisonReport, Provenance, reference_table, run_table
 
 
 def find_cell(table, lam, n, prov):
@@ -120,21 +117,22 @@ def test_percent_rows_are_informational():
 def test_tolerance_overrides():
     tight = run_table(1, tol=1e-12)
     assert not tight.ok and tight.failures > 0
-    # the per-provenance override wins over the blanket tol
-    mixed = run_table(1, tol=1e-12, gha_tol=1.0)
-    gha_failures = sum(
-        1 for r in mixed.rows
-        if r.provenance == "GHA" and not r.passed and not r.disputed
-    )
-    assert gha_failures == 0
-    assert mixed.failures > 0  # external cells still held to 1e-12
+    assert run_table(1, tol=1.0).ok
 
 
-def test_json_rendering():
+def compare_output(capsys, table_id, *options):
+    code = main(["table", str(table_id), "--compare", *options])
+    assert code == 0
+    return capsys.readouterr().out
+
+
+def test_json_rendering(capsys):
     report = run_table(2)
-    doc = json.loads(render_json(report, meta={"who": "tests"}))
+    doc = json.loads(compare_output(capsys, 2))
+    assert list(doc) == ["table", "rows", "summary", "meta"]
     assert doc["table"] == 2
-    assert doc["meta"] == {"who": "tests"}
+    assert doc["meta"]["version"] == "0.1.0"
+    assert doc["summary"] == report.summary()
     assert doc["summary"]["failures"] == 0
     assert len(doc["rows"]) == len(report.rows)
     first = doc["rows"][0]
@@ -145,14 +143,14 @@ def test_json_rendering():
     # float round trip is exact because repr-precision survives json
     assert first["computed"] == report.rows[0].computed
 
-    bare = json.loads(render_json(report))
+    bare = json.loads(compare_output(capsys, 2, "--no-meta"))
     assert "meta" not in bare
-    assert report_payload(report) == bare
+    assert bare == {k: v for k, v in doc.items() if k != "meta"}
 
 
-def test_csv_rendering():
+def test_csv_rendering(capsys):
     report = run_table(4)
-    text = render_csv(report)
+    text = compare_output(capsys, 4, "--format", "csv")
     assert "\r\n" in text
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == [
@@ -167,19 +165,29 @@ def test_csv_rendering():
     assert body[8] in ("true", "false")
 
 
-def test_md_rendering():
-    text = render_md(run_table(1))
+def test_md_rendering(capsys):
+    text = compare_output(capsys, 1, "--format", "md")
     lines = text.splitlines()
-    assert lines[0] == "### table 1"
-    assert lines[2].startswith("| lambda | n | provenance |")
-    assert "max rel error" in lines[-1]
+    assert lines[0] == ("| table | lambda | n | provenance | computed | reference "
+                        "| rel_error | pass | disputed |")
+    assert lines[1].startswith("| --- |")
+    assert len(lines) == 2 + len(run_table(1).rows)
     assert text.endswith("\n")
 
 
-def test_thread_count_does_not_change_results(monkeypatch):
-    serial = run_table(1, threads=1)
-    parallel = run_table(1, threads=4)
-    assert serial.rows == parallel.rows
-    monkeypatch.setenv("GHA_THREADS", "1")
-    capped = run_table(1, threads=4)
-    assert capped.rows == serial.rows
+def test_serial_runs_agree_and_threads_are_rejected():
+    first, second = run_table(1), run_table(1, threads=1)
+    assert first.rows == second.rows
+    order = [(c.lam, c.n, c.provenance.value) for c in reference_table(1).cells]
+    assert [(r.lam, r.n, r.provenance) for r in first.rows] == order
+    with pytest.raises(DomainError):
+        run_table(1, threads=2)
+
+
+def test_import_loads_no_thread_pool():
+    src = str(Path(gha.__file__).resolve().parents[1])
+    code = "import sys, gha; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "False"

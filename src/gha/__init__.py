@@ -9,7 +9,7 @@ spectra for validation.
 """
 
 from .errors import (BudgetExceeded, DomainError, GhaError, NoPhysicalRoot,
-                     NonConvergence, PhaseUnavailable)
+                     NonConvergence, NonFiniteValue, PhaseUnavailable)
 from .hartree import (BranchInfo, HartreeSolution, OscillatorModel, Phase,
                       classical_well_depth, critical_coupling,
                       general_gap_residuals, hartree_coefficients,
@@ -37,8 +37,9 @@ __all__ = [
     "BranchInfo", "BudgetExceeded", "ComparisonReport", "ComparisonRow",
     "Contribution", "DomainError", "FieldTheory", "GapState", "GhaError",
     "HartreeSolution", "ModeParameters", "NoPhysicalRoot",
-    "NonConvergence", "NormalOrderedPolynomial", "OscillatorModel",
-    "PerturbationReport", "Phase", "PhaseUnavailable", "Provenance",
+    "NonConvergence", "NonFiniteValue", "NormalOrderedPolynomial",
+    "OscillatorModel", "PerturbationReport", "Phase", "PhaseUnavailable",
+    "Provenance",
     "ReferenceCell", "ReferenceTable", "RenormalizedParams",
     "SpectrumEstimate", "TruncatedBasis", "VacuumStructure", "bessel_k1",
     "build_h_prime", "classical_well_depth", "constant", "converged_levels",

@@ -20,7 +20,7 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__, qft
-from .errors import DomainError, GhaError
+from .errors import DomainError, GhaError, NonFiniteValue
 from .hartree import (OscillatorModel, classical_well_depth,
                       critical_coupling, solve_level)
 from .hipt import second_order
@@ -88,11 +88,23 @@ def _md_text(fields, rows):
 
 
 def _emit(args, payload, fields, rows):
+    """Print the output; raise NonFiniteValue before printing NaN or infinity."""
+    name = payload.get("command", args.command)
     if args.format == "json":
         if not args.no_meta:
             payload = {**payload, "meta": _meta()}
-        print(json.dumps(payload, indent=2))
-    elif args.format == "csv":
+        try:
+            text = json.dumps(payload, indent=2, allow_nan=False)
+        except ValueError:
+            raise NonFiniteValue(f"{name} output holds NaN or infinity") from None
+        print(text)
+        return 0
+    for row in rows:
+        for f in fields:
+            v = row.get(f)
+            if isinstance(v, float) and not math.isfinite(v):
+                raise NonFiniteValue(f"{name} output has {f} = {v}")
+    if args.format == "csv":
         print(_csv_text(fields, rows), end="")
     else:
         print(_md_text(fields, rows), end="")
@@ -247,8 +259,8 @@ def _cmd_qft_potential(args):
     if args.points < 2:
         print("qft potential: --points must be at least 2", file=sys.stderr)
         return 2
-    if not args.sigma_max > 0.0:
-        raise DomainError(f"--sigma-max must be positive, got {args.sigma_max}")
+    if not 0.0 < args.sigma_max < math.inf:
+        raise DomainError(f"--sigma-max must be positive and finite, got {args.sigma_max}")
     step = args.sigma_max / (args.points - 1)
     rows = []
     for i in range(args.points):

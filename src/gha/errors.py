@@ -23,3 +23,7 @@ class NonConvergence(GhaError, ArithmeticError):
 
 class BudgetExceeded(GhaError):
     """An adaptive computation hit its resource cap before converging."""
+
+
+class NonFiniteValue(GhaError, ArithmeticError):
+    """A computation overflowed, divided by zero or produced NaN or infinity."""

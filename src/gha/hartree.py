@@ -42,7 +42,8 @@ from enum import Enum
 from typing import Optional, Tuple
 
 from . import ladder
-from .errors import DomainError, NoPhysicalRoot, NonConvergence, PhaseUnavailable
+from .errors import (DomainError, NoPhysicalRoot, NonConvergence,
+                     NonFiniteValue, PhaseUnavailable)
 
 
 class Phase(str, Enum):
@@ -300,6 +301,14 @@ def _finish(model, n, omega, sigma, phase, branches=None) -> HartreeSolution:
 
 def solve_level(model: OscillatorModel, n: int) -> HartreeSolution:
     """Full per-level pipeline: gap solve, phase selection, coefficients, energy."""
+    try:
+        return _solve_level(model, n)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NonFiniteValue(
+            f"level {n} of {model} leaves floating-point range: {exc}") from exc
+
+
+def _solve_level(model: OscillatorModel, n: int) -> HartreeSolution:
     xi = _xi(n)
     if model.g > 0.0:
         omega = solve_gap(model, n, Phase.AHO)

@@ -23,6 +23,9 @@ Because the potential is even, the even- and odd-index sectors decouple and
 are diagonalized separately.  Dimensions double until the requested levels
 stop moving, which both validates the Hartree results and reproduces the
 external benchmark values quoted alongside them.
+
+numpy is imported inside the functions that use it, so `import gha` and every
+command that never diagonalizes do not pay for loading it.
 """
 
 from __future__ import annotations
@@ -30,8 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Tuple
-
-import numpy as np
 
 from .errors import BudgetExceeded, DomainError
 from .hartree import OscillatorModel, solve_level
@@ -61,6 +62,8 @@ class SpectrumEstimate:
 
 def hamiltonian_matrix(model: OscillatorModel, basis: TruncatedBasis) -> np.ndarray:
     """Exact H_{mn} in the σ=0 number basis of the given frequency."""
+    import numpy as np
+
     n_dim, w, k = basis.dimension, basis.basis_frequency, model.k
     padded = n_dim + k
     width = 2 * k
@@ -95,6 +98,8 @@ def hamiltonian_matrix(model: OscillatorModel, basis: TruncatedBasis) -> np.ndar
 
 
 def _sector_levels(h: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     even = np.linalg.eigvalsh(h[0::2, 0::2])
     odd = np.linalg.eigvalsh(h[1::2, 1::2])
     merged = np.concatenate([even, odd])
@@ -110,6 +115,8 @@ def converged_levels(
     The basis frequency is adapted to the Hartree ω of level n_max, which
     keeps the required dimension small even at strong coupling.
     """
+    import numpy as np
+
     if n_max < 0:
         raise DomainError(f"n_max must be nonnegative, got {n_max}")
     if not 1e-10 <= tol < math.inf:

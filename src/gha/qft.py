@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NonConvergence
+from .errors import DomainError, NonConvergence, NonFiniteValue
 
 _FOUR_PI2 = 4.0 * math.pi * math.pi
 _HALF_PI = 0.5 * math.pi
@@ -84,7 +84,11 @@ def stevenson(n: int, M2: float, cutoff: float) -> float:
         return (lt - length / s) / _FOUR_PI2
     if n == 0:
         return (length * s - M2 * lt) / (2.0 * _FOUR_PI2)
-    return (length * s**3 / 4.0 - M2 * length * s / 8.0 - M2 * M2 * lt / 8.0) / _FOUR_PI2
+    try:
+        cube = s**3
+    except OverflowError as exc:
+        raise NonFiniteValue(f"I_1({M2}) at cutoff {cutoff} leaves floating-point range") from exc
+    return (length * cube / 4.0 - M2 * length * s / 8.0 - M2 * M2 * lt / 8.0) / _FOUR_PI2
 
 
 def solve_mass_gap(theory: FieldTheory, sigma: float) -> GapState:
@@ -96,6 +100,8 @@ def solve_mass_gap(theory: FieldTheory, sigma: float) -> GapState:
     """
     lam, cut = theory.lam, theory.cutoff
     base = theory.m2 + 12.0 * lam * sigma * sigma
+    if not math.isfinite(base):
+        raise DomainError(f"sigma must be finite with 12*lambda*sigma^2 finite, got {sigma}")
 
     def residual(m2):
         return m2 - base - 12.0 * lam * stevenson(0, m2, cut)
@@ -130,11 +136,15 @@ def solve_mass_gap(theory: FieldTheory, sigma: float) -> GapState:
 def effective_potential(theory: FieldTheory, sigma: float) -> float:
     """Gaussian effective potential U(σ) on the gap solution M²(σ)."""
     state = solve_mass_gap(theory, sigma)
+    try:
+        quartic = theory.lam * sigma**4
+    except OverflowError as exc:
+        raise NonFiniteValue(f"U({sigma}) of {theory} leaves floating-point range") from exc
     return (
         state.i1
         - 3.0 * theory.lam * state.i0 * state.i0
         + 0.5 * theory.m2 * sigma * sigma
-        + theory.lam * sigma**4
+        + quartic
     )
 
 

@@ -30,6 +30,7 @@ its report through the same output path as every other subcommand.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -312,6 +313,7 @@ def _cell(table_id, lam, n, text, provenance):
                          disputed=key in _DISPUTED, note=note)
 
 
+@functools.cache
 def _build_tables():
     t1 = []
     for lam, gha, quoted, hipt in _T1:
@@ -353,13 +355,12 @@ def _build_tables():
     }
 
 
-TABLES = _build_tables()
-
-
 def reference_table(table_id: int) -> ReferenceTable:
-    if table_id not in TABLES:
+    """The embedded table `table_id`; all four are built on the first call."""
+    tables = _build_tables()
+    if table_id not in tables:
         raise DomainError(f"no reference table {table_id}; valid ids are 1..4")
-    return TABLES[table_id]
+    return tables[table_id]
 
 
 def _model_for(table: ReferenceTable, lam: float) -> OscillatorModel:

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
-import numpy as np
-
 from .errors import DomainError
 from .hartree import OscillatorModel, solve_level
 
@@ -63,6 +61,14 @@ def loglog_slope(samples: Sequence[Tuple[float, float]]) -> float:
     """Least-squares slope of ln n₀ against ln λ."""
     if len(samples) < 2:
         raise DomainError("slope needs at least two samples")
-    x = np.log([lam for lam, _ in samples])
-    y = np.log([n0 for _, n0 in samples])
-    return float(np.polyfit(x, y, 1)[0])
+    if not all(0.0 < v < math.inf for sample in samples for v in sample):
+        raise DomainError("slope needs finite positive couplings and densities")
+    x = [math.log(lam) for lam, _ in samples]
+    y = [math.log(n0) for _, n0 in samples]
+    x_bar = math.fsum(x) / len(x)
+    y_bar = math.fsum(y) / len(y)
+    dx = [xi - x_bar for xi in x]
+    spread = math.fsum(d * d for d in dx)
+    if spread == 0.0:
+        raise DomainError("slope needs at least two distinct couplings")
+    return math.fsum(d * (yi - y_bar) for d, yi in zip(dx, y)) / spread

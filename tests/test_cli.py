@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gha
 from gha.cli import main
 from gha.qft import bessel_k1, stevenson
 
@@ -250,3 +255,82 @@ def test_version_flag(capsys):
         main(["--version"])
     assert info.value.code == 0
     assert capsys.readouterr().out.strip() == "0.1.0"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "md"])
+def test_non_finite_output_exits_one(capsys, fmt):
+    # 1/omega overflows, so n0 is infinite
+    assert main(["vacuum", "--omega", "1e-320", "--format", fmt, "--no-meta"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: vacuum output")
+
+
+@pytest.mark.parametrize("argv", [
+    ["qft", "gap", "--sigma", "nan"],
+    ["qft", "gap", "--sigma", "1e200"],
+    ["qft", "potential", "--sigma-max", "inf"],
+])
+def test_bad_shift_is_blamed_on_sigma(capsys, argv):
+    theory = ["--mass2", "1", "--lambda", "0.1", "--cutoff", "10"]
+    assert main(argv[:2] + theory + argv[2:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "sigma" in captured.err
+    assert "M2" not in captured.err
+
+
+_SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(gha.__file__).resolve().parents[1])}
+
+
+@pytest.mark.parametrize("argv", [
+    ["dwo", "--lambda", "1e-300"],
+    ["qft", "integrals", "--mass2", "1", "--cutoff", "1e300"],
+    ["qft", "potential", "--mass2", "1", "--lambda", "0.1", "--cutoff", "10",
+     "--sigma-max", "1e100"],
+])
+def test_overflow_exits_one_without_traceback(argv):
+    proc = subprocess.run([sys.executable, "-m", "gha.cli", *argv, "--no-meta"],
+                          capture_output=True, text=True, env=_SRC_ENV, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_import_loads_no_numpy():
+    code = ("import sys, gha\n"
+            "print('numpy' in sys.modules, gha.tables._build_tables.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=_SRC_ENV).stdout
+    assert out.split() == ["False", "0"]
+
+
+_THEORY = ["--mass2", "1", "--lambda", "0.1", "--cutoff", "10"]
+
+
+@pytest.mark.parametrize("argv, loads_numpy", [
+    (["spectrum", "--g", "1", "--lambda", "1", "--levels", "0,3", "--order", "2"], False),
+    (["dwo", "--lambda", "0.1", "--levels", "0,1"], False),
+    (["hipt", "--g", "1", "--lambda", "1", "--level", "2"], False),
+    (["vacuum", "--g", "1", "--lambda", "1", "--scan", "100,1000,10000"], False),
+    (["qft", "gap", *_THEORY, "--sigma", "0.5"], False),
+    (["qft", "renorm", *_THEORY], False),
+    (["qft", "potential", *_THEORY], False),
+    (["qft", "static", "--mr", "1", "--r", "0.5,2"], False),
+    (["qft", "integrals", "--mass2", "1", "--cutoff", "10"], False),
+    # the diagonalizing commands do load it, so this guard can fail
+    (["oracle", "--g", "1", "--lambda", "1"], True),
+    (["table", "1", "--compare"], True),
+])
+def test_only_diagonalizing_commands_load_numpy(argv, loads_numpy):
+    code = ("import io, json, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "from gha.cli import main\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            "    code = main(json.loads(sys.argv[1]))\n"
+            "print(code, 'numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(argv + ["--no-meta"])],
+                         capture_output=True, text=True, check=True, env=_SRC_ENV,
+                         timeout=120).stdout
+    assert out.split() == ["0", str(loads_numpy)]

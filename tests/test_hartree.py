@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gha import ladder
-from gha.errors import DomainError, PhaseUnavailable
+from gha.errors import DomainError, NonFiniteValue, PhaseUnavailable
 from gha.hartree import (
     OscillatorModel,
     Phase,
@@ -324,6 +324,13 @@ def test_model_validation():
             hartree_coefficients(QUARTIC, 0, w, s)
     with pytest.raises(DomainError):
         moment(1, -1)
+
+
+def test_overflow_is_a_typed_error_naming_the_model():
+    # sigma^2 = 1/(4 lam) ~ 2.5e299, so sigma^p overflows in the averages
+    model = OscillatorModel(power=4, g=-1.0, lam=1e-300)
+    with pytest.raises(NonFiniteValue, match=r"OscillatorModel\(power=4, g=-1.0, lam=1e-300\)"):
+        solve_level(model, 0)
 
 
 # Hand-expanded per-power formulas, kept as the reference for the moment

@@ -7,7 +7,7 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from gha.errors import DomainError
+from gha.errors import DomainError, NonFiniteValue
 from gha.qft import (
     FieldTheory,
     GapState,
@@ -56,6 +56,19 @@ def test_cutoff_integral_validation():
                        (1.0, math.nan)):
         with pytest.raises(DomainError):
             stevenson(0, M2, cutoff)
+    with pytest.raises(NonFiniteValue):
+        stevenson(1, 1.0, 1e300)  # (Λ² + M²)^{3/2} overflows
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, 1e200])
+def test_mass_gap_rejects_bad_shift_by_name(sigma):
+    with pytest.raises(DomainError, match="sigma"):
+        solve_mass_gap(THEORY, sigma)
+
+
+def test_potential_overflow_is_typed():
+    with pytest.raises(NonFiniteValue):
+        effective_potential(THEORY, 1e100)
 
 
 def test_heavy_mass_asymptotics():

@@ -66,6 +66,35 @@ def test_scan_validation():
         strong_coupling_scaling(m, [])
     with pytest.raises(DomainError):
         loglog_slope([(1e3, 0.5)])
+    with pytest.raises(DomainError):
+        loglog_slope([(1e3, 0.5), (1e3, 0.7)])
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            loglog_slope([(1e3, 0.5), (1e4, bad)])
+        with pytest.raises(DomainError):
+            loglog_slope([(bad, 0.5), (1e4, 0.7)])
+
+
+def test_slope_matches_numpy_polyfit_on_random_samples():
+    rng = np.random.default_rng(2024)
+    for _ in range(500):
+        size = int(rng.integers(2, 40))
+        lams = 10.0 ** rng.uniform(-3.0, 10.0, size)
+        n0s = 10.0 ** rng.uniform(-10.0, 5.0, size)
+        reference = np.polyfit(np.log(lams), np.log(n0s), 1)[0]
+        assert abs(loglog_slope(list(zip(lams, n0s))) - reference) <= 1e-11
+
+
+def test_slope_matches_numpy_polyfit_on_strong_coupling_scans():
+    # the windows acceptance criterion 9 fits
+    m = OscillatorModel(power=4, g=1.0, lam=1.0)
+    windows = [(1e3, 1e5), (1e6, 1e8), (1e8, 1e10)]
+    windows += [(10.0**e, 10.0 ** (e + 1)) for e in range(3, 10)]
+    for lo, hi in windows:
+        samples = strong_coupling_scaling(m, np.geomspace(lo, hi, 21))
+        lams, n0s = zip(*samples)
+        reference = np.polyfit(np.log(lams), np.log(n0s), 1)[0]
+        assert loglog_slope(samples) == pytest.approx(reference, rel=1e-12, abs=0.0)
 
 
 def test_occupation_grows_with_coupling():

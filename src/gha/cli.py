@@ -241,7 +241,7 @@ def _cmd_qft_renorm(args):
 def _cmd_qft_gap(args):
     theory = _theory(args)
     state = qft.solve_mass_gap(theory, args.sigma)
-    residual = state.M2 - theory.m2 - 12.0 * theory.lam * args.sigma ** 2 \
+    residual = state.M2 - theory.m2 - 12.0 * theory.lam * args.sigma * args.sigma \
         - 12.0 * theory.lam * state.i0
     payload = {"command": "qft-gap",
                "theory": {"mass2": theory.m2, "lambda": theory.lam,

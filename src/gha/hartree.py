@@ -32,18 +32,37 @@ For the quartic double well a broken-symmetry branch with σ² =
 −(g + 12λξ/ω)/(4λ) exists for λ ≤ λ_c(ξ, g); its frequency satisfies the
 cubic ω³ + 2gω + 6λ p(ξ) = 0 with p(ξ) = 5ξ − 1/(4ξ) and is given in closed
 form by ω = 2√(−2g/3) cos[π/6 + ⅓ arcsin(λ/λ_c)].
+
+The σ = 0 gap residual f(ω) = ω^{k+1} − gω^{k−1} − c₀, c₀ = 2kλc_k(n)/ξ > 0,
+is solved by Newton descent from ω₀ = max(√(2·max(g, 0)), (2c₀)^{1/(k+1)}).
+There f(ω₀) ≥ 0: ω₀² ≥ 2g gives ω₀^{k−1}(ω₀² − g) ≥ ω₀^{k+1}/2 ≥ c₀.  Since
+c₀ > 0 the root has ω² > g, and on [root, ∞) both f′ = ω^{k−2}[(k+1)ω² −
+(k−1)g] and f″ = ω^{k−3}[k(k+1)ω² − (k−1)(k−2)g] are positive.  On an
+increasing convex function every Newton step from above lands between the
+root and the current point, so the iterates fall monotonically onto the root
+and stop when rounding no longer lets a step decrease ω.  The broken branch
+descends the same way from just above its closed form; its cubic is convex
+and increasing above √(−2g/3), below which its largest root never lies.
+
+`solve_level` memoizes each level's solution on the model instance, so the
+second-order sums, the table columns and the oracle's basis frequency share
+one solve per (model, level).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Tuple
 
 from . import ladder
 from .errors import (DomainError, NoPhysicalRoot, NonConvergence,
                      NonFiniteValue, PhaseUnavailable)
+
+# Newton descends monotonically from its start and settles in under ten
+# steps on the σ = 0 gap; near λ_c the broken branch's double root slows it
+_NEWTON_STEPS = 100
 
 
 class Phase(str, Enum):
@@ -59,6 +78,8 @@ class OscillatorModel:
     power: int
     g: float
     lam: float
+    # level n -> HartreeSolution, filled by solve_level
+    _levels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.power not in (4, 6, 8):
@@ -140,7 +161,10 @@ def critical_coupling(xi: float, g: float) -> float:
         raise DomainError(f"critical coupling is defined for g < 0, got g={g}")
     if xi < 0.5:
         raise DomainError(f"xi must be at least 1/2, got {xi}")
-    return (-2.0 * g / 3.0) ** 1.5 / (3.0 * xi_p(xi))
+    try:
+        return (-2.0 * g / 3.0) ** 1.5 / (3.0 * xi_p(xi))
+    except OverflowError as exc:
+        raise NonFiniteValue(f"lambda_c at g={g} leaves floating-point range") from exc
 
 
 def _gap_poly(model: OscillatorModel, n: int, phase: Phase):
@@ -168,44 +192,20 @@ def _gap_poly(model: OscillatorModel, n: int, phase: Phase):
     return fn, dfn, c0
 
 
-def _polish(fn, dfn, w: float) -> float:
-    for _ in range(8):
-        d = dfn(w)
-        if d == 0.0:
-            break
-        step = fn(w) / d
-        w2 = w - step
-        if w2 <= 0.0:
-            break
+def _newton(fn, dfn, w: float, floor: float = 0.0) -> float:
+    """Newton descent onto the root of fn from w at or above it.
+
+    fn must be increasing and convex on (floor, w] with its root in there,
+    so every step lands between the root and the current point; the descent
+    ends when rounding stops a step from decreasing w or keeping it above
+    floor.
+    """
+    for _ in range(_NEWTON_STEPS):
+        w2 = w - fn(w) / dfn(w)
+        if not floor < w2 < w:
+            return w
         w = w2
-        if abs(step) <= 1e-16 * w:
-            break
-    return w
-
-
-def _bracketed_root(fn, dfn, scale) -> float:
-    # fn(0) = −c₀ < 0 in every σ = 0 phase, so the bracket starts at zero and
-    # reaches roots of any smallness
-    lo, hi = 0.0, 1.0
-    expansions = 0
-    while fn(hi) <= 0.0:
-        hi *= 2.0
-        expansions += 1
-        if expansions > 2000:
-            raise NoPhysicalRoot("failed to bracket a positive root")
-    if fn(lo) >= 0.0:
-        raise NoPhysicalRoot("residual does not change sign on (0, inf)")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    w = _polish(fn, dfn, 0.5 * (lo + hi))
-    tol = 1e-12 * scale(w)
-    if abs(fn(w)) > tol:
-        raise NonConvergence(f"gap residual {fn(w):.3e} above tolerance {tol:.3e}")
-    return w
+    raise NonConvergence(f"gap Newton descent did not settle in {_NEWTON_STEPS} steps")
 
 
 def solve_gap(model: OscillatorModel, n: int, phase: Phase) -> float:
@@ -216,6 +216,7 @@ def solve_gap(model: OscillatorModel, n: int, phase: Phase) -> float:
         raise PhaseUnavailable("AHO phase requires g > 0")
     if phase in (Phase.DWO_SR, Phase.DWO_SSB) and model.g > 0.0:
         raise PhaseUnavailable("DWO phases require g < 0")
+    fn, dfn, c0 = _gap_poly(model, n, phase)
     if phase is Phase.DWO_SSB:
         if model.power != 4:
             raise PhaseUnavailable("broken-symmetry branch is quartic-only here")
@@ -224,26 +225,25 @@ def solve_gap(model: OscillatorModel, n: int, phase: Phase) -> float:
             raise PhaseUnavailable(
                 f"no broken-symmetry branch: lambda={model.lam} exceeds lambda_c={lam_c}"
             )
-        fn, dfn, c0 = _gap_poly(model, n, phase)
-        # closed form, exact up to rounding; Newton cleans the last bits
-        w = (
-            2.0
-            * math.sqrt(-2.0 * model.g / 3.0)
-            * math.cos(math.pi / 6.0 + math.asin(min(1.0, model.lam / lam_c)) / 3.0)
-        )
-        w = _polish(fn, dfn, w)
-        if w <= 0.0:
-            raise NoPhysicalRoot("broken-symmetry frequency came out nonpositive")
-        return w
-    fn, dfn, c0 = _gap_poly(model, n, phase)
-    k, g = model.k, abs(model.g)
-
-    def scale(w):
-        # the residual is a sum of ω^{k+1}, gω^{k−1} and c₀; rounding in the
-        # largest of them bounds how small it can get
-        return max(1.0, w ** (k + 1), g * w ** (k - 1), abs(c0))
-
-    return _bracketed_root(fn, dfn, scale)
+        # closed form, exact up to rounding; the descent starts just above
+        # it, whichever side of the root rounding put it on, and stays above
+        # the cubic's minimum at √(−2g/3), where the root merges with the
+        # next one at λ = λ_c
+        floor = math.sqrt(-2.0 * model.g / 3.0)
+        w = 2.0 * floor * math.cos(
+            math.pi / 6.0 + math.asin(min(1.0, model.lam / lam_c)) / 3.0)
+        return _newton(fn, dfn, w * (1.0 + 1e-6), floor)
+    if not c0 > 0.0:
+        raise NoPhysicalRoot(f"gap constant term {c0} leaves no positive root")
+    k, g = model.k, model.g
+    # fn(w₀) ≥ 0: w₀² ≥ 2g halves ω^{k+1} at worst, and w₀^{k+1} ≥ 2c₀
+    w = _newton(fn, dfn, max(math.sqrt(2.0 * max(g, 0.0)), (2.0 * c0) ** (1.0 / (k + 1))))
+    # the residual is a sum of ω^{k+1}, gω^{k−1} and c₀; rounding in the
+    # largest of them bounds how small it can get
+    tol = 1e-12 * max(1.0, w ** (k + 1), abs(g) * w ** (k - 1), c0)
+    if not abs(fn(w)) <= tol:
+        raise NonConvergence(f"gap residual {fn(w):.3e} above tolerance {tol:.3e}")
+    return w
 
 
 def hartree_coefficients(
@@ -300,12 +300,20 @@ def _finish(model, n, omega, sigma, phase, branches=None) -> HartreeSolution:
 
 
 def solve_level(model: OscillatorModel, n: int) -> HartreeSolution:
-    """Full per-level pipeline: gap solve, phase selection, coefficients, energy."""
-    try:
-        return _solve_level(model, n)
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise NonFiniteValue(
-            f"level {n} of {model} leaves floating-point range: {exc}") from exc
+    """Full per-level pipeline: gap solve, phase selection, coefficients, energy.
+
+    Each level is solved once per model instance; later calls return the
+    stored solution.  A failed solve stores nothing and fails again.
+    """
+    sol = model._levels.get(n)
+    if sol is None:
+        try:
+            sol = _solve_level(model, n)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise NonFiniteValue(
+                f"level {n} of {model} leaves floating-point range: {exc}") from exc
+        model._levels[n] = sol
+    return sol
 
 
 def _solve_level(model: OscillatorModel, n: int) -> HartreeSolution:

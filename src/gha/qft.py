@@ -4,7 +4,8 @@ A sharp momentum cutoff Λ regulates the momentum integrals
 
     I_n(M²) = (1/4π²) ∫₀^Λ dk k² (k² + M²)^{(2n−1)/2},     n ∈ {−1, 0, 1},
 
-which are evaluated in closed form.  The variational (Gaussian) vacuum of
+which are evaluated in closed form, or by their heavy-mass series once
+Λ < M/2, where the closed forms cancel.  The variational (Gaussian) vacuum of
 
     H = ∫d³x [ ½π² + ½(∇φ)² + ½m²φ² + λφ⁴ ]
 
@@ -35,6 +36,8 @@ from .errors import DomainError, NonConvergence, NonFiniteValue
 
 _FOUR_PI2 = 4.0 * math.pi * math.pi
 _HALF_PI = 0.5 * math.pi
+# Λ/M below which the cutoff integrals switch to the heavy-mass series
+_HEAVY_MASS = 0.5
 
 
 @dataclass(frozen=True)
@@ -70,25 +73,62 @@ class RenormalizedParams:
     lambdaR: float
 
 
+def _heavy_mass_series(n: int, length: float, mass: float) -> float:
+    """I_n for t = Λ/M < ½ from (1 + x²)^{n−½} = Σ_j C(n−½, j) x^{2j}:
+
+        I_n = Λ³ M^{2n−1}/(4π²) · Σ_j C(n−½, j) t^{2j}/(2j + 3),
+
+    whose terms fall at least as fast as 4^{−j}."""
+    t = length / mass
+    t2 = t * t
+    coef, total = 1.0, 1.0 / 3.0
+    for j in range(1, 64):
+        coef *= (n + 0.5 - j) / j * t2
+        term = coef / (2 * j + 3)
+        total += term
+        if abs(term) <= 1e-17 * abs(total):
+            break
+    # Λ³M^{2n−1}, grouped so that no factor over- or underflows before the
+    # product does
+    if n == -1:
+        scale = t * t2
+    elif n == 0:
+        scale = length * length * t
+    else:
+        scale = length * length * (length * mass)
+    return scale * total / _FOUR_PI2
+
+
 def stevenson(n: int, M2: float, cutoff: float) -> float:
-    """Closed-form cutoff integral I_n(M²) for n ∈ {−1, 0, 1}."""
+    """Cutoff integral I_n(M²) for n ∈ {−1, 0, 1}.
+
+    Closed forms for Λ ≥ M/2.  Below that they cancel to a relative error of
+    about ε(M/Λ)³, and the heavy-mass series takes over.
+    """
     if n not in (-1, 0, 1):
         raise DomainError(f"only n in {{-1, 0, 1}} supported, got {n}")
     if not 0.0 < M2 < math.inf or not 0.0 < cutoff < math.inf:
         raise DomainError(f"need finite M2 > 0 and cutoff > 0, got {M2}, {cutoff}")
     length = float(cutoff)
     mass = math.sqrt(M2)
-    s = math.hypot(length, mass)  # overflow-safe sqrt(L² + M²)
-    lt = math.log((length + s) / mass)
-    if n == -1:
-        return (lt - length / s) / _FOUR_PI2
-    if n == 0:
-        return (length * s - M2 * lt) / (2.0 * _FOUR_PI2)
     try:
-        cube = s**3
-    except OverflowError as exc:
-        raise NonFiniteValue(f"I_1({M2}) at cutoff {cutoff} leaves floating-point range") from exc
-    return (length * cube / 4.0 - M2 * length * s / 8.0 - M2 * M2 * lt / 8.0) / _FOUR_PI2
+        if length < _HEAVY_MASS * mass:
+            value = _heavy_mass_series(n, length, mass)
+        else:
+            s = math.hypot(length, mass)  # overflow-safe sqrt(L² + M²)
+            lt = math.log((length + s) / mass)
+            if n == -1:
+                value = (lt - length / s) / _FOUR_PI2
+            elif n == 0:
+                value = (length * s - M2 * lt) / (2.0 * _FOUR_PI2)
+            else:
+                value = (length * s**3 / 4.0 - M2 * length * s / 8.0
+                         - M2 * M2 * lt / 8.0) / _FOUR_PI2
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise NonFiniteValue(f"I_{n}({M2}) at cutoff {cutoff} leaves floating-point range")
+    return value
 
 
 def solve_mass_gap(theory: FieldTheory, sigma: float) -> GapState:
@@ -108,6 +148,8 @@ def solve_mass_gap(theory: FieldTheory, sigma: float) -> GapState:
 
     lo = base
     hi = base + 12.0 * lam * stevenson(0, base, cut)
+    if hi == math.inf:
+        raise NonFiniteValue(f"mass gap M2 of {theory} at sigma={sigma} leaves floating-point range")
     m2 = 0.5 * (lo + hi)
     for _ in range(200):
         f = residual(m2)

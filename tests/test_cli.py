@@ -1,13 +1,17 @@
 """End-to-end command line checks through main(argv)."""
 
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gha
 from gha.cli import main
@@ -298,6 +302,25 @@ def test_overflow_exits_one_without_traceback(argv):
     assert "Traceback" not in proc.stderr
 
 
+def test_internal_overflow_is_not_blamed_on_input(capsys):
+    # I₀ ≈ Λ²/(16π²) overflows: the error names I₀, not the user's M²
+    argv = ["qft", "gap", "--mass2", "1e-300", "--lambda", "1", "--cutoff", "1e300"]
+    assert main(argv + ["--no-meta"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: I_0(1e-300) at cutoff 1e+300 leaves floating-point range")
+
+
+def test_heavy_shift_reports_heavy_mass_integrals(capsys):
+    # M ≈ 1.1e10 ≫ Λ = 10: I₀ → Λ³/(12π²M), I₋₁ → Λ³/(12π²M³)
+    doc = run_json(capsys, ["qft", "gap", "--mass2", "1", "--lambda", "0.1",
+                            "--cutoff", "10", "--sigma", "1e10"])
+    mass = math.sqrt(doc["M2"])
+    assert doc["i0"] == pytest.approx(1e3 / (12.0 * math.pi**2 * mass), rel=1e-15)
+    assert doc["i_minus1"] == pytest.approx(1e3 / (12.0 * math.pi**2 * mass**3), rel=1e-15)
+    assert doc["i1"] == pytest.approx(1e3 * mass / (12.0 * math.pi**2), rel=1e-15)
+
+
 def test_import_loads_no_numpy():
     code = ("import sys, gha\n"
             "print('numpy' in sys.modules, gha.tables._build_tables.cache_info().currsize)")
@@ -334,3 +357,62 @@ def test_only_diagonalizing_commands_load_numpy(argv, loads_numpy):
                          capture_output=True, text=True, check=True, env=_SRC_ENV,
                          timeout=120).stdout
     assert out.split() == ["0", str(loads_numpy)]
+
+
+# every numeric flag draws a log-uniform magnitude in [1e-300, 1e300] of
+# either sign; integer flags also draw small integers, which parse
+_reals = st.builds(lambda sign, exp: repr(sign * 10.0**exp),
+                   st.sampled_from([1.0, -1.0]), st.floats(-300.0, 300.0))
+_ints = st.one_of(st.integers(-2, 40).map(str), _reals)
+_int_lists = st.lists(st.integers(-1, 40), min_size=1, max_size=3).map(
+    lambda ns: ",".join(map(str, ns))) | _reals
+_real_lists = st.lists(_reals, min_size=1, max_size=3).map(",".join)
+_powers = st.sampled_from(["4", "6", "8"])
+
+
+def _flags(**draws):
+    # --flag=value, because argparse reads a separate "-1e+300" as an option
+    return st.fixed_dictionaries(draws).map(
+        lambda d: [f"--{flag.replace('_', '-')}={v}" for flag, v in d.items()])
+
+
+_THEORY_DRAWS = {"mass2": _reals, "lambda": _reals, "cutoff": _reals}
+_FUZZ_ARGV = st.one_of(
+    st.tuples(st.just(["spectrum"]), _flags(power=_powers, g=_reals, **{"lambda": _reals},
+                                            levels=_int_lists, order=st.sampled_from(["0", "2"]))),
+    st.tuples(st.just(["dwo"]), _flags(g=_reals, levels=_int_lists, **{"lambda": _reals})),
+    st.tuples(st.just(["hipt"]), _flags(power=_powers, g=_reals, level=_ints, **{"lambda": _reals})),
+    st.tuples(st.just(["vacuum"]), _flags(omega=_reals)),
+    st.tuples(st.just(["vacuum"]), _flags(power=_powers, g=_reals, level=_ints,
+                                          scan=_real_lists, **{"lambda": _reals})),
+    st.tuples(st.just(["qft", "renorm"]), _flags(**_THEORY_DRAWS)),
+    st.tuples(st.just(["qft", "gap"]), _flags(sigma=_reals, **_THEORY_DRAWS)),
+    st.tuples(st.just(["qft", "potential"]),
+              _flags(sigma_max=_reals, points=st.integers(2, 6).map(str), **_THEORY_DRAWS)),
+    st.tuples(st.just(["qft", "static"]), _flags(mr=_reals, r=_real_lists)),
+    st.tuples(st.just(["qft", "static"]), _flags(r=_real_lists, **_THEORY_DRAWS)),
+    st.tuples(st.just(["qft", "integrals"]),
+              _flags(mass2=_reals, cutoff=_reals, orders=_int_lists)),
+).map(lambda parts: parts[0] + parts[1])
+
+
+@settings(max_examples=250, deadline=None)
+@given(_FUZZ_ARGV)
+# λ_c = (−2g/3)^{3/2}/(3p) overflows
+@example(["dwo", "--g=-1e300", "--lambda=1"])
+# σ² overflows although 12λσ² does not
+@example(["qft", "gap", "--mass2=1", "--lambda=1e-299", "--cutoff=1", "--sigma=1e200"])
+def test_fuzzed_flags_exit_cleanly(argv):
+    # the numpy-bound oracle and table commands are left out for speed
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv + ["--no-meta"])
+        except SystemExit as exc:  # argparse rejects the value
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=pytest.fail)
+    else:
+        assert out.getvalue() == "", argv

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gha import ladder
+from gha import hartree, ladder
 from gha.errors import DomainError, NonFiniteValue, PhaseUnavailable
 from gha.hartree import (
     OscillatorModel,
@@ -499,3 +499,60 @@ def test_symmetry_restored_root_below_old_bracket():
     sol = solve_level(m, 0)
     assert sol.phase is Phase.DWO_SSB
     assert sol.omega == pytest.approx(math.sqrt(2e6), rel=1e-12)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Levels that reach the unmemoized solve, in call order."""
+    seen = []
+    real = hartree._solve_level
+    monkeypatch.setattr(hartree, "_solve_level",
+                        lambda model, n: seen.append(n) or real(model, n))
+    return seen
+
+
+def test_levels_are_solved_once_per_model(calls):
+    m = OscillatorModel(power=6, g=1.0, lam=0.3)
+    first = solve_level(m, 5)
+    assert solve_level(m, 5) is first
+    assert calls == [5]
+    # an equal but separate model solves again: the memo is per instance
+    assert solve_level(OscillatorModel(power=6, g=1.0, lam=0.3), 5) == first
+    assert calls == [5, 5]
+
+
+def test_failed_solves_are_not_memoized(calls):
+    m = OscillatorModel(power=6, g=-1.0, lam=1.0)
+    for _ in range(2):
+        with pytest.raises(PhaseUnavailable):
+            solve_level(m, 0)
+    assert calls == [0, 0]
+    overflowing = OscillatorModel(power=4, g=1e300, lam=1e300)
+    for _ in range(2):
+        with pytest.raises(NonFiniteValue):
+            solve_level(overflowing, 40)
+    assert calls == [0, 0, 40, 40]
+
+
+def test_memo_leaves_equality_hash_and_repr_alone():
+    warm = OscillatorModel(power=4, g=-1.0, lam=0.05)
+    cold = OscillatorModel(power=4, g=-1.0, lam=0.05)
+    for n in range(4):
+        solve_level(warm, n)
+    assert warm == cold and hash(warm) == hash(cold)
+    assert repr(warm) == repr(cold) == "OscillatorModel(power=4, g=-1.0, lam=0.05)"
+    assert {warm: 1}[cold] == 1
+    assert warm != OscillatorModel(power=4, g=-1.0, lam=0.06)
+
+
+def test_broken_branch_at_the_double_root():
+    # at λ = λ_c the cubic's two largest roots merge at √(−2g/3), which
+    # float64 fixes only to about √ε; there f′ is rounding noise, and a
+    # Newton step that leaves the region above the minimum lands far off
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        g = -(10.0 ** float(rng.uniform(-2, 4)))
+        n = int(rng.integers(0, 11))
+        m = OscillatorModel(power=4, g=g, lam=critical_coupling(n + 0.5, g))
+        w = solve_gap(m, n, Phase.DWO_SSB)
+        assert w == pytest.approx(math.sqrt(-2.0 * g / 3.0), rel=1e-7)

@@ -141,3 +141,14 @@ def test_first_order_check_survives_optimized_mode():
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 3, proc.stderr
+
+
+@pytest.mark.parametrize("power, g, lam, n", [(4, 1.0, 0.1, 10), (4, -1.0, 0.05, 2),
+                                             (8, 1.0, 200.0, 8)])
+def test_second_order_is_the_same_on_a_warmed_model(power, g, lam, n):
+    warm = OscillatorModel(power=power, g=g, lam=lam)
+    for m in range(n + power + 1):
+        solve_level(warm, m)
+    first = second_order(warm, n)
+    assert second_order(warm, n) == first
+    assert second_order(OscillatorModel(power=power, g=g, lam=lam), n) == first

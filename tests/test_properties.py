@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from gha.hartree import (
     hamiltonian_polynomial,
     moment,
     solve_level,
+    xi_p,
 )
 from gha.hipt import second_order
 from gha.ladder import ModeParameters, expectation
@@ -89,6 +91,10 @@ wide_couplings = st.floats(min_value=-6.0, max_value=3.0, allow_nan=False)
 # g = -1e6, lam = 1e-6: the symmetry-restored root ~6e-12 sits below any
 # fixed positive lower bracket
 @example((4, -1.0), 6.0, -6.0, 0)
+# g = +1e6, lam = 1e-6 for each power: the root sits just above sqrt(g)
+@example((4, 1.0), 6.0, -6.0, 0)
+@example((6, 1.0), 6.0, -6.0, 0)
+@example((8, 1.0), 6.0, -6.0, 0)
 def test_levels_solve_at_extreme_coupling_ratios(signed_power, lg, ll, n):
     power, sign = signed_power
     model = OscillatorModel(power=power, g=sign * 10.0**lg, lam=10.0**ll)
@@ -99,3 +105,17 @@ def test_levels_solve_at_extreme_coupling_ratios(signed_power, lg, ll, n):
     scale = max(w ** (k + 1), g * w ** (k - 1), 12.0 * model.lam * sol.sigma**2 * w, c0)
     gap, _ = general_gap_residuals(model, n, w, sol.sigma)
     assert abs(gap) <= 1e-12 * scale
+    # ω against the largest positive root of the float gap polynomial, found
+    # in 40 digits; the σ = 0 roots have condition number at most 1, the
+    # broken branch's grows as λ nears λ_c and its roots merge
+    if sol.phase is Phase.DWO_SSB:
+        c0 = 6.0 * model.lam * xi_p(n + 0.5)
+        coeffs = [1, 0, 2 * mp.mpf(model.g), mp.mpf(c0)]
+        cond = max(1.0, max(w**3, 2 * g * w, c0) / (w * abs(3 * w * w - 2 * g)))
+    else:
+        coeffs = [1, 0, -mp.mpf(model.g)] + [0] * (k - 2) + [-mp.mpf(c0)]
+        cond = 1.0
+    with mp.workdps(40):
+        roots = mp.polyroots(coeffs, maxsteps=200, extraprec=200)
+        root = max(mp.re(r) for r in roots if abs(mp.im(r)) <= 1e-30 * abs(r))
+        assert abs(w / root - 1) <= 1e-15 * cond

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.integrate
@@ -58,6 +59,41 @@ def test_cutoff_integral_validation():
             stevenson(0, M2, cutoff)
     with pytest.raises(NonFiniteValue):
         stevenson(1, 1.0, 1e300)  # (Λ² + M²)^{3/2} overflows
+
+
+def mp_integral(n, M2, cutoff):
+    """I_n in 40 digits from ∫₀^t x²(1+x²)^{n−½} dx = (t³/3)·₂F₁(½−n, 3/2; 5/2; −t²),
+    t = Λ/M, a form with no cancellation at any t."""
+    with mp.workdps(40):
+        mass = mp.sqrt(mp.mpf(M2))
+        t = mp.mpf(cutoff) / mass
+        series = mp.hyp2f1(mp.mpf(1) / 2 - n, mp.mpf(3) / 2, mp.mpf(5) / 2, -t * t)
+        return mass ** (2 * n + 2) * t**3 / 3 * series / (4 * mp.pi**2)
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_cutoff_integrals_match_mpmath_from_light_to_heavy_mass(n):
+    # Λ/M from 1e3 down through the heavy-mass switch at ½ to 1e-40; at
+    # M² = 1.2e20, Λ = 10 the closed forms alone give I₀ = 60.19, not 7.7e-10
+    for ratio in (1e3, 2.0, 0.5, 0.4999, 0.1, 1e-3, 1e-8, 1e-40):
+        for M2 in (1e-6, 1.0, 37.0, 1.2e20):
+            cutoff = ratio * math.sqrt(M2)
+            exact = mp_integral(n, M2, cutoff)
+            assert abs(stevenson(n, M2, cutoff) / exact - 1) <= 5e-15, (ratio, M2)
+    assert stevenson(0, 1.2e20, 10.0) == pytest.approx(7.707763588059978e-10, rel=1e-15)
+    assert stevenson(-1, 1.2e20, 10.0) > 0.0
+
+
+def test_integral_overflow_is_typed_where_it_arises():
+    # I₀ ≈ Λ²/(16π²) leaves float range; the closed form's NaN must not
+    # reach solve_mass_gap's input check as if it were the user's M²
+    with pytest.raises(NonFiniteValue, match="I_0"):
+        stevenson(0, 1e-300, 1e300)
+    with pytest.raises(NonFiniteValue, match="I_0"):
+        solve_mass_gap(FieldTheory(m2=1e-300, lam=1.0, cutoff=1e300), 0.0)
+    # I₀ is finite, but the gap's upper bound m² + 12λI₀ is not
+    with pytest.raises(NonFiniteValue, match="mass gap"):
+        solve_mass_gap(FieldTheory(m2=1.0, lam=1e300, cutoff=1e100), 0.0)
 
 
 @pytest.mark.parametrize("sigma", [math.nan, math.inf, 1e200])

@@ -6,11 +6,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import gha
+from gha import hartree
 from gha.cli import main
 from gha.errors import DomainError
 from gha.tables import ComparisonReport, Provenance, reference_table, run_table
@@ -191,3 +193,16 @@ def test_import_loads_no_thread_pool():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "False"
+
+
+def test_each_column_solves_each_level_once(monkeypatch):
+    solved = Counter()
+    real = hartree._solve_level
+    monkeypatch.setattr(hartree, "_solve_level",
+                        lambda model, n: solved.update([(model.lam, n)]) or real(model, n))
+    report = run_table(1)
+    assert report.ok
+    # GHA cells, second-order neighbours and the oracle's n_max all share
+    # one solve per (coupling, level)
+    assert solved and set(solved.values()) == {1}
+    assert {(r.lam, r.n) for r in report.rows if r.provenance == "GHA"} <= set(solved)

@@ -31,7 +31,9 @@ with level energy E = ξ[(k+1)ω + (k−1)g/ω]/(2k).  Worked instances:
 For the quartic double well a broken-symmetry branch with σ² =
 −(g + 12λξ/ω)/(4λ) exists for λ ≤ λ_c(ξ, g); its frequency satisfies the
 cubic ω³ + 2gω + 6λ p(ξ) = 0 with p(ξ) = 5ξ − 1/(4ξ) and is given in closed
-form by ω = 2√(−2g/3) cos[π/6 + ⅓ arcsin(λ/λ_c)].
+form by ω = 2√(−2g/3) cos[π/6 + ⅓ arcsin(λ/λ_c)].  There the configuration
+equation gσ + λ∂_σ⟨φ⁴⟩ = 0 reduces B to σω²/λ, which the level's solution
+uses; `hartree_coefficients` keeps the general form for any (ω, σ).
 
 The σ = 0 gap residual f(ω) = ω^{k+1} − gω^{k−1} − c₀, c₀ = 2kλc_k(n)/ξ > 0,
 is solved by Newton descent from ω₀ = max(√(2·max(g, 0)), (2c₀)^{1/(k+1)}).
@@ -143,7 +145,8 @@ def _field_averages(k: int, n: int, omega: float, sigma: float):
     in level n of the mode (ω, σ)."""
     xi = _xi(n)
     avg = d_sigma = a = 0.0
-    for j in range(k + 1):
+    # at σ = 0 every j < k term carries σ^{2k−2j} = 0.0 and adds exact zeros
+    for j in range(k + 1) if sigma else (k,):
         p = 2 * k - 2 * j
         term = math.comb(2 * k, 2 * j) * moment(j, n) / omega**j
         avg += term * sigma**p
@@ -255,12 +258,14 @@ def hartree_coefficients(
         raise DomainError(f"omega must be positive and finite, got {omega}")
     if not math.isfinite(sigma):
         raise DomainError(f"sigma must be finite, got {sigma}")
-    xi = _xi(n)
-    w, s = omega, sigma
-    avg, d_sigma, A = _field_averages(model.k, n, w, s)
-    B = (1.0 + model.g) * s * w * w / model.lam + w * w * d_sigma
-    C = avg - A * (s * s + xi / w) + B * s
-    return A, B, C
+    avg, d_sigma, A = _field_averages(model.k, n, omega, sigma)
+    B = (1.0 + model.g) * sigma * omega * omega / model.lam + omega * omega * d_sigma
+    return A, B, _constant_term(n, omega, sigma, avg, A, B)
+
+
+def _constant_term(n: int, w: float, s: float, avg: float, A: float, B: float) -> float:
+    """C such that ⟨n|Aφ² − Bφ + C|n⟩ = ⟨φ^{2k}⟩ = avg, with ⟨φ²⟩ = σ² + ξ/ω."""
+    return avg - A * (s * s + _xi(n) / w) + B * s
 
 
 def zeroth_energy(model: OscillatorModel, n: int, omega: float, phase: Phase) -> float:
@@ -282,7 +287,14 @@ def ssb_sigma_squared(model: OscillatorModel, n: int, omega: float) -> float:
 
 
 def _finish(model, n, omega, sigma, phase, branches=None) -> HartreeSolution:
-    A, B, C = hartree_coefficients(model, n, omega, sigma)
+    if phase is Phase.DWO_SSB:
+        # the configuration equation gσ + λ∂_σ⟨φ⁴⟩ = 0 reduces the general B
+        # to σω²/λ; the general form cancels two terms |g| times larger
+        avg, _, A = _field_averages(model.k, n, omega, sigma)
+        B = sigma * omega * omega / model.lam
+        C = _constant_term(n, omega, sigma, avg, A, B)
+    else:
+        A, B, C = hartree_coefficients(model, n, omega, sigma)
     h0 = model.lam * C - 0.5 * omega * omega * sigma * sigma
     return HartreeSolution(
         n=n,

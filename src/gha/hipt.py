@@ -15,10 +15,23 @@ published numbers.
 Only |m − n| ≤ 2k can contribute, and for σ = 0 only even m − n survive
 parity.  On the broken-symmetry branch (σ ≠ 0) the odd offsets contribute
 as well; pass even_only=True to drop them for comparison purposes.
+
+The column ⟨m|H′|n⟩ comes from applying φ = σ + c(b + b†), c = 1/√(2ω), 2k
+times to the unit vector |n⟩ on the window max(0, n−2k)…n+2k:
+
+    (φv)[j] = σ v[j] + c√(j+1) v[j+1] + c√j v[j−1],
+
+which yields φ|n⟩, φ²|n⟩ and φ^{2k}|n⟩, and then
+H′|n⟩ = φ^{2k}|n⟩ − Aφ²|n⟩ + Bφ|n⟩ − C|n⟩.  No path of 2k unit steps from n
+leaves the window before its last step, so cutting the basis there drops
+nothing.  At σ = 0 the odd offsets come out as exact zeros.
+`build_h_prime` forms H′ as a normal-ordered ladder polynomial instead; it
+is kept as the independent reference the tests compare the column with.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -53,11 +66,35 @@ class PerturbationReport:
 
 
 def build_h_prime(model: OscillatorModel, sol: HartreeSolution):
-    """Normal-ordered H′ = φ^{2k} − (Aφ² − Bφ + C) in the mode of sol."""
+    """Normal-ordered H′ = φ^{2k} − (Aφ² − Bφ + C) in the mode of sol; a
+    reference for `h_prime_column`, not used by `second_order`."""
     mode = ladder.ModeParameters(omega=sol.omega, sigma=sol.sigma)
     h_int = ladder.field_power(model.power, mode)
     v = potential_polynomial(sol.A, sol.B, sol.C, mode)
     return h_int - v
+
+
+def h_prime_column(model: OscillatorModel, sol: HartreeSolution, n: int) -> dict:
+    """⟨m|H′|n⟩ in the mode of sol for m = max(0, n−2k)…n+2k, keyed by m."""
+    lo = max(0, n - model.power)
+    size = n + model.power + 1 - lo
+    c = 1.0 / math.sqrt(2.0 * sol.omega)
+    # hop[i] = ⟨lo+i|φ|lo+i−1⟩ = c√(lo+i)
+    hop = [c * math.sqrt(lo + i) for i in range(size)]
+    v = [0.0] * size
+    v[n - lo] = 1.0
+    powers = []  # φ^p|n⟩ for p = 1…2k
+    for _ in range(model.power):
+        w = [sol.sigma * x for x in v]
+        for i in range(1, size):
+            w[i - 1] += hop[i] * v[i]
+            w[i] += hop[i] * v[i - 1]
+        v = w
+        powers.append(v)
+    phi, phi2 = powers[0], powers[1]
+    column = {lo + i: v[i] - sol.A * phi2[i] + sol.B * phi[i] for i in range(size)}
+    column[n] -= sol.C
+    return column
 
 
 def second_order(
@@ -65,24 +102,23 @@ def second_order(
 ) -> PerturbationReport:
     """Second-order Hartree-improved energy of level n."""
     sol = solve_level(model, n)
-    h_prime = build_h_prime(model, sol)
+    column = h_prime_column(model, sol, n)
 
     # first-order term is zero by construction of C; checked, never added
-    diag = model.lam * ladder.matrix_element(h_prime, n, n)
+    diag = model.lam * column[n]
     bound = 1e-9 * max(1.0, abs(sol.energy))
     if not abs(diag) <= bound:
         raise NonConvergence(
             f"first-order term {diag:.3e} of level {n} exceeds {bound:.3e}"
         )
 
-    window = range(max(0, n - model.power), n + model.power + 1)
     raw = []
-    for m in window:
+    for m, element in column.items():
         if m == n:
             continue
         if even_only and (m - n) % 2 != 0:
             continue
-        num = model.lam * ladder.matrix_element(h_prime, m, n)
+        num = model.lam * element
         if num != 0.0:
             raw.append((m, num))
     cutoff = _NUMERATOR_DUST * max((abs(num) for _, num in raw), default=0.0)

@@ -36,6 +36,7 @@ from .errors import DomainError, NonConvergence, NonFiniteValue
 
 _FOUR_PI2 = 4.0 * math.pi * math.pi
 _HALF_PI = 0.5 * math.pi
+_LN2 = math.log(2.0)
 # Λ/M below which the cutoff integrals switch to the heavy-mass series
 _HEAVY_MASS = 0.5
 
@@ -116,7 +117,10 @@ def stevenson(n: int, M2: float, cutoff: float) -> float:
             value = _heavy_mass_series(n, length, mass)
         else:
             s = math.hypot(length, mass)  # overflow-safe sqrt(L² + M²)
-            lt = math.log((length + s) / mass)
+            ratio = (length + s) / mass
+            # ln((Λ + s)/M) stays finite after Λ + s or the ratio overflows
+            lt = (math.log(ratio) if ratio < math.inf else
+                  math.log(0.5 * length + 0.5 * s) - math.log(mass) + _LN2)
             if n == -1:
                 value = (lt - length / s) / _FOUR_PI2
             elif n == 0:

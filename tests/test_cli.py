@@ -8,6 +8,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -396,14 +397,7 @@ _FUZZ_ARGV = st.one_of(
 ).map(lambda parts: parts[0] + parts[1])
 
 
-@settings(max_examples=250, deadline=None)
-@given(_FUZZ_ARGV)
-# λ_c = (−2g/3)^{3/2}/(3p) overflows
-@example(["dwo", "--g=-1e300", "--lambda=1"])
-# σ² overflows although 12λσ² does not
-@example(["qft", "gap", "--mass2=1", "--lambda=1e-299", "--cutoff=1", "--sigma=1e200"])
-def test_fuzzed_flags_exit_cleanly(argv):
-    # the numpy-bound oracle and table commands are left out for speed
+def _assert_clean_exit(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
@@ -416,3 +410,32 @@ def test_fuzzed_flags_exit_cleanly(argv):
         json.loads(out.getvalue(), parse_constant=pytest.fail)
     else:
         assert out.getvalue() == "", argv
+
+
+@settings(max_examples=250, deadline=None)
+@given(_FUZZ_ARGV)
+# λ_c = (−2g/3)^{3/2}/(3p) overflows
+@example(["dwo", "--g=-1e300", "--lambda=1"])
+# σ² overflows although 12λσ² does not
+@example(["qft", "gap", "--mass2=1", "--lambda=1e-299", "--cutoff=1", "--sigma=1e200"])
+def test_fuzzed_flags_exit_cleanly(argv):
+    # the numpy-bound table command is left out for speed; the oracle has
+    # its own fuzz below
+    _assert_clean_exit(argv)
+
+
+_specials = st.sampled_from(["nan", "inf", "-inf"])
+_ORACLE_ARGV = _flags(
+    power=_powers, g=_reals | _specials, **{"lambda": _reals | _specials},
+    nmax=st.integers(-5, 60).map(str),
+    tol=st.builds(lambda exp: repr(10.0**exp), st.floats(-300.0, 300.0)) | _specials,
+).map(lambda flags: ["oracle"] + flags)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ORACLE_ARGV)
+def test_fuzzed_oracle_exits_cleanly(argv):
+    # a 256-state budget keeps each draw to a few small eigensolves; past it
+    # the oracle raises BudgetExceeded (exit 1) as it does past 4096
+    with mock.patch.object(gha.oracle, "_MAX_DIMENSION", 256):
+        _assert_clean_exit(argv)

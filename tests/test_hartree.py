@@ -556,3 +556,18 @@ def test_broken_branch_at_the_double_root():
         m = OscillatorModel(power=4, g=g, lam=critical_coupling(n + 0.5, g))
         w = solve_gap(m, n, Phase.DWO_SSB)
         assert w == pytest.approx(math.sqrt(-2.0 * g / 3.0), rel=1e-7)
+
+
+def test_broken_branch_b_keeps_its_digits():
+    # B = (1+g)σω²/λ + ω²∂_σ⟨φ⁴⟩ cancels two terms |g| times larger than
+    # σω²/λ, which the configuration equation makes it equal to
+    m = OscillatorModel(power=4, g=-8.6e5, lam=1.4e-5)
+    n = 19
+    sol = solve_level(m, n)
+    assert sol.phase is Phase.DWO_SSB
+    for direction in (math.inf, -math.inf):
+        moved = hartree._finish(m, n, math.nextafter(sol.omega, direction),
+                                sol.sigma, sol.phase)
+        assert abs(moved.B - sol.B) <= 1e-14 * abs(sol.B)
+    _, general, _ = hartree_coefficients(m, n, sol.omega, sol.sigma)
+    assert abs(general - sol.B) <= 1e-15 * abs(m.g) * abs(sol.B)

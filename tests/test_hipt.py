@@ -2,6 +2,7 @@
 
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -9,8 +10,9 @@ import pytest
 
 from gha import hipt, ladder
 from gha.errors import NonConvergence
-from gha.hartree import OscillatorModel, classical_well_depth, solve_level
-from gha.hipt import build_h_prime, second_order
+from gha.hartree import (OscillatorModel, Phase, classical_well_depth, critical_coupling,
+                         solve_level)
+from gha.hipt import build_h_prime, h_prime_column, second_order
 
 QUARTIC = OscillatorModel(power=4, g=1.0, lam=1.0)
 
@@ -51,6 +53,48 @@ def test_matrix_elements_of_h_prime():
     )
     assert abs(ladder.matrix_element(hp, 2, 0)) < 1e-13
     assert abs(ladder.matrix_element(hp, 0, 0)) < 1e-13
+
+
+def _column_draws(count, seed):
+    # a third of the draws sit below λ_c of a quartic double well, where the
+    # broken branch (σ ≠ 0) wins about half the time
+    rng = random.Random(seed)
+    while count:
+        n = rng.randint(0, 40)
+        if count % 3 == 0:
+            g = -(10.0 ** rng.uniform(0.0, 3.0))
+            yield 4, g, critical_coupling(n + 0.5, g) * rng.uniform(0.01, 0.99), n
+        else:
+            # negative-g spectra exist for the quartic only
+            power = rng.choice((4, 6, 8))
+            g = rng.choice((1.0, -1.0)) if power == 4 else 1.0
+            yield power, g, 10.0 ** rng.uniform(-2.0, 4.0), n
+        count -= 1
+
+
+def test_column_matches_ladder_algebra():
+    broken = 0
+    for power, g, lam, n in _column_draws(300, seed=8):
+        model = OscillatorModel(power=power, g=g, lam=lam)
+        sol = solve_level(model, n)
+        broken += sol.phase is Phase.DWO_SSB
+        column = h_prime_column(model, sol, n)
+        assert list(column) == list(range(max(0, n - power), n + power + 1))
+        reference = build_h_prime(model, sol)
+        scale = max(abs(v) for v in column.values())
+        if sol.sigma:
+            # on the broken branch the elements are differences of terms up
+            # to ~σ^{2k}, far larger than the elements; both sides round there
+            mode = ladder.ModeParameters(omega=sol.omega, sigma=sol.sigma)
+            terms = (ladder.field_power(power, mode), ladder.field_power(2, mode).scale(sol.A),
+                     ladder.field_power(1, mode).scale(sol.B), ladder.constant(sol.C))
+            scale = max(sum(abs(ladder.matrix_element(t, m, n)) for t in terms) for m in column)
+        for m, value in column.items():
+            want = ladder.matrix_element(reference, m, n)
+            assert abs(value - want) <= 1e-13 * scale, (power, g, lam, n, m)
+            if sol.sigma == 0.0 and (m - n) % 2:
+                assert value == 0.0, (power, g, lam, n, m)
+    assert broken >= 30, broken
 
 
 def test_double_well_anchor():
@@ -115,21 +159,29 @@ def test_excited_levels_run_clean():
 
 
 def test_nonzero_first_order_term_raises(monkeypatch):
-    def shifted(model, sol):
-        return build_h_prime(model, sol) + ladder.constant(1e-3)
+    real = hipt.h_prime_column
 
-    monkeypatch.setattr(hipt, "build_h_prime", shifted)
+    def shifted(model, sol, n):
+        column = real(model, sol, n)
+        column[n] += 1e-3
+        return column
+
+    monkeypatch.setattr(hipt, "h_prime_column", shifted)
     with pytest.raises(NonConvergence, match="first-order term 1.000e-03"):
         second_order(QUARTIC, 0)
 
 
 def test_first_order_check_survives_optimized_mode():
     script = (
-        "from gha import hipt, ladder\n"
+        "from gha import hipt\n"
         "from gha.errors import NonConvergence\n"
         "from gha.hartree import OscillatorModel\n"
-        "real = hipt.build_h_prime\n"
-        "hipt.build_h_prime = lambda m, s: real(m, s) + ladder.constant(1.0)\n"
+        "real = hipt.h_prime_column\n"
+        "def shifted(model, sol, n):\n"
+        "    column = real(model, sol, n)\n"
+        "    column[n] += 1.0\n"
+        "    return column\n"
+        "hipt.h_prime_column = shifted\n"
         "try:\n"
         "    hipt.second_order(OscillatorModel(4, 1.0, 1.0), 0)\n"
         "except NonConvergence:\n"

@@ -310,3 +310,15 @@ def test_static_potential_validation():
         static_potential(0.0, 1.0)
     with pytest.raises(DomainError):
         static_potential(1.0, -1.0)
+
+
+def test_log_term_survives_overflow_of_the_cutoff_ratio():
+    # (Λ + s)/M overflows, but ln((Λ + s)/M) and I₋₁ do not
+    for M2, cutoff in [(1e-300, 1e300), (1.0, 1e308), (1e300, 1.7e308)]:
+        mass, length = mp.sqrt(mp.mpf(M2)), mp.mpf(cutoff)
+        want = (mp.asinh(length / mass) - length / mp.hypot(length, mass)) / (4 * mp.pi**2)
+        assert stevenson(-1, M2, cutoff) == pytest.approx(float(want), rel=1e-15)
+    assert stevenson(-1, 1e-300, 1e300) == pytest.approx(26.2385501214605, rel=1e-14)
+    for n in (0, 1):
+        with pytest.raises(NonFiniteValue, match=f"I_{n}"):
+            stevenson(n, 1e-300, 1e300)

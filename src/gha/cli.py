@@ -197,9 +197,8 @@ def _cmd_vacuum(args):
         payload = {"command": "vacuum", "omega": omega}
     else:
         if args.lam is None or args.g is None:
-            print("vacuum: provide --omega, or --g and --lambda "
-                  "(with optional --power/--level)", file=sys.stderr)
-            return 2
+            raise DomainError("vacuum: provide --omega, or --g and --lambda "
+                              "(with optional --power/--level)")
         model = OscillatorModel(power=args.power, g=args.g, lam=args.lam)
         omega = solve_level(model, args.level).omega
         payload = {"command": "vacuum",
@@ -257,8 +256,7 @@ def _cmd_qft_gap(args):
 def _cmd_qft_potential(args):
     theory = _theory(args)
     if args.points < 2:
-        print("qft potential: --points must be at least 2", file=sys.stderr)
-        return 2
+        raise DomainError("qft potential: --points must be at least 2")
     if not 0.0 < args.sigma_max < math.inf:
         raise DomainError(f"--sigma-max must be positive and finite, got {args.sigma_max}")
     step = args.sigma_max / (args.points - 1)
@@ -279,9 +277,8 @@ def _cmd_qft_static(args):
         payload = {"command": "qft-static", "mR": mr}
     else:
         if args.mass2 is None or args.lam is None or args.cutoff is None:
-            print("qft static: provide --mr, or the full theory "
-                  "(--mass2 --lambda --cutoff)", file=sys.stderr)
-            return 2
+            raise DomainError("qft static: provide --mr, or the full theory "
+                              "(--mass2 --lambda --cutoff)")
         theory = _theory(args)
         mr = math.sqrt(qft.renormalized(theory).mR2)
         payload = {"command": "qft-static",

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from .errors import DomainError, NonConvergence, NonFiniteValue
 
 _FOUR_PI2 = 4.0 * math.pi * math.pi
-_HALF_PI = 0.5 * math.pi
 _LN2 = math.log(2.0)
 # Λ/M below which the cutoff integrals switch to the heavy-mass series
 _HEAVY_MASS = 0.5
@@ -231,52 +230,41 @@ def occupation(k: float, m2: float, M2: float) -> float:
 
 
 def _k1_scaled(x: float) -> float:
-    """∫₀^∞ exp(−x(√(1+s²)−1)) ds by double-exponential quadrature.
+    """e^x K₁(x) = ∫₀^∞ e^{−x(cosh t−1)} cosh t dt by the trapezoid rule.
 
-    Equals e^x K₁(x); the factored exponential keeps x up to 700 inside
-    normal double range.
+    The integrand is even and analytic in the strip |Im t| < π/2 and decays
+    double-exponentially, so the trapezoid sum over the whole line,
+
+        h·[½ + Σ_{j=1..N} exp(−2x sinh²(jh/2)) cosh(jh)],
+
+    converges geometrically in 1/h: its error is about e^{−2πa/h} for a strip
+    of half-width a.  The full strip a = π/2 gives e^{−π²/h}, below 1e-21 at
+    h = 0.2.  At large x the integrand grows like e^{xa²/2} off the real
+    axis, so the usable strip shrinks to the peak width a ~ 1/√x and the
+    error becomes about e^{−2π²/(h²x)}; h = 0.6/√x keeps that at e^{−55}.
+    The sum stops at x(cosh t − 1) = 45; the tail it leaves out is at most
+    about e^{−45} of the integral.  Factoring out e^{−x} keeps x up to 700
+    inside normal double range.
     """
-
-    def phi(s):
-        # sqrt(1+s²) − 1 without cancellation at small s
-        return s * s / (1.0 + math.sqrt(1.0 + s * s))
-
-    def sweep(h):
-        total = 0.0
-        for direction in (1, -1):
-            j = 0 if direction == 1 else -1
-            while True:
-                u = j * h
-                su = math.sinh(u)
-                if abs(su) > 700.0 / _HALF_PI:
-                    break
-                s = math.exp(_HALF_PI * su)
-                weight = _HALF_PI * math.cosh(u) * s
-                arg = x * phi(s)
-                term = 0.0 if arg > 745.0 else weight * math.exp(-arg)
-                total += term
-                if abs(j) > 3 and term <= 1e-18 * abs(total):
-                    break
-                j += direction
-                if abs(j) > 4000:
-                    raise NonConvergence("quadrature node budget exhausted")
-        return total * h
-
-    value = sweep(0.5)
-    # slow decay at small x (scale s ~ 1/x) needs the finer steps
-    for h in (0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125, 0.00390625):
-        refined = sweep(h)
-        if abs(refined - value) <= 1e-13 * abs(refined):
-            return refined
-        value = refined
-    raise NonConvergence("double-exponential quadrature did not converge")
+    h = min(0.2, 0.6 / math.sqrt(x))
+    n = math.ceil(2.0 * math.asinh(math.sqrt(22.5 / x)) / h)
+    total = 0.5
+    for j in range(1, n + 1):
+        s = math.sinh(0.5 * j * h)
+        total += math.exp(-2.0 * x * s * s) * math.cosh(j * h)
+    return h * total
 
 
 def bessel_k1(x: float) -> float:
     """Modified Bessel function K₁(x) for x ∈ [1e-3, 700].
 
     Computed from the integral representation K₁(x) = ∫₀^∞ e^{−x cosh t}
-    cosh t dt = ∫₀^∞ e^{−x √(1+s²)} ds (substituting s = sinh t).
+    cosh t dt by one fixed-step trapezoid sum (see `_k1_scaled`): the step
+    h = min(0.2, 0.6/√x) follows from the half-width π/2 of the strip where
+    the integrand is analytic and, at large x, from the 1/√x width of its
+    peak; the sum is cut where x(cosh t − 1) = 45, after N ≤ 58 terms.  Both
+    depend on x alone, so nothing is iterated, and the result is within
+    1e-15 relative of K₁ over the whole domain.
     """
     if not (1e-3 <= x <= 700.0):
         raise DomainError(f"bessel_k1 supports x in [1e-3, 700], got {x}")

@@ -126,7 +126,10 @@ def test_vacuum_direct_and_scan(capsys):
 
 def test_vacuum_usage_error(capsys):
     assert main(["vacuum"]) == 2
-    assert "provide --omega" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "provide --omega" in captured.err
 
 
 def test_qft_renorm(capsys):
@@ -160,7 +163,10 @@ def test_qft_potential(capsys):
         "qft", "potential", "--mass2", "1", "--lambda", "0.1",
         "--cutoff", "10", "--points", "1",
     ]) == 2
-    assert "--points" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "--points" in captured.err
 
 
 @pytest.mark.parametrize("sigma_max", ["-1", "0", "nan"])
@@ -181,7 +187,10 @@ def test_qft_static(capsys):
     assert doc["rows"][0]["U"] == pytest.approx(expected, rel=1e-12)
 
     assert main(["qft", "static"]) == 2
-    assert "provide --mr" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "provide --mr" in captured.err
 
 
 def test_qft_integrals(capsys):
@@ -397,7 +406,8 @@ _FUZZ_ARGV = st.one_of(
 ).map(lambda parts: parts[0] + parts[1])
 
 
-def _assert_clean_exit(argv):
+def _run_clean(argv):
+    """Exit code and stdout of main(argv + ["--no-meta"]); no traceback."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
@@ -406,10 +416,15 @@ def _assert_clean_exit(argv):
             code = exc.code
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue()
+    return code, out.getvalue()
+
+
+def _assert_clean_exit(argv):
+    code, out = _run_clean(argv)
     if code == 0:
-        json.loads(out.getvalue(), parse_constant=pytest.fail)
+        json.loads(out, parse_constant=pytest.fail)
     else:
-        assert out.getvalue() == "", argv
+        assert out == "", argv
 
 
 @settings(max_examples=250, deadline=None)
@@ -419,8 +434,7 @@ def _assert_clean_exit(argv):
 # σ² overflows although 12λσ² does not
 @example(["qft", "gap", "--mass2=1", "--lambda=1e-299", "--cutoff=1", "--sigma=1e200"])
 def test_fuzzed_flags_exit_cleanly(argv):
-    # the numpy-bound table command is left out for speed; the oracle has
-    # its own fuzz below
+    # the numpy-bound oracle and table commands have their own fuzz below
     _assert_clean_exit(argv)
 
 
@@ -439,3 +453,20 @@ def test_fuzzed_oracle_exits_cleanly(argv):
     # the oracle raises BudgetExceeded (exit 1) as it does past 4096
     with mock.patch.object(gha.oracle, "_MAX_DIMENSION", 256):
         _assert_clean_exit(argv)
+
+
+_TABLE_ARGV = st.tuples(st.sampled_from(["1", "2", "3", "4"]), _reals | _specials).map(
+    lambda draw: ["table", draw[0], "--compare", f"--tol={draw[1]}"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TABLE_ARGV)
+def test_fuzzed_table_exits_cleanly(argv):
+    # a failed comparison (exit 1) still prints its report; a numerical
+    # failure (exit 1) and a usage error (exit 2) print nothing
+    code, out = _run_clean(argv)
+    if code == 2:
+        assert out == "", argv
+    elif code == 0 or out:
+        doc = json.loads(out, parse_constant=pytest.fail)
+        assert (doc["summary"]["failures"] > 0) == (code == 1), argv

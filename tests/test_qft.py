@@ -272,6 +272,15 @@ def test_bessel_sweep_against_scipy():
         assert bessel_k1(float(x)) == pytest.approx(ref, rel=1e-8)
 
 
+def test_bessel_against_mpmath():
+    # 401 log-spaced points of the whole domain, both endpoints included
+    xs = [1e-3 * (700.0 / 1e-3) ** (i / 400) for i in range(400)] + [700.0]
+    with mp.workdps(30):
+        for x in xs:
+            ref = mp.besselk(1, x)
+            assert abs(bessel_k1(x) - ref) <= 1e-15 * ref, x
+
+
 def test_bessel_domain():
     with pytest.raises(DomainError):
         bessel_k1(1e-4)

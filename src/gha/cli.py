@@ -1,10 +1,14 @@
 """Command-line interface.
 
 Subcommands: spectrum, dwo, hipt, oracle, vacuum, qft (renorm, gap,
-potential, static, integrals) and table.  Output is JSON (default), CSV or a
-markdown table via --format.  JSON carries a meta block with version and
+potential, static, integrals) and table.  Each builds its payload and rows
+once, and `_emit` alone decides the output: the payload as JSON (default),
+or the rows as CSV or a markdown table via --format, with the scalar fields
+of the first row as columns.  JSON carries a meta block with version and
 timestamp unless --no-meta is given; CSV and markdown are always meta-free,
-so identical invocations produce byte-identical output.
+so identical invocations produce byte-identical output.  NaN or infinity in
+the payload is a numerical failure in every format; an empty list flag such
+as `--levels ,` is a usage error.
 
 Exit codes: 0 success, 1 numerical failure, 2 usage error.
 """
@@ -34,90 +38,84 @@ def _meta():
             "timestamp": datetime.now(timezone.utc).isoformat()}
 
 
-def _int_list(text):
-    try:
-        return [int(tok) for tok in text.split(",") if tok]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}")
-
-
-def _float_list(text):
-    try:
-        return [float(tok) for tok in text.split(",") if tok]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated reals, got {text!r}")
-
-
-def _csv_text(fields, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(fields)
-    for row in rows:
-        out = []
-        for f in fields:
-            v = row.get(f)
-            if v is None:
-                out.append("")
-            elif isinstance(v, bool):
-                out.append(str(v).lower())
-            elif isinstance(v, float):
-                out.append(repr(v))
-            else:
-                out.append(v)
-        writer.writerow(out)
-    return buf.getvalue()
-
-
-def _md_text(fields, rows):
-    lines = ["| " + " | ".join(fields) + " |",
-             "| " + " | ".join("---" for _ in fields) + " |"]
-    for row in rows:
-        cells = []
-        for f in fields:
-            v = row.get(f)
-            if v is None:
-                cells.append("")
-            elif isinstance(v, float):
-                cells.append(f"{v:.10g}")
-            else:
-                cells.append(str(v))
-        lines.append("| " + " | ".join(cells) + " |")
-    return "\n".join(lines) + "\n"
-
-
-def _emit(args, payload, fields, rows):
-    """Print the output; raise NonFiniteValue before printing NaN or infinity."""
-    name = payload.get("command", args.command)
-    if args.format == "json":
-        if not args.no_meta:
-            payload = {**payload, "meta": _meta()}
+def _list_of(kind, noun):
+    def parse(text):
         try:
-            text = json.dumps(payload, indent=2, allow_nan=False)
+            values = [kind(tok) for tok in text.split(",") if tok]
         except ValueError:
-            raise NonFiniteValue(f"{name} output holds NaN or infinity") from None
+            values = []
+        if values:
+            return values
+        raise argparse.ArgumentTypeError(f"expected comma-separated {noun}, got {text!r}")
+    return parse
+
+
+_int_list = _list_of(int, "integers")
+_float_list = _list_of(float, "reals")
+
+
+def _cell(fmt, value):
+    """CSV keeps repr floats and lowercase booleans; markdown rounds to .10g."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value) if fmt == "csv" else f"{value:.10g}"
+    if isinstance(value, bool) and fmt == "csv":
+        return str(value).lower()
+    return str(value)
+
+
+def _emit(args, payload, rows):
+    """Print payload as JSON, or rows as CSV or markdown with the scalar fields
+    of the first row as columns; refuse NaN or infinity in the payload."""
+    name = payload.get("command", args.command)
+    if args.format == "json" and not args.no_meta:
+        payload = {**payload, "meta": _meta()}
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError:
+        raise NonFiniteValue(f"{name} output holds NaN or infinity") from None
+    if args.format == "json":
         print(text)
         return 0
-    for row in rows:
-        for f in fields:
-            v = row.get(f)
-            if isinstance(v, float) and not math.isfinite(v):
-                raise NonFiniteValue(f"{name} output has {f} = {v}")
+    if not rows:  # hipt, when every contribution underflows to zero
+        raise GhaError(f"{name} output has no rows to print as {args.format}")
+    columns = [k for k, v in rows[0].items() if not isinstance(v, list)]
+    table = [columns] + [[_cell(args.format, row.get(k)) for k in columns]
+                         for row in rows]
     if args.format == "csv":
-        print(_csv_text(fields, rows), end="")
+        buf = io.StringIO()
+        csv.writer(buf).writerows(table)
+        text = buf.getvalue()
     else:
-        print(_md_text(fields, rows), end="")
+        table.insert(1, ["---"] * len(columns))
+        text = "".join("| " + " | ".join(line) + " |\n" for line in table)
+    print(text, end="")
     return 0
 
 
-def _model_args(p, g_default=None):
-    p.add_argument("--power", type=int, default=4, choices=(4, 6, 8))
-    if g_default is None:
-        p.add_argument("--g", type=float, required=True)
-    else:
-        p.add_argument("--g", type=float, default=g_default)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+def _model_args(p, required=True):
+    p.add_argument("--power", type=int, default=4)
+    p.add_argument("--g", type=float, required=required)
+    p.add_argument("--lambda", dest="lam", type=float, required=required)
+
+
+def _model_block(model):
+    return {"power": model.power, "g": model.g, "lambda": model.lam}
+
+
+def _theory_args(p, required=True):
+    p.add_argument("--mass2", type=float, required=required)
+    p.add_argument("--lambda", dest="lam", type=float, required=required)
+    p.add_argument("--cutoff", type=float, required=required)
+
+
+def _theory(args):
+    return qft.FieldTheory(m2=args.mass2, lam=args.lam, cutoff=args.cutoff)
+
+
+def _theory_block(theory):
+    return {"mass2": theory.m2, "lambda": theory.lam, "cutoff": theory.cutoff}
 
 
 def _cmd_spectrum(args):
@@ -132,14 +130,9 @@ def _cmd_spectrum(args):
             row["delta_e2"] = rep.delta_e2
             row["e2"] = rep.e2
         rows.append(row)
-    fields = ["n", "phase", "omega", "sigma", "e0"]
-    if args.order == 2:
-        fields += ["delta_e2", "e2"]
-    payload = {"command": "spectrum",
-               "model": {"power": model.power, "g": model.g,
-                         "lambda": model.lam},
+    payload = {"command": "spectrum", "model": _model_block(model),
                "levels": rows}
-    return _emit(args, payload, fields, rows)
+    return _emit(args, payload, rows)
 
 
 def _cmd_dwo(args):
@@ -152,16 +145,14 @@ def _cmd_dwo(args):
         row = {"n": n, "phase": sol.phase.value, "omega": sol.omega,
                "sigma": sol.sigma, "e_raw": sol.energy,
                "e_reported": sol.energy + depth}
-        if args.format == "json" and sol.branches:
+        if sol.branches:
             row["branches"] = [{"phase": b.phase.value, "omega": b.omega,
                                 "sigma": b.sigma, "energy": b.energy}
                                for b in sol.branches]
         rows.append(row)
-    fields = ["n", "phase", "omega", "sigma", "e_raw", "e_reported"]
-    payload = {"command": "dwo",
-               "model": {"power": 4, "g": model.g, "lambda": model.lam},
+    payload = {"command": "dwo", "model": _model_block(model),
                "well_depth": depth, "lambda_c": lam_c, "levels": rows}
-    return _emit(args, payload, fields, rows)
+    return _emit(args, payload, rows)
 
 
 def _cmd_hipt(args):
@@ -169,13 +160,11 @@ def _cmd_hipt(args):
     rep = second_order(model, args.level, even_only=args.even_only)
     rows = [{"m": c.m, "numerator": c.numerator, "denominator": c.denominator}
             for c in rep.contributions]
-    payload = {"command": "hipt",
-               "model": {"power": model.power, "g": model.g,
-                         "lambda": model.lam},
+    payload = {"command": "hipt", "model": _model_block(model),
                "n": rep.n, "even_only": args.even_only, "e0": rep.e0,
                "delta_e2": rep.delta_e2, "e2": rep.e2,
                "contributions": rows}
-    return _emit(args, payload, ["m", "numerator", "denominator"], rows)
+    return _emit(args, payload, rows)
 
 
 def _cmd_oracle(args):
@@ -183,58 +172,43 @@ def _cmd_oracle(args):
     est = converged_levels(model, args.nmax, tol=args.tol)
     rows = [{"n": i, "energy": e, "convergence_error": d}
             for i, (e, d) in enumerate(zip(est.levels, est.convergence_error))]
-    payload = {"command": "oracle",
-               "model": {"power": model.power, "g": model.g,
-                         "lambda": model.lam},
+    payload = {"command": "oracle", "model": _model_block(model),
                "n_max": args.nmax, "tol": args.tol,
                "dimension": est.dimension_used, "levels": rows}
-    return _emit(args, payload, ["n", "energy", "convergence_error"], rows)
+    return _emit(args, payload, rows)
 
 
 def _cmd_vacuum(args):
+    payload = {"command": "vacuum"}
     if args.omega is not None:
         omega = args.omega
-        payload = {"command": "vacuum", "omega": omega}
     else:
         if args.lam is None or args.g is None:
             raise DomainError("vacuum: provide --omega, or --g and --lambda "
                               "(with optional --power/--level)")
         model = OscillatorModel(power=args.power, g=args.g, lam=args.lam)
         omega = solve_level(model, args.level).omega
-        payload = {"command": "vacuum",
-                   "model": {"power": model.power, "g": model.g,
-                             "lambda": model.lam},
-                   "n": args.level, "omega": omega}
+        payload.update(model=_model_block(model), n=args.level)
     vs = vacuum_structure(omega)
-    payload.update({"alpha": vs.alpha, "n0": vs.n0, "u": vs.u})
     rows = [{"omega": omega, "alpha": vs.alpha, "n0": vs.n0, "u": vs.u}]
+    payload.update(rows[0])
     if args.scan:
         model = OscillatorModel(power=4, g=args.g if args.g is not None else 1.0,
                                 lam=min(args.scan))
         samples = strong_coupling_scaling(model, args.scan)
-        rows = [{"lambda": lam, "n0": n0} for lam, n0 in samples]
-        payload["scan"] = rows
+        rows = payload["scan"] = [{"lambda": lam, "n0": n0} for lam, n0 in samples]
         payload["slope"] = loglog_slope(samples)
-        return _emit(args, payload, ["lambda", "n0"], rows)
-    return _emit(args, payload, ["omega", "alpha", "n0", "u"], rows)
-
-
-def _theory(args):
-    return qft.FieldTheory(m2=args.mass2, lam=args.lam, cutoff=args.cutoff)
+    return _emit(args, payload, rows)
 
 
 def _cmd_qft_renorm(args):
     theory = _theory(args)
     bar = qft.solve_mass_gap(theory, 0.0)
     ren = qft.renormalized(theory)
-    payload = {"command": "qft-renorm",
-               "theory": {"mass2": theory.m2, "lambda": theory.lam,
-                          "cutoff": theory.cutoff},
-               "M2_bar": bar.M2, "mR2": ren.mR2, "lambdaR": ren.lambdaR,
-               "ratio": ren.lambdaR / theory.lam}
-    rows = [{"M2_bar": bar.M2, "mR2": ren.mR2, "lambdaR": ren.lambdaR,
-             "ratio": ren.lambdaR / theory.lam}]
-    return _emit(args, payload, ["M2_bar", "mR2", "lambdaR", "ratio"], rows)
+    row = {"M2_bar": bar.M2, "mR2": ren.mR2, "lambdaR": ren.lambdaR,
+           "ratio": ren.lambdaR / theory.lam}
+    payload = {"command": "qft-renorm", "theory": _theory_block(theory), **row}
+    return _emit(args, payload, [row])
 
 
 def _cmd_qft_gap(args):
@@ -242,15 +216,10 @@ def _cmd_qft_gap(args):
     state = qft.solve_mass_gap(theory, args.sigma)
     residual = state.M2 - theory.m2 - 12.0 * theory.lam * args.sigma * args.sigma \
         - 12.0 * theory.lam * state.i0
-    payload = {"command": "qft-gap",
-               "theory": {"mass2": theory.m2, "lambda": theory.lam,
-                          "cutoff": theory.cutoff},
-               "sigma": state.sigma, "M2": state.M2, "i0": state.i0,
-               "i1": state.i1, "i_minus1": state.im1, "residual": residual}
-    rows = [{"sigma": state.sigma, "M2": state.M2, "i0": state.i0,
-             "i1": state.i1, "i_minus1": state.im1, "residual": residual}]
-    return _emit(args, payload,
-                 ["sigma", "M2", "i0", "i1", "i_minus1", "residual"], rows)
+    row = {"sigma": state.sigma, "M2": state.M2, "i0": state.i0,
+           "i1": state.i1, "i_minus1": state.im1, "residual": residual}
+    payload = {"command": "qft-gap", "theory": _theory_block(theory), **row}
+    return _emit(args, payload, [row])
 
 
 def _cmd_qft_potential(args):
@@ -260,34 +229,28 @@ def _cmd_qft_potential(args):
     if not 0.0 < args.sigma_max < math.inf:
         raise DomainError(f"--sigma-max must be positive and finite, got {args.sigma_max}")
     step = args.sigma_max / (args.points - 1)
-    rows = []
-    for i in range(args.points):
-        s = i * step
-        rows.append({"sigma": s, "U": qft.effective_potential(theory, s)})
-    payload = {"command": "qft-potential",
-               "theory": {"mass2": theory.m2, "lambda": theory.lam,
-                          "cutoff": theory.cutoff},
+    rows = [{"sigma": i * step, "U": qft.effective_potential(theory, i * step)}
+            for i in range(args.points)]
+    payload = {"command": "qft-potential", "theory": _theory_block(theory),
                "rows": rows}
-    return _emit(args, payload, ["sigma", "U"], rows)
+    return _emit(args, payload, rows)
 
 
 def _cmd_qft_static(args):
+    payload = {"command": "qft-static"}
     if args.mr is not None:
         mr = args.mr
-        payload = {"command": "qft-static", "mR": mr}
     else:
         if args.mass2 is None or args.lam is None or args.cutoff is None:
             raise DomainError("qft static: provide --mr, or the full theory "
                               "(--mass2 --lambda --cutoff)")
         theory = _theory(args)
         mr = math.sqrt(qft.renormalized(theory).mR2)
-        payload = {"command": "qft-static",
-                   "theory": {"mass2": theory.m2, "lambda": theory.lam,
-                              "cutoff": theory.cutoff},
-                   "mR": mr}
-    rows = [{"r": r, "U": qft.static_potential(r, mr)} for r in args.r]
-    payload["rows"] = rows
-    return _emit(args, payload, ["r", "U"], rows)
+        payload["theory"] = _theory_block(theory)
+    payload["mR"] = mr
+    rows = payload["rows"] = [{"r": r, "U": qft.static_potential(r, mr)}
+                              for r in args.r]
+    return _emit(args, payload, rows)
 
 
 def _cmd_qft_integrals(args):
@@ -295,7 +258,7 @@ def _cmd_qft_integrals(args):
             for n in args.orders]
     payload = {"command": "qft-integrals", "mass2": args.mass2,
                "cutoff": args.cutoff, "rows": rows}
-    return _emit(args, payload, ["n", "value"], rows)
+    return _emit(args, payload, rows)
 
 
 def _cmd_table(args):
@@ -306,8 +269,7 @@ def _cmd_table(args):
                 for c in table.cells]
         payload = {"command": "table", "table": args.table_id,
                    "convention": table.convention, "rows": rows}
-        return _emit(args, payload,
-                     ["lambda", "n", "provenance", "text", "disputed"], rows)
+        return _emit(args, payload, rows)
     report = run_table(args.table_id, tol=args.tol)
     rows = [{"lambda": r.lam, "n": r.n, "provenance": r.provenance,
              "computed": r.computed, "reference": r.reference,
@@ -315,10 +277,7 @@ def _cmd_table(args):
             for r in report.rows]
     payload = {"table": report.table_id, "rows": rows,
                "summary": report.summary()}
-    fields = ["table", "lambda", "n", "provenance", "computed", "reference",
-              "rel_error", "pass", "disputed"]
-    _emit(args, payload, fields,
-          [{"table": report.table_id, **row} for row in rows])
+    _emit(args, payload, [{"table": report.table_id, **row} for row in rows])
     return 0 if report.ok else 1
 
 
@@ -368,9 +327,7 @@ def build_parser():
     p = sub.add_parser("vacuum", parents=[common],
                        help="pair-condensate structure of a squeezed vacuum")
     p.add_argument("--omega", type=float)
-    p.add_argument("--power", type=int, default=4, choices=(4, 6, 8))
-    p.add_argument("--g", type=float)
-    p.add_argument("--lambda", dest="lam", type=float)
+    _model_args(p, required=False)
     p.add_argument("--level", type=int, default=0)
     p.add_argument("--scan", type=_float_list,
                    help="couplings for the strong-coupling occupation scan")
@@ -381,31 +338,23 @@ def build_parser():
     qsub = p.add_subparsers(dest="qft_command", required=True)
 
     q = qsub.add_parser("renorm", parents=[common])
-    q.add_argument("--mass2", type=float, required=True)
-    q.add_argument("--lambda", dest="lam", type=float, required=True)
-    q.add_argument("--cutoff", type=float, required=True)
+    _theory_args(q)
     q.set_defaults(func=_cmd_qft_renorm)
 
     q = qsub.add_parser("gap", parents=[common])
-    q.add_argument("--mass2", type=float, required=True)
-    q.add_argument("--lambda", dest="lam", type=float, required=True)
-    q.add_argument("--cutoff", type=float, required=True)
+    _theory_args(q)
     q.add_argument("--sigma", type=float, default=0.0)
     q.set_defaults(func=_cmd_qft_gap)
 
     q = qsub.add_parser("potential", parents=[common])
-    q.add_argument("--mass2", type=float, required=True)
-    q.add_argument("--lambda", dest="lam", type=float, required=True)
-    q.add_argument("--cutoff", type=float, required=True)
+    _theory_args(q)
     q.add_argument("--sigma-max", type=float, default=2.0)
     q.add_argument("--points", type=int, default=21)
     q.set_defaults(func=_cmd_qft_potential)
 
     q = qsub.add_parser("static", parents=[common])
     q.add_argument("--mr", type=float)
-    q.add_argument("--mass2", type=float)
-    q.add_argument("--lambda", dest="lam", type=float)
-    q.add_argument("--cutoff", type=float)
+    _theory_args(q, required=False)
     q.add_argument("--r", type=_float_list, default=[1.0])
     q.set_defaults(func=_cmd_qft_static)
 

@@ -385,14 +385,6 @@ def classical_well_depth(model: OscillatorModel) -> float:
     return model.g * model.g / (16.0 * model.lam)
 
 
-def hamiltonian_polynomial(model: OscillatorModel, mode: ladder.ModeParameters):
-    """H = ½p² + ½gφ² + λφ^{2k} as a normal-ordered ladder polynomial."""
-    h = ladder.momentum_squared(mode).scale(0.5)
-    h = h + ladder.field_power(2, mode).scale(0.5 * model.g)
-    h = h + ladder.field_power(model.power, mode).scale(model.lam)
-    return h
-
-
 def potential_polynomial(A: float, B: float, C: float, mode: ladder.ModeParameters):
     """Hartree potential V = Aφ² − Bφ + C as a ladder polynomial."""
     v = ladder.field_power(2, mode).scale(A)

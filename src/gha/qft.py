@@ -243,8 +243,10 @@ def _k1_scaled(x: float) -> float:
     axis, so the usable strip shrinks to the peak width a ~ 1/√x and the
     error becomes about e^{−2π²/(h²x)}; h = 0.6/√x keeps that at e^{−55}.
     The sum stops at x(cosh t − 1) = 45; the tail it leaves out is at most
-    about e^{−45} of the integral.  Factoring out e^{−x} keeps x up to 700
-    inside normal double range.
+    about e^{−45} of the integral.  At small x that cut lies near t =
+    ln(90/x), so the sum takes about 10 ln(90/x) terms (3477 at x = 1e-300)
+    and below x ≈ 2.7e-307 cosh t overflows at its last nodes.
+    Factoring out e^{−x} keeps x up to 700 inside normal double range.
     """
     h = min(0.2, 0.6 / math.sqrt(x))
     n = math.ceil(2.0 * math.asinh(math.sqrt(22.5 / x)) / h)
@@ -256,19 +258,24 @@ def _k1_scaled(x: float) -> float:
 
 
 def bessel_k1(x: float) -> float:
-    """Modified Bessel function K₁(x) for x ∈ [1e-3, 700].
+    """Modified Bessel function K₁(x) for x ∈ (0, 700].
 
     Computed from the integral representation K₁(x) = ∫₀^∞ e^{−x cosh t}
     cosh t dt by one fixed-step trapezoid sum (see `_k1_scaled`): the step
     h = min(0.2, 0.6/√x) follows from the half-width π/2 of the strip where
     the integrand is analytic and, at large x, from the 1/√x width of its
-    peak; the sum is cut where x(cosh t − 1) = 45, after N ≤ 58 terms.  Both
-    depend on x alone, so nothing is iterated, and the result is within
-    1e-15 relative of K₁ over the whole domain.
+    peak; the sum is cut where x(cosh t − 1) = 45, after N ≤ 58 terms for
+    x ≥ 1e-3 and about 10 ln(90/x) terms below.  Both depend on x alone, so
+    nothing is iterated, and the result is within 1e-15 relative of K₁ from
+    x = 1e-300 to 700.  Below x ≈ 2.7e-307, where K₁ ≈ 1/x nears the top
+    of float range, the sum overflows and raises NonFiniteValue.
     """
-    if not (1e-3 <= x <= 700.0):
-        raise DomainError(f"bessel_k1 supports x in [1e-3, 700], got {x}")
-    return math.exp(-x) * _k1_scaled(x)
+    if not (0.0 < x <= 700.0):
+        raise DomainError(f"bessel_k1 supports x in (0, 700], got {x}")
+    try:
+        return math.exp(-x) * _k1_scaled(x)
+    except OverflowError:
+        raise NonFiniteValue(f"K1({x}) leaves floating-point range") from None
 
 
 def static_potential(r: float, mR: float) -> float:
@@ -277,4 +284,7 @@ def static_potential(r: float, mR: float) -> float:
         raise DomainError(f"r must be positive, got {r}")
     if not (mR > 0.0):
         raise DomainError(f"mR must be positive, got {mR}")
-    return mR * bessel_k1(mR * r) / (_FOUR_PI2 * r)
+    u = mR * bessel_k1(mR * r) / (_FOUR_PI2 * r)
+    if not math.isfinite(u):  # U ≈ 1/(4π²r²) at short range
+        raise NonFiniteValue(f"U({r}) at mR {mR} leaves floating-point range")
+    return u

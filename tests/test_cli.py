@@ -1,5 +1,6 @@
 """End-to-end command line checks through main(argv)."""
 
+import csv
 import io
 import json
 import math
@@ -100,6 +101,14 @@ def test_hipt_payload(capsys):
     assert doc["delta_e2"] < 0.0
     ms = [c["m"] for c in doc["contributions"]]
     assert 4 in ms and all(m != 0 for m in ms)
+    # every contribution underflows: JSON lists none, CSV and markdown have no row
+    argv = ["hipt", "--g", "1e200", "--lambda", "1e-300"]
+    assert run_json(capsys, argv)["contributions"] == []
+    for fmt in ("csv", "md"):
+        assert main(argv + ["--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: hipt output has no rows")
 
 
 def test_oracle_payload(capsys):
@@ -185,6 +194,13 @@ def test_qft_static(capsys):
     assert len(doc["rows"]) == 2
     expected = bessel_k1(1.0) / (4.0 * math.pi**2)
     assert doc["rows"][0]["U"] == pytest.approx(expected, rel=1e-12)
+    # short distances reach the Coulomb-like core until U leaves float range
+    doc = run_json(capsys, ["qft", "static", "--mr", "1", "--r", "0.0005"])
+    assert doc["rows"][0]["U"] == pytest.approx(1.0 / (4.0 * math.pi**2 * 0.0005**2), rel=1e-5)
+    assert main(["qft", "static", "--mr", "1", "--r", "1e-160"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: U(1e-160)")
 
     assert main(["qft", "static"]) == 2
     captured = capsys.readouterr()
@@ -252,16 +268,26 @@ def test_oracle_beyond_start_dimension(capsys):
     assert doc["dimension"] == 512
 
 
-def test_usage_errors_exit_two():
+def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["spectrum", "--g", "1"])  # missing --lambda
     assert info.value.code == 2
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        main(["spectrum", "--g", "1", "--lambda", "1", "--levels", "a,b"])
-    assert info.value.code == 2
+    # a malformed or empty list flag leaves nothing to print
+    for argv in (["spectrum", "--g", "1", "--lambda", "1", "--levels", "a,b"],
+                 ["spectrum", "--g", "1", "--lambda", "1", "--levels", ","],
+                 ["dwo", "--lambda", "0.1", "--levels", ","],
+                 ["qft", "static", "--mr", "1", "--r", ""],
+                 ["qft", "integrals", "--mass2", "1", "--cutoff", "10", "--orders", ""],
+                 ["vacuum", "--omega", "1", "--scan", ""]):
+        capsys.readouterr()
+        for fmt in ("json", "csv", "md"):
+            with pytest.raises(SystemExit) as info:
+                main(argv + ["--format", fmt])
+            assert info.value.code == 2
+            assert capsys.readouterr().out == "", argv
 
 
 def test_version_flag(capsys):
@@ -340,9 +366,8 @@ def test_import_loads_no_numpy():
 
 
 _THEORY = ["--mass2", "1", "--lambda", "0.1", "--cutoff", "10"]
-
-
-@pytest.mark.parametrize("argv, loads_numpy", [
+# every subcommand once, and whether it loads numpy
+_COMMANDS = [
     (["spectrum", "--g", "1", "--lambda", "1", "--levels", "0,3", "--order", "2"], False),
     (["dwo", "--lambda", "0.1", "--levels", "0,1"], False),
     (["hipt", "--g", "1", "--lambda", "1", "--level", "2"], False),
@@ -355,7 +380,10 @@ _THEORY = ["--mass2", "1", "--lambda", "0.1", "--cutoff", "10"]
     # the diagonalizing commands do load it, so this guard can fail
     (["oracle", "--g", "1", "--lambda", "1"], True),
     (["table", "1", "--compare"], True),
-])
+]
+
+
+@pytest.mark.parametrize("argv, loads_numpy", _COMMANDS)
 def test_only_diagonalizing_commands_load_numpy(argv, loads_numpy):
     code = ("import io, json, sys\n"
             "from contextlib import redirect_stdout\n"
@@ -369,6 +397,43 @@ def test_only_diagonalizing_commands_load_numpy(argv, loads_numpy):
     assert out.split() == ["0", str(loads_numpy)]
 
 
+def _table(fmt, out):
+    """Header and rows of CSV or markdown output."""
+    if fmt == "csv":
+        lines = list(csv.reader(io.StringIO(out)))
+        return lines[0], lines[1:]
+    lines = [[cell.strip() for cell in line[1:-1].split("|")] for line in out.splitlines()]
+    assert lines[1] == ["---"] * len(lines[0])
+    return lines[0], lines[2:]
+
+
+def _csv_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return value if isinstance(value, str) else repr(value)
+
+
+# below λ_c each dwo level carries a list of branches, which stays out of the columns
+@pytest.mark.parametrize("argv", [argv for argv, _ in _COMMANDS]
+                         + [["dwo", "--lambda", "0.085", "--levels", "0,1"]])
+def test_csv_and_md_tabulate_the_json_rows(capsys, argv):
+    doc = run_json(capsys, argv)
+    lists = [v for v in doc.values() if isinstance(v, list)]
+    # a one-row command tabulates its own top-level fields
+    rows = lists[0] if lists else [{k: v for k, v in doc.items() if k != "command"}]
+    if "summary" in doc:  # table --compare leads every flat row with the table id
+        rows = [{"table": doc["table"], **row} for row in rows]
+    columns = [k for k, v in rows[0].items() if not isinstance(v, (list, dict))]
+    assert main(argv + ["--format", "csv"]) == 0
+    header, body = _table("csv", capsys.readouterr().out)
+    assert header == columns
+    assert body == [[_csv_cell(row.get(k)) for k in columns] for row in rows]
+    assert main(argv + ["--format", "md"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == len(rows) + 2
+
+
 # every numeric flag draws a log-uniform magnitude in [1e-300, 1e300] of
 # either sign; integer flags also draw small integers, which parse
 _reals = st.builds(lambda sign, exp: repr(sign * 10.0**exp),
@@ -378,6 +443,8 @@ _int_lists = st.lists(st.integers(-1, 40), min_size=1, max_size=3).map(
     lambda ns: ",".join(map(str, ns))) | _reals
 _real_lists = st.lists(_reals, min_size=1, max_size=3).map(",".join)
 _powers = st.sampled_from(["4", "6", "8"])
+# OscillatorModel alone refuses the other powers (exit 2)
+_any_powers = _powers | st.sampled_from(["2", "10", "-4"])
 
 
 def _flags(**draws):
@@ -387,13 +454,13 @@ def _flags(**draws):
 
 
 _THEORY_DRAWS = {"mass2": _reals, "lambda": _reals, "cutoff": _reals}
-_FUZZ_ARGV = st.one_of(
-    st.tuples(st.just(["spectrum"]), _flags(power=_powers, g=_reals, **{"lambda": _reals},
+_FUZZ_ARGV = st.tuples(st.one_of(
+    st.tuples(st.just(["spectrum"]), _flags(power=_any_powers, g=_reals, **{"lambda": _reals},
                                             levels=_int_lists, order=st.sampled_from(["0", "2"]))),
     st.tuples(st.just(["dwo"]), _flags(g=_reals, levels=_int_lists, **{"lambda": _reals})),
-    st.tuples(st.just(["hipt"]), _flags(power=_powers, g=_reals, level=_ints, **{"lambda": _reals})),
+    st.tuples(st.just(["hipt"]), _flags(power=_any_powers, g=_reals, level=_ints, **{"lambda": _reals})),
     st.tuples(st.just(["vacuum"]), _flags(omega=_reals)),
-    st.tuples(st.just(["vacuum"]), _flags(power=_powers, g=_reals, level=_ints,
+    st.tuples(st.just(["vacuum"]), _flags(power=_any_powers, g=_reals, level=_ints,
                                           scan=_real_lists, **{"lambda": _reals})),
     st.tuples(st.just(["qft", "renorm"]), _flags(**_THEORY_DRAWS)),
     st.tuples(st.just(["qft", "gap"]), _flags(sigma=_reals, **_THEORY_DRAWS)),
@@ -403,7 +470,8 @@ _FUZZ_ARGV = st.one_of(
     st.tuples(st.just(["qft", "static"]), _flags(r=_real_lists, **_THEORY_DRAWS)),
     st.tuples(st.just(["qft", "integrals"]),
               _flags(mass2=_reals, cutoff=_reals, orders=_int_lists)),
-).map(lambda parts: parts[0] + parts[1])
+), st.sampled_from(["json", "csv", "md"])).map(
+    lambda draw: draw[0][0] + draw[0][1] + [f"--format={draw[1]}"])
 
 
 def _run_clean(argv):
@@ -421,10 +489,15 @@ def _run_clean(argv):
 
 def _assert_clean_exit(argv):
     code, out = _run_clean(argv)
-    if code == 0:
+    fmt = next((a[len("--format="):] for a in argv if a.startswith("--format=")), "json")
+    if code != 0:
+        assert out == "", argv
+    elif fmt == "json":
         json.loads(out, parse_constant=pytest.fail)
     else:
-        assert out == "", argv
+        header, rows = _table(fmt, out)
+        assert header and rows and all(len(row) == len(header) for row in rows), argv
+        assert not any(cell.lstrip("-") in ("nan", "inf") for row in rows for cell in row), argv
 
 
 @settings(max_examples=250, deadline=None)

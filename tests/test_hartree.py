@@ -15,7 +15,6 @@ from gha.hartree import (
     critical_coupling,
     gap_residual_scale,
     general_gap_residuals,
-    hamiltonian_polynomial,
     hartree_coefficients,
     moment,
     potential_polynomial,
@@ -25,6 +24,8 @@ from gha.hartree import (
     xi_p,
     zeroth_energy,
 )
+
+from ladder_reference import hamiltonian_polynomial
 
 QUARTIC = OscillatorModel(power=4, g=1.0, lam=1.0)
 

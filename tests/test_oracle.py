@@ -9,13 +9,15 @@ import pytest
 import gha.oracle
 from gha import ladder
 from gha.errors import BudgetExceeded, DomainError
-from gha.hartree import OscillatorModel, hamiltonian_polynomial, solve_level
+from gha.hartree import OscillatorModel, solve_level
 from gha.oracle import (
     SpectrumEstimate,
     TruncatedBasis,
     converged_levels,
     hamiltonian_matrix,
 )
+
+from ladder_reference import hamiltonian_polynomial
 
 QUARTIC = OscillatorModel(power=4, g=1.0, lam=1.0)
 

@@ -273,8 +273,10 @@ def test_bessel_sweep_against_scipy():
 
 
 def test_bessel_against_mpmath():
-    # 401 log-spaced points of the whole domain, both endpoints included
+    # 401 log-spaced points of [1e-3, 700], both ends included, and three
+    # short distances where K₁ ≈ 1/x and the sum runs to thousands of terms
     xs = [1e-3 * (700.0 / 1e-3) ** (i / 400) for i in range(400)] + [700.0]
+    xs += [1e-8, 1e-50, 1e-300]
     with mp.workdps(30):
         for x in xs:
             ref = mp.besselk(1, x)
@@ -282,10 +284,12 @@ def test_bessel_against_mpmath():
 
 
 def test_bessel_domain():
-    with pytest.raises(DomainError):
-        bessel_k1(1e-4)
-    with pytest.raises(DomainError):
-        bessel_k1(701.0)
+    for x in (0.0, -1.0, math.nan, 701.0):
+        with pytest.raises(DomainError):
+            bessel_k1(x)
+    # K₁ ≈ 1/x: the sum overflows just before K₁ itself would
+    with pytest.raises(NonFiniteValue):
+        bessel_k1(1e-307)
 
 
 def test_static_potential_short_range():
@@ -293,6 +297,10 @@ def test_static_potential_short_range():
     r = 1e-3
     val = FOUR_PI2 * r * r * static_potential(r, 1.0)
     assert val == pytest.approx(0.9999962381560853, rel=1e-12)
+    assert FOUR_PI2 * 1e-100 * static_potential(1e-50, 1.0) == pytest.approx(1.0, rel=1e-15)
+    # U ≈ 1/(4π²r²) leaves float range near r = 1e-155
+    with pytest.raises(NonFiniteValue):
+        static_potential(1e-160, 1.0)
 
 
 def test_static_potential_long_range_decay():

@@ -196,6 +196,8 @@ def _cmd_vacuum(args):
         model = OscillatorModel(power=4, g=args.g if args.g is not None else 1.0,
                                 lam=min(args.scan))
         samples = strong_coupling_scaling(model, args.scan)
+        if args.power != 4:  # the scan is quartic whatever --power says
+            payload["scan_model"] = {"power": model.power, "g": model.g}
         rows = payload["scan"] = [{"lambda": lam, "n0": n0} for lam, n0 in samples]
         payload["slope"] = loglog_slope(samples)
     return _emit(args, payload, rows)

@@ -3,9 +3,11 @@
 The Hamiltonian H = ½p² + ½gφ² + λφ^{2k} is assembled with numpy alone in
 the number basis of a harmonic oscillator of chosen frequency ω with σ = 0,
 giving a symmetric banded matrix of bandwidth 2k.  It shares no code with
-the ladder algebra of `gha.ladder`, which the Hartree coefficients and the
-perturbation theory use, so an error there shows up as a disagreement with
-this oracle instead of moving both together.
+the moment core behind the Hartree coefficients, the φ-recurrence behind the
+perturbation theory's H′ column, or the ladder algebra of `gha.ladder` that
+the tests keep as their reference, so an error in any of them shows up as a
+disagreement with this oracle instead of moving both together; only the
+basis frequency comes from `solve_level`.
 
 In that basis the position operator X is tridiagonal with
 X[j, j+1] = X[j+1, j] = √((j+1)/(2ω)), and ½p² + ½ω²X² is diagonal, so

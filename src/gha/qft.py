@@ -12,10 +12,13 @@ which are evaluated in closed form, or by their heavy-mass series once
 has quasiparticle mass M and shift σ determined by
 
     gap:  M² = m² + 12λσ² + 12λ I₀(M²)
-    VEV:  σ [M² − 8λσ²] = 0,
+    VEV:  σ [M² − 8λσ²] = 0.
 
-with effective potential U(σ) = I₁ − 3λI₀² + ½m²σ² + λσ⁴ evaluated on the
-gap solution M²(σ).  For m² > 0 the only physical vacuum is σ = 0: a σ ≠ 0
+The gap residual F(M²) = M² − m² − 12λσ² − 12λI₀(M²) is increasing and
+concave in M² and negative at M² = m² + 12λσ², so Newton started there
+climbs monotonically onto its unique root; the climb stops once rounding no
+longer lets a step increase M².  The effective potential
+U(σ) = I₁ − 3λI₀² + ½m²σ² + λσ⁴ is evaluated on the gap solution M²(σ).  For m² > 0 the only physical vacuum is σ = 0: a σ ≠ 0
 root would need −M²/2 = m² + 12λI₀(M²), whose sides differ in sign.  The
 curvatures of U at the origin give the renormalized parameters
 
@@ -24,7 +27,8 @@ curvatures of U at the origin give the renormalized parameters
 
 and the equal-time two-point structure of the vacuum is carried by
 u(k) = √((k²+m²)/(k²+M²)), ρ(k) = (1 + k²/m_R²)^{−1/2}, and the static
-potential U(r) = m_R K₁(m_R r)/(4π² r).
+potential U(r) = m_R K₁(m_R r)/(4π² r), formed as x·K₁(x)/(4π²r²) with
+x = m_R r.
 """
 
 from __future__ import annotations
@@ -38,6 +42,9 @@ _FOUR_PI2 = 4.0 * math.pi * math.pi
 _LN2 = math.log(2.0)
 # Λ/M below which the cutoff integrals switch to the heavy-mass series
 _HEAVY_MASS = 0.5
+# Newton steps allowed for the mass gap: ordinary inputs take at most about 15,
+# but where Λ ≪ M a step only triples M², so crossing float range takes ~1330
+_GAP_STEPS = 1400
 
 
 @dataclass(frozen=True)
@@ -137,45 +144,35 @@ def stevenson(n: int, M2: float, cutoff: float) -> float:
 def solve_mass_gap(theory: FieldTheory, sigma: float) -> GapState:
     """Unique root of M² = m² + 12λσ² + 12λI₀(M²).
 
-    The right side is strictly decreasing in M², so the residual
-    F(M²) = M² − m² − 12λσ² − 12λI₀(M²) is strictly increasing with
-    F' = 1 + 6λI₋₁ > 0; Newton with a bisection safeguard converges fast.
+    The residual F(M²) = M² − m² − 12λσ² − 12λI₀(M²) is increasing,
+    F′ = 1 + 6λI₋₁ > 0, and concave, F″ = 6λ·dI₋₁/dM² < 0, and it is
+    negative at M² = m² + 12λσ², where F = −12λI₀.  Each Newton tangent of a
+    concave F lies above F, so Newton started there climbs monotonically
+    onto the root and never overshoots it.  The climb stops once rounding no
+    longer lets a step increase M², and the residual already evaluated there
+    is the one checked.
     """
     lam, cut = theory.lam, theory.cutoff
     base = theory.m2 + 12.0 * lam * sigma * sigma
     if not math.isfinite(base):
         raise DomainError(f"sigma must be finite with 12*lambda*sigma^2 finite, got {sigma}")
-
-    def residual(m2):
-        return m2 - base - 12.0 * lam * stevenson(0, m2, cut)
-
-    lo = base
-    hi = base + 12.0 * lam * stevenson(0, base, cut)
-    if hi == math.inf:
-        raise NonFiniteValue(f"mass gap M2 of {theory} at sigma={sigma} leaves floating-point range")
-    m2 = 0.5 * (lo + hi)
-    for _ in range(200):
-        f = residual(m2)
-        if abs(f) < 1e-12 * m2:
+    m2 = base
+    for _ in range(_GAP_STEPS):
+        i0, im1 = stevenson(0, m2, cut), stevenson(-1, m2, cut)
+        f = m2 - base - 12.0 * lam * i0
+        step = m2 - f / (1.0 + 6.0 * lam * im1)
+        # inf where the climb leaves float range, NaN where 12λI₀ and 6λI₋₁ both do
+        if not step < math.inf:
+            raise NonFiniteValue(f"mass gap M2 of {theory} at sigma={sigma} leaves floating-point range")
+        if not step > m2:
             break
-        if f > 0.0:
-            hi = m2
-        else:
-            lo = m2
-        fprime = 1.0 + 6.0 * lam * stevenson(-1, m2, cut)
-        step = m2 - f / fprime
-        m2 = step if lo < step < hi else 0.5 * (lo + hi)
+        m2 = step
     else:
-        raise NonConvergence("mass-gap iteration did not settle")
-    if abs(residual(m2)) >= 1e-10 * m2:
-        raise NonConvergence(f"gap residual {residual(m2):.3e} too large")
-    return GapState(
-        sigma=float(sigma),
-        M2=m2,
-        i0=stevenson(0, m2, cut),
-        i1=stevenson(1, m2, cut),
-        im1=stevenson(-1, m2, cut),
-    )
+        raise NonConvergence(f"mass-gap ascent did not settle in {_GAP_STEPS} steps")
+    if not abs(f) <= 1e-10 * m2:
+        raise NonConvergence(f"gap residual {f:.3e} too large")
+    return GapState(sigma=float(sigma), M2=m2, i0=i0,
+                    i1=stevenson(1, m2, cut), im1=im1)
 
 
 def effective_potential(theory: FieldTheory, sigma: float) -> float:
@@ -196,10 +193,9 @@ def effective_potential(theory: FieldTheory, sigma: float) -> float:
 def renormalized(theory: FieldTheory) -> RenormalizedParams:
     """Renormalized mass² and coupling from the curvatures of U at σ = 0."""
     bar = solve_mass_gap(theory, 0.0)
-    mr2 = theory.m2 + 12.0 * theory.lam * bar.i0
     lam = theory.lam
     lam_r = lam * (1.0 - 12.0 * lam * bar.im1) / (1.0 + 6.0 * lam * bar.im1)
-    return RenormalizedParams(mR2=mr2, lambdaR=lam_r)
+    return RenormalizedParams(mR2=bar.M2, lambdaR=lam_r)
 
 
 def structure_function(k: float, m2: float, M2: float) -> float:
@@ -279,12 +275,30 @@ def bessel_k1(x: float) -> float:
 
 
 def static_potential(r: float, mR: float) -> float:
-    """Static inter-particle potential U(r) = m_R K₁(m_R r)/(4π² r)."""
-    if not (r > 0.0):
-        raise DomainError(f"r must be positive, got {r}")
-    if not (mR > 0.0):
-        raise DomainError(f"mR must be positive, got {mR}")
-    u = mR * bessel_k1(mR * r) / (_FOUR_PI2 * r)
+    """Static inter-particle potential U(r) = m_R K₁(m_R r)/(4π² r).
+
+    Formed as U = x·K₁(x)/(4π²r²) with x = m_R r and x·K₁(x) = e^{−x}·x·eˣK₁(x)
+    from the scaled sum, so that no factor leaves float range unless U does:
+    x may underflow to 0, where x·K₁(x) → 1, or pass 708, where e^{−x} is no
+    longer normal and U is formed from its logarithm.  U is 0.0 where it
+    underflows and raises NonFiniteValue where it overflows.
+    """
+    if not 0.0 < r < math.inf:
+        raise DomainError(f"r must be positive and finite, got {r}")
+    if not 0.0 < mR < math.inf:
+        raise DomainError(f"mR must be positive and finite, got {mR}")
+    x = mR * r
+    if x >= 2300.0:  # U < e^{−x}/r² ≤ e^{−2300}·2^{2148} underflows for every float r
+        return 0.0
+    # x·eˣK₁(x) = 1 + x + O(x² ln x) rounds to 1 below x = 1e-17
+    xk1 = x * _k1_scaled(x) if x > 1e-17 else 1.0
+    try:
+        if x < 708.0:
+            u = xk1 / _FOUR_PI2 * math.exp(-x) / r / r
+        else:  # e^{−x} is no longer normal
+            u = math.exp(math.log(xk1 / _FOUR_PI2) - x - 2.0 * math.log(r))
+    except OverflowError:
+        u = math.inf
     if not math.isfinite(u):  # U ≈ 1/(4π²r²) at short range
         raise NonFiniteValue(f"U({r}) at mR {mR} leaves floating-point range")
     return u

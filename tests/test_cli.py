@@ -11,12 +11,14 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
+import mpmath as mp
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gha
 from gha.cli import main
+from gha.hartree import OscillatorModel, solve_level
 from gha.qft import bessel_k1, stevenson
 
 
@@ -133,6 +135,18 @@ def test_vacuum_direct_and_scan(capsys):
     assert len(scan["scan"]) == 4
 
 
+def test_vacuum_scan_reports_its_quartic_model(capsys):
+    # the level path follows --power; the strong-coupling scan is quartic
+    argv = ["vacuum", "--g", "1", "--lambda", "1", "--scan", "100,1000"]
+    sextic = run_json(capsys, argv + ["--power", "6"])
+    assert sextic["model"] == {"power": 6, "g": 1.0, "lambda": 1.0}
+    assert sextic["omega"] == solve_level(OscillatorModel(power=6, g=1.0, lam=1.0), 0).omega
+    assert sextic["scan_model"] == {"power": 4, "g": 1.0}
+    quartic = run_json(capsys, argv)
+    assert "scan_model" not in quartic
+    assert quartic["scan"] == sextic["scan"]
+
+
 def test_vacuum_usage_error(capsys):
     assert main(["vacuum"]) == 2
     captured = capsys.readouterr()
@@ -201,6 +215,12 @@ def test_qft_static(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: U(1e-160)")
+    # U underflows to 0 at m_R r = 800; where m_R r underflows to 0 (r = 1e-30)
+    # or lies below the K₁ sum's range (r = 1e-10), U is 1/(4π²r²)
+    assert run_json(capsys, ["qft", "static", "--mr", "1", "--r", "800"])["rows"][0]["U"] == 0.0
+    for r in (1e-30, 1e-10):
+        doc = run_json(capsys, ["qft", "static", "--mr", "1e-300", "--r", repr(r)])
+        assert doc["rows"][0]["U"] == pytest.approx(1.0 / (4.0 * math.pi**2 * r * r), rel=1e-15)
 
     assert main(["qft", "static"]) == 2
     captured = capsys.readouterr()
@@ -509,6 +529,37 @@ def _assert_clean_exit(argv):
 def test_fuzzed_flags_exit_cleanly(argv):
     # the numpy-bound oracle and table commands have their own fuzz below
     _assert_clean_exit(argv)
+
+
+_TINY = 2.2250738585072014e-308  # smallest normal float
+
+
+@st.composite
+def _static_pairs(draw):
+    """(m_R, r) with log₁₀ m_R, log₁₀ r in [−300, 300] and m_R r in 1e-320…1e4."""
+    product = draw(st.floats(-320.0, 4.0))
+    r = draw(st.floats(max(-300.0, product - 300.0), min(300.0, product + 300.0)))
+    return repr(10.0 ** (product - r)), repr(10.0**r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_static_pairs())
+def test_fuzzed_static_potential_matches_mpmath(pair):
+    mr, r = pair
+    code, out = _run_clean(["qft", "static", f"--mr={mr}", f"--r={r}"])
+    with mp.workdps(30):
+        x = mp.mpf(mr) * mp.mpf(r)
+        want = x * mp.besselk(1, x) / (4 * mp.pi**2 * mp.mpf(r) ** 2)
+    if want > sys.float_info.max:
+        assert code == 1, pair
+        return
+    assert code == 0, pair
+    got = json.loads(out)["rows"][0]["U"]
+    if want < _TINY:
+        assert got < _TINY, pair
+    else:  # within the rounding of x = m_R r, of ln r and of the K₁ sum
+        tol = 1e-15 + 4.4e-16 * (float(x) + 2.0 * abs(math.log(float(r))))
+        assert abs(got - want) <= tol * want, pair
 
 
 _specials = st.sampled_from(["nan", "inf", "-inf"])

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gha.errors import DomainError, NonFiniteValue
 from gha.qft import (
@@ -151,10 +153,45 @@ def test_mass_gap_solution():
     assert abs(residual) < 1e-10 * state.M2
     assert state.M2 > THEORY.m2
     assert state.sigma == 0.0
-    # the cached integrals belong to the converged mass
-    assert state.i0 == pytest.approx(stevenson(0, state.M2, 10.0), rel=1e-12)
-    assert state.i1 == pytest.approx(stevenson(1, state.M2, 10.0), rel=1e-12)
-    assert state.im1 == pytest.approx(stevenson(-1, state.M2, 10.0), rel=1e-12)
+    # the cached integrals are those of the returned mass
+    assert state.i0 == stevenson(0, state.M2, 10.0)
+    assert state.i1 == stevenson(1, state.M2, 10.0)
+    assert state.im1 == stevenson(-1, state.M2, 10.0)
+
+
+def mp_mass_gap(m2, lam, cutoff, sigma):
+    """Root of the gap equation from the closed-form I₀ in mpmath.
+
+    Below Λ = M/2 the closed form cancels about log₁₀(M²/Λ²) digits, and
+    M² ≤ m² + 12λσ² + 12λI₀(0) with I₀(0) = Λ²/(8π²) bounds that loss, so
+    30 digits more than it leave at least 20."""
+    bound = m2 + 12.0 * lam * sigma * sigma + 1.5 * lam * cutoff * cutoff / math.pi**2
+    with mp.workdps(30 + max(0, math.ceil(math.log10(bound / cutoff**2)))):
+        length, coupling = mp.mpf(cutoff), mp.mpf(lam)
+        base = mp.mpf(m2) + 12 * coupling * mp.mpf(sigma) ** 2
+        top = base + 12 * coupling * length**2 / (8 * mp.pi**2)
+
+        def scaled_residual(y):
+            s = mp.sqrt(length**2 + y)
+            i0 = (length * s - y * mp.log((length + s) / mp.sqrt(y))) / (8 * mp.pi**2)
+            return (y - base - 12 * coupling * i0) / top
+
+        return mp.findroot(scaled_residual, (base, top), solver="anderson")
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m2=_log_uniform(1e-8, 1e8), lam=_log_uniform(1e-8, 1e6),
+       cutoff=_log_uniform(1e-4, 1e12), sigma=st.just(0.0) | _log_uniform(1e-6, 1e4))
+# a loose stop test once left M² 9.4e-13 relative off the root here
+@example(m2=27.63, lam=2.554e-3, cutoff=0.01017, sigma=0.5237)
+def test_mass_gap_matches_mpmath_shadow(m2, lam, cutoff, sigma):
+    state = solve_mass_gap(FieldTheory(m2=m2, lam=lam, cutoff=cutoff), sigma)
+    exact = mp_mass_gap(m2, lam, cutoff, sigma)
+    assert abs(state.M2 - exact) <= 1e-14 * exact
 
 
 def test_mass_gap_fixed_point_oracle():
@@ -323,10 +360,10 @@ def test_static_potential_against_oscillatory_quadrature():
 
 
 def test_static_potential_validation():
-    with pytest.raises(DomainError):
-        static_potential(0.0, 1.0)
-    with pytest.raises(DomainError):
-        static_potential(1.0, -1.0)
+    for r, mr in ((0.0, 1.0), (1.0, -1.0), (math.inf, 1.0), (1.0, math.inf),
+                  (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(DomainError):
+            static_potential(r, mr)
 
 
 def test_log_term_survives_overflow_of_the_cutoff_ratio():

@@ -6,50 +6,58 @@ either sign of g.  Each level carries its own optimal Gaussian basis fixed
 by a self-consistent gap equation; on top of it a convergent perturbation
 series is available, and a banded-basis diagonalizer provides independent
 spectra for validation.
+
+`import gha` loads no submodule.  Each public name, and each submodule
+(`gha.oracle`, `gha.tables`, …), resolves on first access through the
+module `__getattr__` (PEP 562), which imports the module that defines it.
+Resolved names are not stored here, so `gha.X` always is the current
+`gha.<module>.X`.
 """
 
-from .errors import (BudgetExceeded, DomainError, GhaError, NoPhysicalRoot,
-                     NonConvergence, NonFiniteValue, PhaseUnavailable)
-from .hartree import (BranchInfo, HartreeSolution, OscillatorModel, Phase,
-                      classical_well_depth, critical_coupling,
-                      general_gap_residuals, hartree_coefficients,
-                      solve_gap, solve_level, ssb_sigma_squared,
-                      zeroth_energy)
-from .hipt import Contribution, PerturbationReport, build_h_prime, second_order
-from .ladder import (ModeParameters, NormalOrderedPolynomial, constant,
-                     expectation, field_power, matrix_element,
-                     momentum_squared, multiply)
-from .oracle import (SpectrumEstimate, TruncatedBasis, converged_levels,
-                     hamiltonian_matrix)
-from .qft import (FieldTheory, GapState, RenormalizedParams, bessel_k1,
-                  density_ratio, effective_potential, occupation,
-                  peak_density, renormalized, solve_mass_gap,
-                  static_potential, stevenson, structure_function)
-from .tables import (ComparisonReport, ComparisonRow, Provenance,
-                     ReferenceCell, ReferenceTable, reference_table,
-                     run_table)
-from .vacuum import (VacuumStructure, loglog_slope, strong_coupling_scaling,
-                     vacuum_structure)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BranchInfo", "BudgetExceeded", "ComparisonReport", "ComparisonRow",
-    "Contribution", "DomainError", "FieldTheory", "GapState", "GhaError",
-    "HartreeSolution", "ModeParameters", "NoPhysicalRoot",
-    "NonConvergence", "NonFiniteValue", "NormalOrderedPolynomial",
-    "OscillatorModel", "PerturbationReport", "Phase", "PhaseUnavailable",
-    "Provenance",
-    "ReferenceCell", "ReferenceTable", "RenormalizedParams",
-    "SpectrumEstimate", "TruncatedBasis", "VacuumStructure", "bessel_k1",
-    "build_h_prime", "classical_well_depth", "constant", "converged_levels",
-    "critical_coupling", "density_ratio", "effective_potential",
-    "expectation", "field_power", "general_gap_residuals",
-    "hamiltonian_matrix", "hartree_coefficients", "loglog_slope",
-    "matrix_element", "momentum_squared", "multiply", "occupation",
-    "peak_density", "reference_table", "renormalized", "run_table",
-    "second_order", "solve_gap", "solve_level", "solve_mass_gap",
-    "ssb_sigma_squared", "static_potential", "stevenson",
-    "strong_coupling_scaling", "structure_function", "vacuum_structure",
-    "zeroth_energy",
-]
+# home module of every public name
+_HOMES = {
+    "errors": ("BudgetExceeded", "DomainError", "GhaError", "NoPhysicalRoot",
+               "NonConvergence", "NonFiniteValue", "PhaseUnavailable"),
+    "hartree": ("BranchInfo", "HartreeSolution", "OscillatorModel", "Phase",
+                "classical_well_depth", "critical_coupling",
+                "general_gap_residuals", "hartree_coefficients", "solve_gap",
+                "solve_level", "ssb_sigma_squared", "zeroth_energy"),
+    "hipt": ("Contribution", "PerturbationReport", "build_h_prime",
+             "second_order"),
+    "ladder": ("ModeParameters", "NormalOrderedPolynomial", "constant",
+               "expectation", "field_power", "matrix_element",
+               "momentum_squared", "multiply"),
+    "oracle": ("SpectrumEstimate", "TruncatedBasis", "converged_levels",
+               "hamiltonian_matrix"),
+    "qft": ("FieldTheory", "GapState", "RenormalizedParams", "bessel_k1",
+            "density_ratio", "effective_potential", "occupation",
+            "peak_density", "renormalized", "solve_mass_gap",
+            "static_potential", "stevenson", "structure_function"),
+    "tables": ("ComparisonReport", "ComparisonRow", "Provenance",
+               "ReferenceCell", "ReferenceTable", "reference_table",
+               "run_table"),
+    "vacuum": ("VacuumStructure", "loglog_slope", "strong_coupling_scaling",
+               "vacuum_structure"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+_SUBMODULES = frozenset({*_HOMES, "cli"})
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -10,30 +10,31 @@ so identical invocations produce byte-identical output.  NaN or infinity in
 the payload is a numerical failure in every format; an empty list flag such
 as `--levels ,` is a usage error.
 
+Each subcommand imports the modules it runs inside its `_cmd_*` function,
+so a `gha` process loads only those: `hartree` and `vacuum` at module scope,
+`qft` for `qft *`, `hipt` for `hipt` and `spectrum --order 2`, `oracle` for
+`oracle`, and `tables` (with `hipt` and `oracle`) for `table`.
+
 Exit codes: 0 success, 1 numerical failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
-from datetime import datetime, timezone
 
-from . import __version__, qft
+from . import __version__
 from .errors import DomainError, GhaError, NonFiniteValue
 from .hartree import (OscillatorModel, classical_well_depth,
                       critical_coupling, solve_level)
-from .hipt import second_order
-from .oracle import converged_levels
-from .tables import reference_table, run_table
 from .vacuum import loglog_slope, strong_coupling_scaling, vacuum_structure
 
 
 def _meta():
+    from datetime import datetime, timezone
+
     return {"version": __version__,
             "timestamp": datetime.now(timezone.utc).isoformat()}
 
@@ -84,6 +85,9 @@ def _emit(args, payload, rows):
     table = [columns] + [[_cell(args.format, row.get(k)) for k in columns]
                          for row in rows]
     if args.format == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         csv.writer(buf).writerows(table)
         text = buf.getvalue()
@@ -111,6 +115,8 @@ def _theory_args(p, required=True):
 
 
 def _theory(args):
+    from . import qft
+
     return qft.FieldTheory(m2=args.mass2, lam=args.lam, cutoff=args.cutoff)
 
 
@@ -120,6 +126,8 @@ def _theory_block(theory):
 
 def _cmd_spectrum(args):
     model = OscillatorModel(power=args.power, g=args.g, lam=args.lam)
+    if args.order == 2:
+        from .hipt import second_order
     rows = []
     for n in args.levels:
         sol = solve_level(model, n)
@@ -156,6 +164,8 @@ def _cmd_dwo(args):
 
 
 def _cmd_hipt(args):
+    from .hipt import second_order
+
     model = OscillatorModel(power=args.power, g=args.g, lam=args.lam)
     rep = second_order(model, args.level, even_only=args.even_only)
     rows = [{"m": c.m, "numerator": c.numerator, "denominator": c.denominator}
@@ -168,6 +178,8 @@ def _cmd_hipt(args):
 
 
 def _cmd_oracle(args):
+    from .oracle import converged_levels
+
     model = OscillatorModel(power=args.power, g=args.g, lam=args.lam)
     est = converged_levels(model, args.nmax, tol=args.tol)
     rows = [{"n": i, "energy": e, "convergence_error": d}
@@ -204,6 +216,8 @@ def _cmd_vacuum(args):
 
 
 def _cmd_qft_renorm(args):
+    from . import qft
+
     theory = _theory(args)
     bar = qft.solve_mass_gap(theory, 0.0)
     ren = qft.renormalized(theory)
@@ -214,6 +228,8 @@ def _cmd_qft_renorm(args):
 
 
 def _cmd_qft_gap(args):
+    from . import qft
+
     theory = _theory(args)
     state = qft.solve_mass_gap(theory, args.sigma)
     residual = state.M2 - theory.m2 - 12.0 * theory.lam * args.sigma * args.sigma \
@@ -225,6 +241,8 @@ def _cmd_qft_gap(args):
 
 
 def _cmd_qft_potential(args):
+    from . import qft
+
     theory = _theory(args)
     if args.points < 2:
         raise DomainError("qft potential: --points must be at least 2")
@@ -239,6 +257,8 @@ def _cmd_qft_potential(args):
 
 
 def _cmd_qft_static(args):
+    from . import qft
+
     payload = {"command": "qft-static"}
     if args.mr is not None:
         mr = args.mr
@@ -256,6 +276,8 @@ def _cmd_qft_static(args):
 
 
 def _cmd_qft_integrals(args):
+    from . import qft
+
     rows = [{"n": n, "value": qft.stevenson(n, args.mass2, args.cutoff)}
             for n in args.orders]
     payload = {"command": "qft-integrals", "mass2": args.mass2,
@@ -264,6 +286,8 @@ def _cmd_qft_integrals(args):
 
 
 def _cmd_table(args):
+    from .tables import reference_table, run_table
+
     if not args.compare:
         table = reference_table(args.table_id)
         rows = [{"lambda": c.lam, "n": c.n, "provenance": c.provenance.value,

@@ -58,7 +58,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Tuple
 
-from . import ladder
 from .errors import (DomainError, NoPhysicalRoot, NonConvergence,
                      NonFiniteValue, PhaseUnavailable)
 
@@ -387,6 +386,8 @@ def classical_well_depth(model: OscillatorModel) -> float:
 
 def potential_polynomial(A: float, B: float, C: float, mode: ladder.ModeParameters):
     """Hartree potential V = Aφ² − Bφ + C as a ladder polynomial."""
+    from . import ladder
+
     v = ladder.field_power(2, mode).scale(A)
     v = v - ladder.field_power(1, mode).scale(B)
     v = v + ladder.constant(C)

@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from . import ladder
 from .errors import NonConvergence
 from .hartree import (
     HartreeSolution,
@@ -68,6 +67,8 @@ class PerturbationReport:
 def build_h_prime(model: OscillatorModel, sol: HartreeSolution):
     """Normal-ordered H′ = φ^{2k} − (Aφ² − Bφ + C) in the mode of sol; a
     reference for `h_prime_column`, not used by `second_order`."""
+    from . import ladder
+
     mode = ladder.ModeParameters(omega=sol.omega, sigma=sol.sigma)
     h_int = ladder.field_power(model.power, mode)
     v = potential_polynomial(sol.A, sol.B, sol.C, mode)

@@ -240,8 +240,8 @@ def _k1_scaled(x: float) -> float:
     error becomes about e^{−2π²/(h²x)}; h = 0.6/√x keeps that at e^{−55}.
     The sum stops at x(cosh t − 1) = 45; the tail it leaves out is at most
     about e^{−45} of the integral.  At small x that cut lies near t =
-    ln(90/x), so the sum takes about 10 ln(90/x) terms (3477 at x = 1e-300)
-    and below x ≈ 2.7e-307 cosh t overflows at its last nodes.
+    ln(90/x), so the sum takes about 5 ln(90/x) terms (219 at x = 1e-17).
+    Callers use it for x > 1e-17 only: below, x·eˣK₁(x) rounds to 1.
     Factoring out e^{−x} keeps x up to 700 inside normal double range.
     """
     h = min(0.2, 0.6 / math.sqrt(x))
@@ -261,17 +261,20 @@ def bessel_k1(x: float) -> float:
     h = min(0.2, 0.6/√x) follows from the half-width π/2 of the strip where
     the integrand is analytic and, at large x, from the 1/√x width of its
     peak; the sum is cut where x(cosh t − 1) = 45, after N ≤ 58 terms for
-    x ≥ 1e-3 and about 10 ln(90/x) terms below.  Both depend on x alone, so
+    x ≥ 1e-3 and about 5 ln(90/x) terms below.  Both depend on x alone, so
     nothing is iterated, and the result is within 1e-15 relative of K₁ from
-    x = 1e-300 to 700.  Below x ≈ 2.7e-307, where K₁ ≈ 1/x nears the top
-    of float range, the sum overflows and raises NonFiniteValue.
+    x = 1e-17 to 700.  At x ≤ 1e-17 it is 1/x, since K₁(x) = 1/x +
+    O(x ln x) and the rest is below 1e-32 relative; below x ≈ 5.6e-309,
+    where 1/x overflows, it raises NonFiniteValue.
     """
     if not (0.0 < x <= 700.0):
         raise DomainError(f"bessel_k1 supports x in (0, 700], got {x}")
-    try:
+    if x > 1e-17:
         return math.exp(-x) * _k1_scaled(x)
-    except OverflowError:
-        raise NonFiniteValue(f"K1({x}) leaves floating-point range") from None
+    k1 = 1.0 / x
+    if k1 == math.inf:
+        raise NonFiniteValue(f"K1({x}) leaves floating-point range")
+    return k1
 
 
 def static_potential(r: float, mR: float) -> float:

@@ -386,35 +386,57 @@ def test_import_loads_no_numpy():
 
 
 _THEORY = ["--mass2", "1", "--lambda", "0.1", "--cutoff", "10"]
-# every subcommand once, and whether it loads numpy
+# gha modules every subcommand loads
+_BASE = {"gha", "gha.cli", "gha.errors", "gha.hartree", "gha.vacuum"}
+# every subcommand once: whether it loads numpy, and the gha modules it loads
 _COMMANDS = [
-    (["spectrum", "--g", "1", "--lambda", "1", "--levels", "0,3", "--order", "2"], False),
-    (["dwo", "--lambda", "0.1", "--levels", "0,1"], False),
-    (["hipt", "--g", "1", "--lambda", "1", "--level", "2"], False),
-    (["vacuum", "--g", "1", "--lambda", "1", "--scan", "100,1000,10000"], False),
-    (["qft", "gap", *_THEORY, "--sigma", "0.5"], False),
-    (["qft", "renorm", *_THEORY], False),
-    (["qft", "potential", *_THEORY], False),
-    (["qft", "static", "--mr", "1", "--r", "0.5,2"], False),
-    (["qft", "integrals", "--mass2", "1", "--cutoff", "10"], False),
+    (["spectrum", "--g", "1", "--lambda", "1", "--levels", "0,3", "--order", "2"], False,
+     _BASE | {"gha.hipt"}),
+    (["dwo", "--lambda", "0.1", "--levels", "0,1"], False, _BASE),
+    (["hipt", "--g", "1", "--lambda", "1", "--level", "2"], False, _BASE | {"gha.hipt"}),
+    (["vacuum", "--g", "1", "--lambda", "1", "--scan", "100,1000,10000"], False, _BASE),
+    (["qft", "gap", *_THEORY, "--sigma", "0.5"], False, _BASE | {"gha.qft"}),
+    (["qft", "renorm", *_THEORY], False, _BASE | {"gha.qft"}),
+    (["qft", "potential", *_THEORY], False, _BASE | {"gha.qft"}),
+    (["qft", "static", "--mr", "1", "--r", "0.5,2"], False, _BASE | {"gha.qft"}),
+    (["qft", "integrals", "--mass2", "1", "--cutoff", "10"], False, _BASE | {"gha.qft"}),
     # the diagonalizing commands do load it, so this guard can fail
-    (["oracle", "--g", "1", "--lambda", "1"], True),
-    (["table", "1", "--compare"], True),
+    (["oracle", "--g", "1", "--lambda", "1"], True, _BASE | {"gha.oracle"}),
+    (["table", "1", "--compare"], True,
+     _BASE | {"gha.hipt", "gha.oracle", "gha.tables"}),
+    (["spectrum", "--g", "1", "--lambda", "1", "--levels", "0,3"], False, _BASE),
+    (["table", "1"], False, _BASE | {"gha.hipt", "gha.oracle", "gha.tables"}),
 ]
 
 
-@pytest.mark.parametrize("argv, loads_numpy", _COMMANDS)
-def test_only_diagonalizing_commands_load_numpy(argv, loads_numpy):
+def _loaded_modules(code, *args):
+    """Run code in a fresh interpreter: the lines it printed, whether numpy
+    was loaded when it ended, and the gha modules that were."""
+    code += ("\nprint('numpy' in sys.modules, "
+             "*(m for m in sys.modules if m == 'gha' or m.startswith('gha.')))")
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                         text=True, check=True, env=_SRC_ENV, timeout=120).stdout
+    *printed, last = out.splitlines()
+    numpy, *modules = last.split()
+    return printed, numpy == "True", set(modules)
+
+
+def test_import_loads_no_submodule():
+    assert _loaded_modules("import sys, gha") == ([], False, {"gha"})
+
+
+# ids name each row by its index and its numpy column
+@pytest.mark.parametrize("argv, loads_numpy, modules", _COMMANDS,
+                         ids=[f"argv{i}-{row[1]}" for i, row in enumerate(_COMMANDS)])
+def test_only_diagonalizing_commands_load_numpy(argv, loads_numpy, modules):
     code = ("import io, json, sys\n"
             "from contextlib import redirect_stdout\n"
             "from gha.cli import main\n"
             "with redirect_stdout(io.StringIO()):\n"
             "    code = main(json.loads(sys.argv[1]))\n"
-            "print(code, 'numpy' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code, json.dumps(argv + ["--no-meta"])],
-                         capture_output=True, text=True, check=True, env=_SRC_ENV,
-                         timeout=120).stdout
-    assert out.split() == ["0", str(loads_numpy)]
+            "print(code)")
+    assert _loaded_modules(code, json.dumps(argv + ["--no-meta"])) == (["0"], loads_numpy,
+                                                                        modules)
 
 
 def _table(fmt, out):
@@ -436,7 +458,7 @@ def _csv_cell(value):
 
 
 # below λ_c each dwo level carries a list of branches, which stays out of the columns
-@pytest.mark.parametrize("argv", [argv for argv, _ in _COMMANDS]
+@pytest.mark.parametrize("argv", [argv for argv, *_ in _COMMANDS]
                          + [["dwo", "--lambda", "0.085", "--levels", "0,1"]])
 def test_csv_and_md_tabulate_the_json_rows(capsys, argv):
     doc = run_json(capsys, argv)

@@ -310,10 +310,11 @@ def test_bessel_sweep_against_scipy():
 
 
 def test_bessel_against_mpmath():
-    # 401 log-spaced points of [1e-3, 700], both ends included, and three
-    # short distances where K₁ ≈ 1/x and the sum runs to thousands of terms
+    # 401 log-spaced points of [1e-3, 700], both ends included, and short
+    # distances where K₁ ≈ 1/x: the sum runs to hundreds of terms just above
+    # the cut at x = 1e-17, and K₁ is 1/x at and below it
     xs = [1e-3 * (700.0 / 1e-3) ** (i / 400) for i in range(400)] + [700.0]
-    xs += [1e-8, 1e-50, 1e-300]
+    xs += [1e-8, 1.1e-17, 1e-17, 1e-50, 1e-300]
     with mp.workdps(30):
         for x in xs:
             ref = mp.besselk(1, x)
@@ -324,9 +325,12 @@ def test_bessel_domain():
     for x in (0.0, -1.0, math.nan, 701.0):
         with pytest.raises(DomainError):
             bessel_k1(x)
-    # K₁ ≈ 1/x: the sum overflows just before K₁ itself would
+    # K₁ = 1/x stays finite down to x ≈ 5.6e-309 and overflows below
+    with mp.workdps(30):
+        ref = mp.besselk(1, 1e-307)
+        assert abs(bessel_k1(1e-307) - ref) <= 1e-15 * ref
     with pytest.raises(NonFiniteValue):
-        bessel_k1(1e-307)
+        bessel_k1(1e-309)
 
 
 def test_static_potential_short_range():

@@ -219,9 +219,9 @@ def _cmd_qft_renorm(args):
     from . import qft
 
     theory = _theory(args)
-    bar = qft.solve_mass_gap(theory, 0.0)
+    # m_R² is the gap solution M̄² at σ = 0
     ren = qft.renormalized(theory)
-    row = {"M2_bar": bar.M2, "mR2": ren.mR2, "lambdaR": ren.lambdaR,
+    row = {"M2_bar": ren.mR2, "mR2": ren.mR2, "lambdaR": ren.lambdaR,
            "ratio": ren.lambdaR / theory.lam}
     payload = {"command": "qft-renorm", "theory": _theory_block(theory), **row}
     return _emit(args, payload, [row])

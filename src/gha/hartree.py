@@ -140,20 +140,36 @@ def moment(j: int, n: int) -> float:
 
 
 def _field_averages(k: int, n: int, omega: float, sigma: float):
-    """⟨φ^{2k}⟩, ∂_σ⟨φ^{2k}⟩ and A = Σ_{j≥1} C(2k,2j) σ^{2k−2j} j c_j/(ξω^{j−1})
-    in level n of the mode (ω, σ)."""
+    """⟨φ^{2k}⟩, ∂_σ⟨φ^{2k}⟩, A = Σ_{j≥1} C(2k,2j) σ^{2k−2j} j c_j/(ξω^{j−1})
+    in level n of the mode (ω, σ), and the coefficients h₁ and h₂ of χ and χ²,
+    χ = φ − σ, in H′ = φ^{2k} − Aφ² + Bφ − C.  h₂ = C(2k,2)σ^{2k−2} − A is
+    minus A's j ≥ 2 terms, since c₁ = ξ.  h₁ = 2kσ^{2k−1} − 2Aσ + B is minus
+    ∂_σ⟨φ^{2k}⟩'s j ≥ 1 terms wherever B = σω²/λ, ω² = g + 2λA and the
+    configuration equation gσ + λ∂_σ⟨φ^{2k}⟩ = 0 hold.  Neither sum cancels
+    terms far larger than itself.
+    """
     xi = _xi(n)
-    avg = d_sigma = a = 0.0
-    # at σ = 0 every j < k term carries σ^{2k−2j} = 0.0 and adds exact zeros
-    for j in range(k + 1) if sigma else (k,):
+    if not sigma:
+        # every j < k term carries σ^{2k−2j} = 0.0
+        avg = moment(k, n) / omega**k
+        a = k * avg * omega / xi
+        return avg, 0.0, a, 0.0, -a
+    avg = d_sigma = a = h1 = h2 = 0.0
+    for j in range(k + 1):
         p = 2 * k - 2 * j
         term = math.comb(2 * k, 2 * j) * moment(j, n) / omega**j
         avg += term * sigma**p
         if p:
-            d_sigma += p * term * sigma ** (p - 1)
+            d = p * term * sigma ** (p - 1)
+            d_sigma += d
+            if j:
+                h1 -= d
         if j:
-            a += j * term * omega * sigma**p / xi
-    return avg, d_sigma, a
+            a_j = j * term * omega * sigma**p / xi
+            a += a_j
+            if j > 1:
+                h2 -= a_j
+    return avg, d_sigma, a, h1, h2
 
 
 def critical_coupling(xi: float, g: float) -> float:
@@ -257,7 +273,7 @@ def hartree_coefficients(
         raise DomainError(f"omega must be positive and finite, got {omega}")
     if not math.isfinite(sigma):
         raise DomainError(f"sigma must be finite, got {sigma}")
-    avg, d_sigma, A = _field_averages(model.k, n, omega, sigma)
+    avg, d_sigma, A, _, _ = _field_averages(model.k, n, omega, sigma)
     B = (1.0 + model.g) * sigma * omega * omega / model.lam + omega * omega * d_sigma
     return A, B, _constant_term(n, omega, sigma, avg, A, B)
 
@@ -289,7 +305,7 @@ def _finish(model, n, omega, sigma, phase, branches=None) -> HartreeSolution:
     if phase is Phase.DWO_SSB:
         # the configuration equation gσ + λ∂_σ⟨φ⁴⟩ = 0 reduces the general B
         # to σω²/λ; the general form cancels two terms |g| times larger
-        avg, _, A = _field_averages(model.k, n, omega, sigma)
+        avg, _, A, _, _ = _field_averages(model.k, n, omega, sigma)
         B = sigma * omega * omega / model.lam
         C = _constant_term(n, omega, sigma, avg, A, B)
     else:
@@ -367,7 +383,7 @@ def general_gap_residuals(
     if not omega > 0.0:
         raise DomainError(f"omega must be positive, got {omega}")
     g, lam, w = model.g, model.lam, omega
-    _, d_sigma, A = _field_averages(model.k, n, w, sigma)
+    _, d_sigma, A, _, _ = _field_averages(model.k, n, w, sigma)
     return w ** (model.k - 1) * (w * w - g - 2.0 * lam * A), g * sigma + lam * d_sigma
 
 

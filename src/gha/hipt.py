@@ -16,15 +16,18 @@ Only |m − n| ≤ 2k can contribute, and for σ = 0 only even m − n survive
 parity.  On the broken-symmetry branch (σ ≠ 0) the odd offsets contribute
 as well; pass even_only=True to drop them for comparison purposes.
 
-The column ⟨m|H′|n⟩ comes from applying φ = σ + c(b + b†), c = 1/√(2ω), 2k
-times to the unit vector |n⟩ on the window max(0, n−2k)…n+2k:
-
-    (φv)[j] = σ v[j] + c√(j+1) v[j+1] + c√j v[j−1],
-
-which yields φ|n⟩, φ²|n⟩ and φ^{2k}|n⟩, and then
-H′|n⟩ = φ^{2k}|n⟩ − Aφ²|n⟩ + Bφ|n⟩ − C|n⟩.  No path of 2k unit steps from n
-leaves the window before its last step, so cutting the basis there drops
-nothing.  At σ = 0 the odd offsets come out as exact zeros.
+The column ⟨m|H′|n⟩ is summed as Σ_p h_p χ^p|n⟩ in χ = φ − σ = c(b + b†),
+c = 1/√(2ω).  Applying χ 2k times to the unit vector |n⟩ on the window
+max(0, n−2k)…n+2k, (χv)[j] = c√(j+1) v[j+1] + c√j v[j−1], yields every
+χ^p|n⟩; no path of 2k unit steps from n leaves the window before its last
+step, so cutting the basis there drops nothing.  h_p = C(2k,p)σ^{2k−p} for
+p ≥ 3, and h₂ = C(2k,2)σ^{2k−2} − A and h₁ = 2kσ^{2k−1} − 2Aσ + B (−12σξ/ω
+for the quartic, by the configuration equation) come from the moment loop of
+`gha.hartree` without the terms that cancel.  Written in φ instead, each
+element on the broken branch is a difference of terms of size σ^{2k} far
+larger than itself.  At σ = 0 only h₂ = −A and h_{2k} = 1 are nonzero and the
+odd offsets come out as exact zeros.  h₀ = σ^{2k} − Aσ² + Bσ − C enters the
+m = n element alone and is formed from C, so the first-order check tests C.
 `build_h_prime` forms H′ as a normal-ordered ladder polynomial instead; it
 is kept as the independent reference the tests compare the column with.
 """
@@ -39,6 +42,7 @@ from .errors import NonConvergence
 from .hartree import (
     HartreeSolution,
     OscillatorModel,
+    _field_averages,
     potential_polynomial,
     solve_level,
 )
@@ -77,24 +81,36 @@ def build_h_prime(model: OscillatorModel, sol: HartreeSolution):
 
 def h_prime_column(model: OscillatorModel, sol: HartreeSolution, n: int) -> dict:
     """⟨m|H′|n⟩ in the mode of sol for m = max(0, n−2k)…n+2k, keyed by m."""
-    lo = max(0, n - model.power)
-    size = n + model.power + 1 - lo
+    power, s = model.power, sol.sigma
+    # h[p], the χ^p coefficient of H′ for p = 1…2k; at σ = 0 only h₂ = −A
+    # and h_{2k} = 1 are nonzero
+    h = [0.0] * power + [1.0]
+    if s:
+        h[3:power] = [math.comb(power, p) * s ** (power - p) for p in range(3, power)]
+        h[1], h[2] = _field_averages(model.k, n, sol.omega, s)[3:]
+    else:
+        h[2] = -sol.A
+    lo = max(0, n - power)
+    size = n + power + 1 - lo
     c = 1.0 / math.sqrt(2.0 * sol.omega)
-    # hop[i] = ⟨lo+i|φ|lo+i−1⟩ = c√(lo+i)
+    # hop[i] = ⟨lo+i|χ|lo+i−1⟩ = c√(lo+i)
     hop = [c * math.sqrt(lo + i) for i in range(size)]
     v = [0.0] * size
     v[n - lo] = 1.0
-    powers = []  # φ^p|n⟩ for p = 1…2k
-    for _ in range(model.power):
-        w = [sol.sigma * x for x in v]
+    powers = [v]  # χ^p|n⟩ for p = 0…2k
+    for _ in range(power):
+        w = [0.0] * size
         for i in range(1, size):
             w[i - 1] += hop[i] * v[i]
             w[i] += hop[i] * v[i - 1]
         v = w
         powers.append(v)
-    phi, phi2 = powers[0], powers[1]
-    column = {lo + i: v[i] - sol.A * phi2[i] + sol.B * phi[i] for i in range(size)}
-    column[n] -= sol.C
+    column = v
+    for p in range(power - 1, 0, -1):
+        if h[p]:
+            column = [x + h[p] * y for x, y in zip(column, powers[p])]
+    column = dict(enumerate(column, lo))
+    column[n] += s**power - sol.A * s * s + sol.B * s - sol.C
     return column
 
 

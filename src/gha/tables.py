@@ -24,8 +24,9 @@ inconsistent (digit slips); these are marked disputed: they are computed and
 reported but never fail a run.  The sextic table's bracketed percent rows
 are recomputed from the energy rows rather than trusted as printed.
 
-`run_table` recomputes one table serially; `gha table N --compare` renders
-its report through the same output path as every other subcommand.
+`run_table` recomputes one table serially, cell by cell in the embedded
+order; `gha table N --compare` renders its report through the same output
+path as every other subcommand.
 """
 
 from __future__ import annotations
@@ -307,51 +308,36 @@ _T4 = (
 
 
 def _cell(table_id, lam, n, text, provenance):
-    key = (table_id, provenance, lam, n)
-    note = _DISPUTED.get(key, "")
+    note = _DISPUTED.get((table_id, provenance, lam, n))
     return ReferenceCell(lam=lam, n=n, text=text, provenance=provenance,
-                         disputed=key in _DISPUTED, note=note)
+                         disputed=note is not None, note=note or "")
+
+
+def _grid(table_id, axis, blocks, provenances, by_coupling):
+    """A printed grid's cells in printed order: each block holds its key (the
+    coupling if by_coupling, else the level), then one row per provenance."""
+    return tuple(
+        _cell(table_id, *((key, x) if by_coupling else (x, key)), text, provenance)
+        for key, *rows in blocks
+        for provenance, row in zip(provenances, rows)
+        for x, text in zip(axis, row) if text is not None)
 
 
 @functools.cache
 def _build_tables():
-    t1 = []
-    for lam, gha, quoted, hipt in _T1:
-        for n, text in zip(_T1_NS, gha):
-            t1.append(_cell(1, lam, n, text, Provenance.GHA))
-        for n, text in zip(_T1_NS, quoted):
-            if text is not None:
-                t1.append(_cell(1, lam, n, text, Provenance.EXTERNAL_REF))
-        for n, text in zip(_T1_NS, hipt):
-            t1.append(_cell(1, lam, n, text, Provenance.HIPT))
-
-    t2 = []
-    for lam, n, gha, hipt, quoted in _T2:
-        t2.append(_cell(2, lam, n, gha, Provenance.GHA))
-        t2.append(_cell(2, lam, n, hipt, Provenance.HIPT))
-        t2.append(_cell(2, lam, n, quoted, Provenance.EXTERNAL_REF))
-
-    t3, t3_pct = [], []
-    for n, gha, quoted, pct in _T3:
-        for beta, text in zip(_T3_BETAS, gha):
-            t3.append(_cell(3, beta, n, text, Provenance.GHA))
-        for beta, text in zip(_T3_BETAS, quoted):
-            t3.append(_cell(3, beta, n, text, Provenance.EXTERNAL_REF))
-        for beta, text in zip(_T3_BETAS, pct):
-            t3_pct.append(PercentCell(lam=beta, n=n, text=text))
-
-    t4 = []
-    for n, gha, quoted in _T4:
-        for lam, text in zip(_T4_LAMBDAS, gha):
-            t4.append(_cell(4, lam, n, text, Provenance.GHA))
-        for lam, text in zip(_T4_LAMBDAS, quoted):
-            t4.append(_cell(4, lam, n, text, Provenance.EXTERNAL_REF))
-
+    gha, hipt, quoted = Provenance.GHA, Provenance.HIPT, Provenance.EXTERNAL_REF
+    t2 = tuple(_cell(2, lam, n, text, provenance) for lam, n, *texts in _T2
+               for provenance, text in zip((gha, hipt, quoted), texts))
+    t3_pct = tuple(PercentCell(lam=beta, n=n, text=text) for n, _, _, pct in _T3
+                   for beta, text in zip(_T3_BETAS, pct))
     return {
-        1: ReferenceTable(1, 4, 1.0, "direct", tuple(t1)),
-        2: ReferenceTable(2, 4, -1.0, "shifted", tuple(t2)),
-        3: ReferenceTable(3, 6, 1.0, "doubled", tuple(t3), tuple(t3_pct)),
-        4: ReferenceTable(4, 8, 1.0, "doubled", tuple(t4)),
+        1: ReferenceTable(1, 4, 1.0, "direct",
+                          _grid(1, _T1_NS, _T1, (gha, quoted, hipt), True)),
+        2: ReferenceTable(2, 4, -1.0, "shifted", t2),
+        3: ReferenceTable(3, 6, 1.0, "doubled",
+                          _grid(3, _T3_BETAS, _T3, (gha, quoted), False), t3_pct),
+        4: ReferenceTable(4, 8, 1.0, "doubled",
+                          _grid(4, _T4_LAMBDAS, _T4, (gha, quoted), False)),
     }
 
 
@@ -376,41 +362,19 @@ def _report_value(table: ReferenceTable, model: OscillatorModel, raw: float) -> 
     return raw
 
 
-def _column_values(table, lam, cells, pct_cells):
-    """Compute every cell in one coupling column. Returns {(n, kind): value}."""
-    model = _model_for(table, lam)
-    out = {}
-    for c in cells:
-        if c.provenance is Provenance.GHA and (c.n, "GHA") not in out:
-            raw = solve_level(model, c.n).energy
-            out[(c.n, "GHA")] = _report_value(table, model, raw)
-    for c in cells:
-        if c.provenance is Provenance.HIPT and (c.n, "HIPT") not in out:
-            raw = second_order(model, c.n).e2
-            out[(c.n, "HIPT")] = _report_value(table, model, raw)
-    ext_ns = [c.n for c in cells if c.provenance is Provenance.EXTERNAL_REF]
-    if ext_ns:
-        est = converged_levels(model, max(ext_ns), tol=_ORACLE_DRIFT_TOL)
-        for n in ext_ns:
-            out[(n, "EXTERNAL_REF")] = _report_value(table, model, est.levels[n])
-    for p in pct_cells:
-        gha = out[(p.n, "GHA")]
-        quoted = next(c.reference for c in cells
-                      if c.provenance is Provenance.EXTERNAL_REF and c.n == p.n)
-        out[(p.n, "PERCENT")] = 100.0 * abs(gha - quoted) / abs(quoted)
-    return out
-
-
 def run_table(table_id: int,
               tol: Optional[float] = None,
               threads: Optional[int] = None) -> ComparisonReport:
     """Recompute one benchmark table and compare against its printed values.
 
-    Columns are computed serially, in the embedded order.  `tol`, when
-    given, replaces every per-provenance tolerance at once and must lie in
-    (0, inf).  `threads` accepts only None or 1; it stays while
-    bench/make_expected.py passes threads=1 and goes at the next change to
-    the benchmark.
+    The run goes cell by cell in the embedded order and builds each row where
+    its value is computed.  A coupling column's model is made on first use,
+    so each level is solved once, and its oracle spectrum once, up to the
+    column's largest quoted level.  The percent rows come last and read the
+    GHA and quoted rows already built.  `tol`, when given, replaces every
+    per-provenance tolerance at once and must lie in (0, inf).  `threads`
+    accepts only None or 1; it stays while bench/make_expected.py passes
+    threads=1 and goes at the next change to the benchmark.
     """
     table = reference_table(table_id)
     if threads not in (None, 1):
@@ -422,34 +386,40 @@ def run_table(table_id: int,
     if tol is not None:
         tols = dict.fromkeys(tols, tol)
 
-    columns: Dict[float, list] = {}
-    for c in table.cells:
-        columns.setdefault(c.lam, []).append(c)
-    pct_by_col: Dict[float, list] = {}
-    for p in table.percent_cells:
-        pct_by_col.setdefault(p.lam, []).append(p)
-    computed = {lam: _column_values(table, lam, cells, pct_by_col.get(lam, []))
-                for lam, cells in columns.items()}
+    model = functools.cache(functools.partial(_model_for, table))
 
-    rows = []
-    for c in table.cells:
-        value = computed[c.lam][(c.n, c.provenance.value)]
-        rel = abs(value - c.reference) / abs(c.reference)
-        rows.append(ComparisonRow(
-            lam=c.lam, n=c.n, provenance=c.provenance.value,
-            computed=value, reference=c.reference, rel_error=rel,
-            passed=(rel <= tols[c.provenance.value]) and not c.disputed,
-            disputed=c.disputed))
-    for p in table.percent_cells:
-        value = computed[p.lam][(p.n, "PERCENT")]
-        rel = abs(value - p.reference) / abs(p.reference)
-        rows.append(ComparisonRow(
-            lam=p.lam, n=p.n, provenance="PERCENT",
-            computed=value, reference=p.reference, rel_error=rel,
-            passed=False, disputed=True))
+    @functools.cache
+    def spectrum(lam):
+        top = max(c.n for c in table.cells
+                  if c.lam == lam and c.provenance is Provenance.EXTERNAL_REF)
+        return converged_levels(model(lam), top, tol=_ORACLE_DRIFT_TOL).levels
 
-    live = [r.rel_error for r in rows if not r.disputed]
-    failures = sum(1 for r in rows if not r.passed and not r.disputed)
-    return ComparisonReport(table_id=table_id, rows=tuple(rows),
-                            max_rel_error=max(live) if live else 0.0,
-                            failures=failures)
+    # every (coupling, level, provenance) is printed once
+    rows: Dict[Tuple[float, int, str], ComparisonRow] = {}
+
+    def row(lam, n, provenance, value, reference, disputed):
+        rel = abs(value - reference) / abs(reference)
+        rows[lam, n, provenance] = ComparisonRow(
+            lam=lam, n=n, provenance=provenance, computed=value,
+            reference=reference, rel_error=rel,
+            passed=not disputed and rel <= tols[provenance], disputed=disputed)
+
+    for c in table.cells:
+        if c.provenance is Provenance.GHA:
+            raw = solve_level(model(c.lam), c.n).energy
+        elif c.provenance is Provenance.HIPT:
+            raw = second_order(model(c.lam), c.n).e2
+        else:
+            raw = spectrum(c.lam)[c.n]
+        row(c.lam, c.n, c.provenance.value, _report_value(table, model(c.lam), raw),
+            c.reference, c.disputed)
+    for p in table.percent_cells:
+        gha = rows[p.lam, p.n, "GHA"].computed
+        quoted = rows[p.lam, p.n, "EXTERNAL_REF"].reference
+        row(p.lam, p.n, "PERCENT", 100.0 * abs(gha - quoted) / abs(quoted),
+            p.reference, True)
+
+    live = [r for r in rows.values() if not r.disputed]
+    return ComparisonReport(table_id=table_id, rows=tuple(rows.values()),
+                            max_rel_error=max((r.rel_error for r in live), default=0.0),
+                            failures=sum(not r.passed for r in live))

@@ -155,13 +155,21 @@ def test_vacuum_usage_error(capsys):
     assert "provide --omega" in captured.err
 
 
-def test_qft_renorm(capsys):
+def test_qft_renorm(capsys, monkeypatch):
+    from gha import qft
+
+    solves = []
+    real = qft.solve_mass_gap
+    monkeypatch.setattr(qft, "solve_mass_gap",
+                        lambda *args: solves.append(args) or real(*args))
     doc = run_json(capsys, [
         "qft", "renorm", "--mass2", "1", "--lambda", "0.1", "--cutoff", "10",
     ])
     assert doc["mR2"] == pytest.approx(2.443389699900859, rel=1e-12)
     assert doc["ratio"] == pytest.approx(0.9302114164943766, rel=1e-12)
-    assert doc["M2_bar"] == pytest.approx(doc["mR2"], rel=1e-12)
+    # m_R² is M̄², taken from the one gap solve
+    assert doc["M2_bar"] == doc["mR2"]
+    assert len(solves) == 1
 
 
 def test_qft_gap(capsys):

@@ -6,7 +6,10 @@ import random
 import subprocess
 import sys
 
+import mpmath as mp
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from gha import hipt, ladder
 from gha.errors import NonConvergence
@@ -95,6 +98,56 @@ def test_column_matches_ladder_algebra():
             if sol.sigma == 0.0 and (m - n) % 2:
                 assert value == 0.0, (power, g, lam, n, m)
     assert broken >= 30, broken
+
+
+def _shadow_delta_e2(model, n):
+    """ΔE⁽²⁾ of the quartic broken-branch level n, with ω, σ, A, B, C and the
+    φ-form column ⟨m|φ⁴ − Aφ² + Bφ − C|n⟩ at 50 digits and the float
+    denominators of `second_order`."""
+    e_n = solve_level(model, n).energy
+    with mp.workdps(50):
+        g, lam, xi = mp.mpf(model.g), mp.mpf(model.lam), mp.mpf(n) + 0.5
+        lam_c = (-2 * g / 3) ** 1.5 / (3 * (5 * xi - 1 / (4 * xi)))
+        w = 2 * mp.sqrt(-2 * g / 3) * mp.cos(mp.pi / 6 + mp.asin(lam / lam_c) / 3)
+        s2 = -(g + 12 * lam * xi / w) / (4 * lam)
+        s = mp.sqrt(s2)
+        c2 = mp.mpf(3 * (2 * n * n + 2 * n + 1)) / 4  # ω²⟨n|(φ−σ)⁴|n⟩
+        A = 6 * s2 + 2 * c2 / (xi * w)
+        B = s * w * w / lam
+        C = s**4 + 6 * s2 * xi / w + c2 / w**2 - A * (s2 + xi / w) + B * s
+        lo = max(0, n - 4)
+        hop = [mp.sqrt((lo + i) / (2 * w)) for i in range(n + 5 - lo)]
+        v, powers = [mp.mpf(0)] * len(hop), []
+        v[n - lo] = mp.mpf(1)
+        for _ in range(4):
+            u = [s * x for x in v]
+            for i in range(1, len(v)):
+                u[i - 1] += hop[i] * v[i]
+                u[i] += hop[i] * v[i - 1]
+            v = u
+            powers.append(v)
+        delta = 0
+        for i, m in enumerate(range(lo, n + 5)):
+            if m != n:
+                element = powers[3][i] - A * powers[1][i] + B * powers[0][i]
+                delta += (lam * element) ** 2 / (e_n - solve_level(model, m).energy)
+        assert abs(powers[3][n - lo] - A * powers[1][n - lo] + B * powers[0][n - lo] - C) \
+            < mp.mpf(10) ** -30 * (1 + s**4)
+        return float(delta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(min_value=-1.0, max_value=3.0), st.floats(min_value=-4.0, max_value=-0.01),
+       st.integers(min_value=0, max_value=40))
+@example(0.8087037075081285, -3.8887814590928835, 32)  # the φ-form sum is off by 2.2e-9
+def test_broken_branch_second_order_keeps_its_digits(log_depth, log_fraction, n):
+    # g ∈ −[0.1, 1000] and λ ∈ λ_c·[1e-4, 0.98], where the terms of size σ⁴
+    # that an H′ element is made of dwarf it
+    g = -(10.0**log_depth)
+    model = OscillatorModel(power=4, g=g, lam=critical_coupling(n + 0.5, g) * 10.0**log_fraction)
+    assume(solve_level(model, n).phase is Phase.DWO_SSB)
+    want = _shadow_delta_e2(model, n)
+    assert abs(second_order(model, n).delta_e2 - want) <= 1e-12 * abs(want)
 
 
 def test_double_well_anchor():

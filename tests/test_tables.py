@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import gha
-from gha import hartree
+from gha import hartree, tables
 from gha.cli import main
 from gha.errors import DomainError
 from gha.tables import ComparisonReport, Provenance, reference_table, run_table
@@ -114,6 +114,11 @@ def test_percent_rows_are_informational():
     assert len(pct) == 48
     assert all(r.disputed and not r.passed for r in pct)
     assert all(r.computed >= 0.0 for r in pct)
+    # each reads the report's GHA row and the quoted cell's printed value
+    for r in pct:
+        gha = find_row(r3, r.lam, r.n, "GHA").computed
+        quoted = find_cell(reference_table(3), r.lam, r.n, Provenance.EXTERNAL_REF).reference
+        assert r.computed == 100.0 * abs(gha - quoted) / abs(quoted)
 
 
 def test_tolerance_overrides():
@@ -180,8 +185,13 @@ def test_md_rendering(capsys):
 def test_serial_runs_agree_and_threads_are_rejected():
     first, second = run_table(1), run_table(1, threads=1)
     assert first.rows == second.rows
-    order = [(c.lam, c.n, c.provenance.value) for c in reference_table(1).cells]
-    assert [(r.lam, r.n, r.provenance) for r in first.rows] == order
+    # one row per cell in embedded order, then the percent rows in theirs
+    for table_id in (1, 2, 3, 4):
+        table = reference_table(table_id)
+        order = [(c.lam, c.n, c.provenance.value) for c in table.cells]
+        order += [(p.lam, p.n, "PERCENT") for p in table.percent_cells]
+        rows = first.rows if table_id == 1 else run_table(table_id).rows
+        assert [(r.lam, r.n, r.provenance) for r in rows] == order
     with pytest.raises(DomainError):
         run_table(1, threads=2)
 
@@ -196,13 +206,27 @@ def test_import_loads_no_thread_pool():
 
 
 def test_each_column_solves_each_level_once(monkeypatch):
-    solved = Counter()
-    real = hartree._solve_level
+    solved, spectra = Counter(), Counter()
+    real_solve, real_spectrum = hartree._solve_level, tables.converged_levels
     monkeypatch.setattr(hartree, "_solve_level",
-                        lambda model, n: solved.update([(model.lam, n)]) or real(model, n))
-    report = run_table(1)
-    assert report.ok
-    # GHA cells, second-order neighbours and the oracle's n_max all share
-    # one solve per (coupling, level)
-    assert solved and set(solved.values()) == {1}
-    assert {(r.lam, r.n) for r in report.rows if r.provenance == "GHA"} <= set(solved)
+                        lambda model, n: solved.update([(model.lam, n)]) or real_solve(model, n))
+    monkeypatch.setattr(tables, "converged_levels",
+                        lambda model, n_max, tol: spectra.update([(model.lam, n_max)])
+                        or real_spectrum(model, n_max, tol))
+    for table_id in (1, 2, 3, 4):
+        solved.clear()
+        spectra.clear()
+        report = run_table(table_id)
+        assert report.ok
+        # the sextic table prints β = 2λ
+        scale = 0.5 if table_id == 3 else 1.0
+        # GHA cells, second-order neighbours and the oracle's n_max all share
+        # one solve per (coupling, level)
+        assert solved and set(solved.values()) == {1}
+        assert {(scale * r.lam, r.n) for r in report.rows if r.provenance == "GHA"} <= set(solved)
+        # one oracle spectrum per coupling with quoted cells, at its largest level
+        top = {}
+        for c in reference_table(table_id).cells:
+            if c.provenance is Provenance.EXTERNAL_REF:
+                top[scale * c.lam] = max(top.get(scale * c.lam, 0), c.n)
+        assert spectra == Counter(top.items()), table_id

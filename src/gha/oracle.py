@@ -14,12 +14,22 @@ X[j, j+1] = X[j+1, j] = √((j+1)/(2ω)), and ½p² + ½ω²X² is diagonal, so
 
     H = diag(ω(n + ½)) + ½(g − ω²) X² + λ X^{2k}.
 
-The powers of X are built in banded storage (offsets −2k..2k), one shifted
-multiply per power.  A product of truncated matrices differs from the
-truncation of the infinite product only through paths that leave the basis;
-a path of 2k unit steps between levels m and n climbs at most k levels above
-max(m, n).  The powers are therefore formed in dimension N + k and cropped to
-N, which makes every element of the N×N block exact.
+ω enters X² and X^{2k} only as the scalar factors (2ω)^{−1} and (2ω)^{−k}:
+with X̂ = √(2ω)·X, whose entries are √(j+1),
+
+    H = diag(ω(n + ½)) + ½(g − ω²)(2ω)^{−1} X̂² + λ(2ω)^{−k} X̂^{2k}.
+
+The unit powers X̂² and X̂^{2k} depend only on (2k, N).  They are built in
+banded storage, one shifted multiply per power, and cached, one band set per
+power.  A product of truncated matrices differs from the truncation of the
+infinite product only through paths that leave the basis; a path of 2k unit
+steps between levels m and n climbs at most k levels above max(m, n).  The
+powers are therefore formed in dimension N + k and cropped to N, which makes
+every element of the N×N block exact.  For the same reason every element of
+that block is the same float whatever larger dimension the cached bands were
+formed in, so the cache keeps the largest dimension asked for so far and
+crops it for smaller ones.  Only the even offsets are filled: the odd ones
+vanish by parity.
 
 Because the potential is even, the even- and odd-index sectors decouple and
 are diagonalized separately.  Dimensions double until the requested levels
@@ -34,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict, Tuple
 
 from .errors import BudgetExceeded, DomainError
 from .hartree import OscillatorModel, solve_level
@@ -62,38 +72,63 @@ class SpectrumEstimate:
     convergence_error: Tuple[float, ...]
 
 
+# power -> read-only upper bands (offsets 0..2k) of X̂² and X̂^{2k}, in the
+# largest dimension asked for so far
+_unit_power_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _unit_powers(power: int, n_dim: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Upper bands of X̂² and X̂^{2k} in dimension n_dim, X̂[j, j+1] = √(j+1).
+
+    Row d holds offset d: band[d, i] = X̂^p[i, i + d]; only the elements
+    with i + d < n_dim lie in the N×N block.  Both are read-only views of the
+    cached bands, cropped to n_dim.
+    """
+    import numpy as np
+
+    cached = _unit_power_cache.get(power)
+    if cached is None or cached[1].shape[1] < n_dim:
+        k = power // 2
+        padded = n_dim + k
+        width = power
+        # banded storage: band[r, i] = A[i, i + r − width]; steps[r, i] is
+        # X̂[j, j+1] at j = i + r − width, zero where j + 1 leaves the basis
+        padded_x = np.zeros(padded + 2 * width)
+        padded_x[width : width + padded - 1] = np.sqrt(np.arange(1.0, padded))
+        steps = np.lib.stride_tricks.sliding_window_view(padded_x, padded)
+
+        band = np.zeros((2 * width + 1, padded))
+        band[width] = 1.0
+        for p in range(1, power + 1):
+            # (A·X̂)[i, j] = A[i, j − 1] X̂[j − 1, j] + A[i, j + 1] X̂[j, j + 1]
+            product = np.zeros_like(band)
+            product[1:] += band[:-1] * steps[:-1]
+            product[:-1] += band[1:] * steps[:-1]
+            band = product
+            if p == 2:
+                x_squared = band[width : width + 3, :n_dim].copy()
+        x_power = band[width:, :n_dim].copy()
+        x_squared.flags.writeable = False
+        x_power.flags.writeable = False
+        cached = _unit_power_cache[power] = (x_squared, x_power)
+    return cached[0][:, :n_dim], cached[1][:, :n_dim]
+
+
 def hamiltonian_matrix(model: OscillatorModel, basis: TruncatedBasis) -> np.ndarray:
     """Exact H_{mn} in the σ=0 number basis of the given frequency."""
     import numpy as np
 
     n_dim, w, k = basis.dimension, basis.basis_frequency, model.k
-    padded = n_dim + k
-    width = 2 * k
-    # banded storage: band[r, i] = A[i, i + r − width]; steps[r, i] is
-    # X[j, j+1] at j = i + r − width, zero where j + 1 leaves the basis
-    padded_x = np.zeros(padded + 2 * width)
-    padded_x[width : width + padded - 1] = np.sqrt(np.arange(1, padded) / (2.0 * w))
-    steps = np.lib.stride_tricks.sliding_window_view(padded_x, padded)
-
-    band = np.zeros((2 * width + 1, padded))
-    band[width] = 1.0
-    for power in range(1, model.power + 1):
-        # (A·X)[i, j] = A[i, j − 1] X[j − 1, j] + A[i, j + 1] X[j, j + 1]
-        product = np.zeros_like(band)
-        product[1:] += band[:-1] * steps[:-1]
-        product[:-1] += band[1:] * steps[:-1]
-        band = product
-        if power == 2:
-            x_squared = band[width : width + 3, :n_dim]
-    # offsets 0..2k of the upper triangle, cropped to the basis
-    upper = model.lam * band[width:, :n_dim]
-    upper[:3] += 0.5 * (model.g - w * w) * x_squared
+    x_squared, x_power = _unit_powers(model.power, n_dim)
+    # even offsets 0, 2, .., 2k of the upper triangle
+    upper = (model.lam / (2.0 * w) ** k) * x_power[0::2]
+    upper[:2] += (0.5 * (model.g - w * w) / (2.0 * w)) * x_squared[0::2]
     upper[0] += w * (np.arange(n_dim) + 0.5)
 
     h = np.zeros((n_dim, n_dim))
     flat = h.reshape(-1)
-    for d in range(width + 1):
-        diagonal = upper[d, : n_dim - d]
+    for d, diagonal in zip(range(0, 2 * k + 1, 2), upper):
+        diagonal = diagonal[: n_dim - d]
         flat[d :: n_dim + 1][: n_dim - d] = diagonal
         flat[d * n_dim :: n_dim + 1][: n_dim - d] = diagonal
     return h

@@ -130,6 +130,62 @@ def test_levels_beyond_dimension_budget():
             converged_levels(QUARTIC, n_max, 1e-7)
 
 
+SEXTIC = OscillatorModel(power=6, g=1.0, lam=0.7)
+DOUBLE_WELL = OscillatorModel(power=4, g=-1.0, lam=0.1)
+
+
+def test_unit_power_cache_does_not_change_results():
+    cases = [(QUARTIC, 5), (SEXTIC, 3), (DOUBLE_WELL, 12)]
+    cold = []
+    for model, n_max in cases:
+        gha.oracle._unit_power_cache.clear()
+        cold.append(converged_levels(model, n_max, 1e-7))
+    # warm: each power's bands were grown past the dimensions used (a larger
+    # dimension asked first) and another power was built in between
+    gha.oracle._unit_power_cache.clear()
+    converged_levels(QUARTIC, 100, 1e-7)
+    converged_levels(OscillatorModel(power=8, g=1.0, lam=1.0), 0, 1e-7)
+    gha.oracle._unit_powers(6, 1000)
+    for (model, n_max), estimate in zip(cases, cold):
+        assert estimate.dimension_used < 512
+        assert converged_levels(model, n_max, 1e-7) == estimate
+    # and every matrix element of a cropped band is the one built in place
+    for model in (QUARTIC, SEXTIC):
+        for dim in (16, 17, 100):
+            basis = TruncatedBasis(dim, 1.3)
+            warm = hamiltonian_matrix(model, basis)
+            gha.oracle._unit_power_cache.clear()
+            assert np.array_equal(hamiltonian_matrix(model, basis), warm)
+            gha.oracle._unit_powers(model.power, 700)
+
+
+def test_unit_powers_are_read_only():
+    gha.oracle._unit_power_cache.clear()
+    for x_squared, x_power in [gha.oracle._unit_powers(6, 64),
+                               gha.oracle._unit_power_cache[6]]:
+        for band in (x_squared, x_power):
+            with pytest.raises(ValueError):
+                band[0, 0] = 1.0
+    x_squared, x_power = gha.oracle._unit_powers(6, 64)
+    assert x_squared.shape == (3, 64) and x_power.shape == (7, 64)
+    # X̂² = 2n + 1 on the diagonal, √((n+1)(n+2)) two above it
+    n = np.arange(62)
+    assert np.allclose(x_squared[0], 2.0 * np.arange(64) + 1.0, rtol=1e-15, atol=0.0)
+    assert np.allclose(x_squared[2, :62], np.sqrt((n + 1) * (n + 2)), rtol=1e-15, atol=0.0)
+    assert not x_squared[1].any() and not x_power[1::2].any()
+
+
+def test_unit_power_cache_holds_one_entry_per_power():
+    gha.oracle._unit_power_cache.clear()
+    for power, dim in [(4, 64), (6, 128), (4, 512), (8, 16), (4, 128), (6, 64)]:
+        basis = TruncatedBasis(dim, 1.0)
+        hamiltonian_matrix(OscillatorModel(power=power, g=1.0, lam=1.0), basis)
+    cache = gha.oracle._unit_power_cache
+    assert sorted(cache) == [4, 6, 8]
+    # each keeps the largest dimension asked for so far
+    assert {p: bands[1].shape[1] for p, bands in cache.items()} == {4: 512, 6: 128, 8: 16}
+
+
 def ladder_band(model, basis):
     """The band of H from the normal-ordered ladder algebra, element by element."""
     mode = ladder.ModeParameters(omega=basis.basis_frequency, sigma=0.0)

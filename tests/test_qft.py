@@ -194,6 +194,64 @@ def test_mass_gap_matches_mpmath_shadow(m2, lam, cutoff, sigma):
     assert abs(state.M2 - exact) <= 1e-14 * exact
 
 
+def mp_heavy_mass_gap(m2, lam, cutoff, sigma):
+    """Root of the gap equation by bisection in ln M², for Λ ≪ M.
+
+    The root can lie many decades above the background there, so the residual
+    is taken relative to M², which makes it increasing in M², and the bracket
+    is bisected in ln M².  I₀ comes from the closed form, with ln((Λ + s)/M)
+    as asinh(Λ/M), so that it cancels only about log₁₀(M²/Λ²) digits; 30
+    digits more than that are carried."""
+    length, coupling = mp.mpf(cutoff), mp.mpf(lam)
+    # 12λI₀(M²) < λΛ³/(π²M) bounds M² from above
+    top = (m2 + 12 * coupling * mp.mpf(sigma) ** 2
+           + (coupling / mp.pi**2) ** (mp.mpf(2) / 3) * length**2)
+    with mp.workdps(30 + max(0, int(mp.ceil(mp.log10(top / length**2))))):
+        floor = mp.mpf(m2) + 12 * coupling * mp.mpf(sigma) ** 2
+
+        def relative_residual(u):
+            y = mp.exp(u)
+            s = mp.sqrt(length**2 + y)
+            i0 = (length * s - y * mp.asinh(length / mp.sqrt(y))) / (8 * mp.pi**2)
+            return 1 - (floor + 12 * coupling * i0) / y
+
+        lo, hi = mp.log(floor), mp.log(2 * top)
+        assert relative_residual(lo) < 0 < relative_residual(hi)
+        while hi - lo > 1e-16:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if relative_residual(mid) < 0 else (lo, mid)
+        return mp.exp(lo)
+
+
+@st.composite
+def heavy_mass_theories(draw):
+    """Theories whose gap root M² is normal while I₀(M²) is subnormal.
+
+    I₀ ≈ Λ³/(12π²M) in the heavy-mass limit and M² ≈ 12λI₀ when m² lies far
+    below M², so M² and I₀ are drawn and Λ and λ solved from them."""
+    M2 = 10.0 ** draw(st.floats(-260.0, -100.0))
+    i0 = 10.0 ** draw(st.floats(-323.0, -309.0))
+    t = (12.0 * math.pi**2 * i0 / M2) ** (1.0 / 3.0)
+    return FieldTheory(m2=M2 * 10.0 ** -draw(st.floats(0.5, 40.0)),
+                       lam=M2 / (12.0 * i0), cutoff=t * math.sqrt(M2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(theory=heavy_mass_theories(), sigma=st.just(0.0) | _log_uniform(1e-300, 1e-200))
+# I₀ at this root is 1.05e-320; the gap solve stalled on its few digits here
+@example(theory=FieldTheory(m2=1.8218076671547894e-210, lam=1.0534588806886617e141,
+                            cutoff=2.4281178855684486e-136),
+         sigma=4.2364762191118335e-278)
+# I₀ rounds to 0 at the root, yet 12λI₀ ≈ M² = 2.2e-121 ≫ m²
+@example(theory=FieldTheory(m2=1e-300, lam=1e300, cutoff=1e-160), sigma=0.0)
+# Λ/M = 1e-450: Λ would underflow in the rescaled I₀, which is 1e-1200·M²
+@example(theory=FieldTheory(m2=1e300, lam=1.0, cutoff=1e-300), sigma=0.0)
+def test_mass_gap_keeps_its_digits_where_i0_is_subnormal(theory, sigma):
+    state = solve_mass_gap(theory, sigma)
+    exact = mp_heavy_mass_gap(theory.m2, theory.lam, theory.cutoff, sigma)
+    assert abs(state.M2 - exact) <= 1e-12 * exact
+
+
 def test_mass_gap_fixed_point_oracle():
     # the map M² ↦ m² + 12λσ² + 12λI₀(M²) is a contraction here; iterate it
     # as an independent route to the root

@@ -230,3 +230,26 @@ def test_each_column_solves_each_level_once(monkeypatch):
             if c.provenance is Provenance.EXTERNAL_REF:
                 top[scale * c.lam] = max(top.get(scale * c.lam, 0), c.n)
         assert spectra == Counter(top.items()), table_id
+
+
+def test_oracle_dimension_of_each_column(monkeypatch):
+    # the dimension at which each column's spectrum stopped drifting by the
+    # table tolerance; a rounding change in the oracle must not move it
+    used = {}
+    real_spectrum = tables.converged_levels
+
+    def spectrum(model, n_max, tol):
+        estimate = real_spectrum(model, n_max, tol)
+        used[model.lam] = estimate.dimension_used
+        return estimate
+
+    monkeypatch.setattr(tables, "converged_levels", spectrum)
+    for table_id in (1, 2, 3, 4):
+        used.clear()
+        run_table(table_id)
+        scale = 0.5 if table_id == 3 else 1.0
+        quoted = {c.lam for c in reference_table(table_id).cells
+                  if c.provenance is Provenance.EXTERNAL_REF}
+        expected = {scale * lam: 256 if table_id == 1 and lam <= 100.0 else 128
+                    for lam in quoted}
+        assert used == expected, table_id

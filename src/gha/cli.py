@@ -232,10 +232,8 @@ def _cmd_qft_gap(args):
 
     theory = _theory(args)
     state = qft.solve_mass_gap(theory, args.sigma)
-    residual = state.M2 - theory.m2 - 12.0 * theory.lam * args.sigma * args.sigma \
-        - qft._gap_source(theory.lam, state.M2, theory.cutoff, state.i0)
     row = {"sigma": state.sigma, "M2": state.M2, "i0": state.i0,
-           "i1": state.i1, "i_minus1": state.im1, "residual": residual}
+           "i1": state.i1, "i_minus1": state.im1, "residual": state.residual}
     payload = {"command": "qft-gap", "theory": _theory_block(theory), **row}
     return _emit(args, payload, [row])
 

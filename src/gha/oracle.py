@@ -28,13 +28,15 @@ powers are therefore formed in dimension N + k and cropped to N, which makes
 every element of the N×N block exact.  For the same reason every element of
 that block is the same float whatever larger dimension the cached bands were
 formed in, so the cache keeps the largest dimension asked for so far and
-crops it for smaller ones.  Only the even offsets are filled: the odd ones
-vanish by parity.
+crops it for smaller ones.
 
-Because the potential is even, the even- and odd-index sectors decouple and
-are diagonalized separately.  Dimensions double until the requested levels
-stop moving, which both validates the Hartree results and reproduces the
-external benchmark values quoted alongside them.
+Because the potential is even, a level couples only to levels of its own
+parity: only the even offsets of the powers are kept, and offset 2r between
+levels of parity p is offset r of the block on levels p, p + 2, ….
+`hamiltonian_matrix` fills both blocks from alternate columns of the bands,
+with no N×N matrix, and each is diagonalized on its own.  Dimensions double
+until the requested levels stop moving, which both validates the Hartree
+results and reproduces the external benchmark values quoted alongside them.
 
 numpy is imported inside the functions that use it, so `import gha` and every
 command that never diagonalizes do not pay for loading it.
@@ -72,7 +74,7 @@ class SpectrumEstimate:
     convergence_error: Tuple[float, ...]
 
 
-# power -> read-only upper bands (offsets 0..2k) of X̂² and X̂^{2k}, in the
+# power -> read-only even-offset upper bands of X̂² and X̂^{2k}, in the
 # largest dimension asked for so far
 _unit_power_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
@@ -80,9 +82,9 @@ _unit_power_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 def _unit_powers(power: int, n_dim: int) -> Tuple[np.ndarray, np.ndarray]:
     """Upper bands of X̂² and X̂^{2k} in dimension n_dim, X̂[j, j+1] = √(j+1).
 
-    Row d holds offset d: band[d, i] = X̂^p[i, i + d]; only the elements
-    with i + d < n_dim lie in the N×N block.  Both are read-only views of the
-    cached bands, cropped to n_dim.
+    Row r holds offset 2r: band[r, i] = X̂^p[i, i + 2r], inside the basis where
+    i + 2r < n_dim; the odd offsets vanish by parity.  Both are read-only
+    views of the cached bands, cropped to n_dim.
     """
     import numpy as np
 
@@ -106,42 +108,37 @@ def _unit_powers(power: int, n_dim: int) -> Tuple[np.ndarray, np.ndarray]:
             product[:-1] += band[1:] * steps[:-1]
             band = product
             if p == 2:
-                x_squared = band[width : width + 3, :n_dim].copy()
-        x_power = band[width:, :n_dim].copy()
+                x_squared = band[width : width + 3 : 2, :n_dim].copy()
+        x_power = band[width::2, :n_dim].copy()
         x_squared.flags.writeable = False
         x_power.flags.writeable = False
         cached = _unit_power_cache[power] = (x_squared, x_power)
     return cached[0][:, :n_dim], cached[1][:, :n_dim]
 
 
-def hamiltonian_matrix(model: OscillatorModel, basis: TruncatedBasis) -> np.ndarray:
-    """Exact H_{mn} in the σ=0 number basis of the given frequency."""
+def hamiltonian_matrix(
+    model: OscillatorModel, basis: TruncatedBasis
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact H_{mn} in the σ=0 number basis of the given frequency, as its
+    even and odd parity blocks: block p holds H[p + 2a, p + 2b] at [a, b]."""
     import numpy as np
 
     n_dim, w, k = basis.dimension, basis.basis_frequency, model.k
     x_squared, x_power = _unit_powers(model.power, n_dim)
-    # even offsets 0, 2, .., 2k of the upper triangle
-    upper = (model.lam / (2.0 * w) ** k) * x_power[0::2]
-    upper[:2] += (0.5 * (model.g - w * w) / (2.0 * w)) * x_squared[0::2]
+    # row r holds offset 2r of the upper triangle
+    upper = (model.lam / (2.0 * w) ** k) * x_power
+    upper[:2] += (0.5 * (model.g - w * w) / (2.0 * w)) * x_squared
     upper[0] += w * (np.arange(n_dim) + 0.5)
-
-    h = np.zeros((n_dim, n_dim))
-    flat = h.reshape(-1)
-    for d, diagonal in zip(range(0, 2 * k + 1, 2), upper):
-        diagonal = diagonal[: n_dim - d]
-        flat[d :: n_dim + 1][: n_dim - d] = diagonal
-        flat[d * n_dim :: n_dim + 1][: n_dim - d] = diagonal
-    return h
-
-
-def _sector_levels(h: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    even = np.linalg.eigvalsh(h[0::2, 0::2])
-    odd = np.linalg.eigvalsh(h[1::2, 1::2])
-    merged = np.concatenate([even, odd])
-    merged.sort()
-    return merged
+    # one allocation for both blocks, as two fresh half-size arrays can cost a
+    # page fault per row; for odd n_dim the odd block is one level smaller
+    m = (n_dim + 1) // 2
+    blocks = np.zeros((2, m, m))
+    for bands, flat in zip((upper[:, 0::2], upper[:, 1::2]), blocks.reshape(2, -1)):
+        # offset 2r between levels of one parity is offset r of their block
+        for r, diagonal in enumerate(bands):
+            n = bands.shape[1] - r
+            flat[r :: m + 1][:n] = flat[r * m :: m + 1][:n] = diagonal[:n]
+    return blocks[0], blocks[1, : n_dim // 2, : n_dim // 2]
 
 
 def converged_levels(
@@ -170,7 +167,8 @@ def converged_levels(
     previous = None
     while n_dim <= _MAX_DIMENSION:
         basis = TruncatedBasis(dimension=n_dim, basis_frequency=frequency)
-        levels = _sector_levels(hamiltonian_matrix(model, basis))[: n_max + 1]
+        spectra = [np.linalg.eigvalsh(block) for block in hamiltonian_matrix(model, basis)]
+        levels = np.sort(np.concatenate(spectra))[: n_max + 1]
         if previous is not None:
             drift = np.abs(levels - previous)
             if drift.max() < tol:

@@ -74,6 +74,8 @@ class GapState:
     i0: float
     i1: float
     im1: float
+    # F(M²) = M² − m² − 12λσ² − 12λI₀(M²), the residual checked at the root
+    residual: float
 
 
 @dataclass(frozen=True)
@@ -174,7 +176,7 @@ def solve_mass_gap(theory: FieldTheory, sigma: float) -> GapState:
     concave F lies above F, so Newton started there climbs monotonically
     onto the root and never overshoots it.  The climb stops once rounding no
     longer lets a step increase M², and the residual already evaluated there
-    is the one checked.  12λI₀ comes from `_gap_source`, which keeps its
+    is the one checked and returned.  12λI₀ comes from `_gap_source`, which keeps its
     digits where I₀ itself is subnormal.
     """
     lam, cut = theory.lam, theory.cutoff
@@ -199,7 +201,7 @@ def solve_mass_gap(theory: FieldTheory, sigma: float) -> GapState:
     if not abs(f) <= 1e-10 * m2:
         raise NonConvergence(f"gap residual {f:.3e} too large")
     return GapState(sigma=float(sigma), M2=m2, i0=i0,
-                    i1=stevenson(1, m2, cut), im1=im1)
+                    i1=stevenson(1, m2, cut), im1=im1, residual=f)
 
 
 def effective_potential(theory: FieldTheory, sigma: float) -> float:

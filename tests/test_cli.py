@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import gha
 from gha.cli import main
 from gha.hartree import OscillatorModel, solve_level
-from gha.qft import bessel_k1, stevenson
+from gha.qft import FieldTheory, bessel_k1, solve_mass_gap, stevenson
 
 
 def run_json(capsys, argv):
@@ -179,6 +179,12 @@ def test_qft_gap(capsys):
     assert doc["M2"] == pytest.approx(2.443389699900859, rel=1e-12)
     assert abs(doc["residual"]) < 1e-10 * doc["M2"]
     assert doc["i0"] == stevenson(0, doc["M2"], 10.0)
+    # the printed residual is the one the solver checked
+    theory = FieldTheory(m2=1.0, lam=0.1, cutoff=10.0)
+    for sigma in (0.0, 0.7):
+        doc = run_json(capsys, ["qft", "gap", "--mass2", "1", "--lambda", "0.1",
+                                "--cutoff", "10", "--sigma", str(sigma)])
+        assert doc["residual"] == solve_mass_gap(theory, sigma).residual
 
 
 def test_qft_potential(capsys):
@@ -364,6 +370,19 @@ def test_overflow_exits_one_without_traceback(argv):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    # c₀ and so the gap's start overflow
+    ["vacuum", "--g", "1", "--lambda", "1e308"],
+    ["dwo", "--g=-4e-119", "--lambda", "2.9e307"],
+])
+def test_gap_overflow_is_a_non_finite_value(capsys, argv):
+    assert main(argv + ["--no-meta"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: gap start of level 0 of OscillatorModel(")
+    assert captured.err.rstrip().endswith("leaves floating-point range")
 
 
 def test_internal_overflow_is_not_blamed_on_input(capsys):

@@ -22,14 +22,23 @@ from ladder_reference import hamiltonian_polynomial
 QUARTIC = OscillatorModel(power=4, g=1.0, lam=1.0)
 
 
+def full_matrix(model, basis):
+    """H on levels 0..N−1, with the even and odd blocks interleaved."""
+    even, odd = hamiltonian_matrix(model, basis)
+    h = np.zeros((basis.dimension, basis.dimension))
+    h[0::2, 0::2] = even
+    h[1::2, 1::2] = odd
+    return h
+
+
 def test_nearly_free_oscillator_is_diagonal():
     m = OscillatorModel(power=4, g=1.0, lam=1e-30)
-    h = hamiltonian_matrix(m, TruncatedBasis(dimension=32, basis_frequency=1.0))
+    h = full_matrix(m, TruncatedBasis(dimension=32, basis_frequency=1.0))
     assert np.allclose(h, np.diag(np.arange(32) + 0.5), atol=1e-12)
 
 
 def test_ground_state_diagonal_element():
-    h = hamiltonian_matrix(QUARTIC, TruncatedBasis(dimension=16, basis_frequency=1.0))
+    h = full_matrix(QUARTIC, TruncatedBasis(dimension=16, basis_frequency=1.0))
     # 1/2 from the free part plus <0|phi^4|0> = 3/4 at omega=1
     assert h[0, 0] == pytest.approx(1.25, abs=1e-13)
 
@@ -37,14 +46,21 @@ def test_ground_state_diagonal_element():
 def test_band_structure_and_symmetry():
     for power in (4, 6, 8):
         m = OscillatorModel(power=power, g=1.0, lam=0.7)
-        h = hamiltonian_matrix(m, TruncatedBasis(dimension=24, basis_frequency=1.5))
-        assert np.array_equal(h, h.T)
-        for i in range(24):
-            for j in range(24):
-                if abs(i - j) > power:
-                    assert h[i, j] == 0.0
-        # parity: odd offsets vanish for the even potential
-        assert np.all(h[0::2, 1::2] == 0.0)
+        for dim in (24, 25):
+            basis = TruncatedBasis(dimension=dim, basis_frequency=1.5)
+            # one block on levels 0, 2, 4, …, one on levels 1, 3, 5, …
+            even, odd = hamiltonian_matrix(m, basis)
+            assert even.shape == ((dim + 1) // 2,) * 2 and odd.shape == (dim // 2,) * 2
+            for block in (even, odd):
+                assert np.array_equal(block, block.T)
+                # offset 2r of H is offset r of its parity block
+                assert not np.triu(block, power // 2 + 1).any()
+                assert np.all(np.diag(block, power // 2) != 0.0)
+            h = full_matrix(m, basis)
+            for i in range(dim):
+                for j in range(dim):
+                    if abs(i - j) > power:
+                        assert h[i, j] == 0.0
 
 
 def test_basis_validation():
@@ -85,7 +101,7 @@ def test_truncation_levels_decrease_with_dimension():
     # when the basis grows
     spectra = []
     for dim in (64, 128, 256):
-        h = hamiltonian_matrix(QUARTIC, TruncatedBasis(dim, 2.0))
+        h = full_matrix(QUARTIC, TruncatedBasis(dim, 2.0))
         spectra.append(np.linalg.eigvalsh(h)[:10])
     for small, big in zip(spectra, spectra[1:]):
         assert np.all(big <= small + 1e-11)
@@ -94,7 +110,7 @@ def test_truncation_levels_decrease_with_dimension():
 def test_basis_frequency_independence():
     levels = []
     for freq in (1.0, 2.0, 4.0):
-        h = hamiltonian_matrix(QUARTIC, TruncatedBasis(512, freq))
+        h = full_matrix(QUARTIC, TruncatedBasis(512, freq))
         levels.append(np.linalg.eigvalsh(h)[:6])
     assert np.allclose(levels[0], levels[1], rtol=0.0, atol=1e-7)
     assert np.allclose(levels[0], levels[2], rtol=0.0, atol=1e-7)
@@ -153,9 +169,9 @@ def test_unit_power_cache_does_not_change_results():
     for model in (QUARTIC, SEXTIC):
         for dim in (16, 17, 100):
             basis = TruncatedBasis(dim, 1.3)
-            warm = hamiltonian_matrix(model, basis)
+            warm = full_matrix(model, basis)
             gha.oracle._unit_power_cache.clear()
-            assert np.array_equal(hamiltonian_matrix(model, basis), warm)
+            assert np.array_equal(full_matrix(model, basis), warm)
             gha.oracle._unit_powers(model.power, 700)
 
 
@@ -167,12 +183,12 @@ def test_unit_powers_are_read_only():
             with pytest.raises(ValueError):
                 band[0, 0] = 1.0
     x_squared, x_power = gha.oracle._unit_powers(6, 64)
-    assert x_squared.shape == (3, 64) and x_power.shape == (7, 64)
+    # only the even offsets are kept: 0, 2 of X̂² and 0, 2, 4, 6 of X̂⁶
+    assert x_squared.shape == (2, 64) and x_power.shape == (4, 64)
     # X̂² = 2n + 1 on the diagonal, √((n+1)(n+2)) two above it
     n = np.arange(62)
     assert np.allclose(x_squared[0], 2.0 * np.arange(64) + 1.0, rtol=1e-15, atol=0.0)
-    assert np.allclose(x_squared[2, :62], np.sqrt((n + 1) * (n + 2)), rtol=1e-15, atol=0.0)
-    assert not x_squared[1].any() and not x_power[1::2].any()
+    assert np.allclose(x_squared[1, :62], np.sqrt((n + 1) * (n + 2)), rtol=1e-15, atol=0.0)
 
 
 def test_unit_power_cache_holds_one_entry_per_power():
@@ -205,12 +221,13 @@ def ladder_band(model, basis):
     OscillatorModel(power=8, g=1.0, lam=0.05),
 ])
 def test_matrix_agrees_with_ladder_algebra(model):
-    # the oracle builds H from numpy X alone; the ladder algebra that the
-    # Hartree and perturbative layers use must give the same band
+    # the oracle builds H from numpy X alone; the ladder algebra, kept as the
+    # tests' independent reference, must give the same band, and its elements
+    # between levels of opposite parity, which the blocks leave out, must vanish
     for dim in (16, 17, 64, 256):
         for freq in (0.5, 1.0, 2.7):
             basis = TruncatedBasis(dim, freq)
-            h = hamiltonian_matrix(model, basis)
+            h = full_matrix(model, basis)
             ref = ladder_band(model, basis)
             assert np.abs(h - ref).max() <= 1e-13 * np.abs(ref).max()
 

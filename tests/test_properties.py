@@ -1,17 +1,23 @@
 """Randomized invariants over the whole model space."""
 
 import math
+import random
+import sys
 
 import mpmath as mp
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gha.errors import NoPhysicalRoot, NonFiniteValue, PhaseUnavailable
 from gha.hartree import (
+    HartreeSolution,
     OscillatorModel,
     Phase,
     gap_residual_scale,
     general_gap_residuals,
     moment,
+    solve_gap,
     solve_level,
     xi_p,
 )
@@ -120,3 +126,69 @@ def test_levels_solve_at_extreme_coupling_ratios(signed_power, lg, ll, n):
         roots = mp.polyroots(coeffs, maxsteps=200, extraprec=200)
         root = max(mp.re(r) for r in roots if abs(mp.im(r)) <= 1e-30 * abs(r))
         assert abs(w / root - 1) <= 1e-15 * cond
+
+
+def _largest_cubic_root(p, q):
+    """Largest real root of ω³ + pω + q in mpmath, from the trigonometric or
+    hyperbolic closed form, which keeps its digits at every scale."""
+    p, q = mp.mpf(p), mp.mpf(q)
+    if p > 0:
+        return -2 * mp.sqrt(p / 3) * mp.sinh(mp.asinh(3 * q / (2 * p) * mp.sqrt(3 / p)) / 3)
+    return 2 * mp.sqrt(-p / 3) * mp.cos(mp.acos(3 * q / (2 * p) * mp.sqrt(-3 / p)) / 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=-20.0, max_value=40.0, allow_nan=False),
+       st.floats(min_value=-40.0, max_value=20.0, allow_nan=False), levels)
+# |g|^{3/2}/λ = 1e26: from the start (2c₀)^{1/3} the first step rounds to ω ≤ 0
+@example(0.0, -26.0, 0)
+# λ ≈ 1.6e-30: a start 5e16 times the root passed the absolute residual floor
+@example(math.log10(2.110974189309853e-3), math.log10(1.5963222272433442e-30), 0)
+def test_double_well_branches_at_tiny_coupling(lg, ll, n):
+    model = OscillatorModel(power=4, g=-(10.0**lg), lam=10.0**ll)
+    sol = solve_level(model, n)
+    xi, g = n + 0.5, model.g
+    for b in sol.branches or (sol,):
+        phase = b.phase
+        w = b.omega
+        with mp.workdps(60):
+            if phase is Phase.DWO_SSB:
+                c0 = 6.0 * model.lam * xi_p(xi)
+                root = _largest_cubic_root(2 * mp.mpf(g), c0)
+                cond = max(1.0, max(w**3, -2 * g * w, c0) / (w * abs(3 * w * w + 2 * g)))
+            else:
+                c0 = 4 * model.lam * moment(2, n) / xi
+                root = _largest_cubic_root(-mp.mpf(g), -mp.mpf(c0))
+                cond = 1.0
+            assert abs(w / root - 1) <= 1e-15 * cond, (phase, w, root)
+
+
+def test_levels_are_finite_or_a_typed_error():
+    # |g| and λ log-uniform over the whole float range, both signs of g
+    rng = random.Random(15)
+    cases = [(4, -1.0, 1e-26, 0), (4, 1.0, 1e308, 0), (4, -4e-119, 2.9e307, 0),
+             (4, -2.110974189309853e-3, 1.5963222272433442e-30, 0)]
+    top = math.log10(sys.float_info.max)
+    for _ in range(3000):
+        cases.append((rng.choice([4, 6, 8]), rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300, top),
+                      10.0 ** rng.uniform(-300, top), rng.randint(0, 30)))
+    outcomes = set()
+    for power, g, lam, n in cases:
+        try:
+            sol = solve_level(OscillatorModel(power=power, g=g, lam=lam), n)
+        except (NonFiniteValue, NoPhysicalRoot, PhaseUnavailable) as exc:
+            outcomes.add(type(exc))
+            continue
+        outcomes.add(HartreeSolution)
+        values = [sol.omega, sol.sigma, sol.A, sol.B, sol.C, sol.h0, sol.energy]
+        for b in sol.branches or ():
+            values += [b.omega, b.sigma, b.energy]
+        assert all(math.isfinite(v) for v in values), (power, g, lam, n, sol)
+    assert {HartreeSolution, NonFiniteValue, PhaseUnavailable} <= outcomes
+    with pytest.raises(NonFiniteValue, match="gap start"):
+        solve_level(OscillatorModel(power=4, g=1.0, lam=1e308), 0)
+    with pytest.raises(NonFiniteValue, match="gap start"):
+        solve_level(OscillatorModel(power=4, g=-4e-119, lam=2.9e307), 0)
+    # ω⁵ overflows at the start √(2g) ≈ 1.4e150
+    with pytest.raises(NonFiniteValue, match="gap residual"):
+        solve_gap(OscillatorModel(power=8, g=1e300, lam=1.0), 0, Phase.AHO)

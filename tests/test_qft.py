@@ -151,6 +151,11 @@ def test_mass_gap_solution():
     state = solve_mass_gap(THEORY, 0.0)
     residual = state.M2 - THEORY.m2 - 12.0 * THEORY.lam * state.i0
     assert abs(residual) < 1e-10 * state.M2
+    # the state carries the residual checked at its root
+    assert state.residual == residual
+    shifted = solve_mass_gap(THEORY, 0.3)
+    base = THEORY.m2 + 12.0 * THEORY.lam * 0.3 * 0.3
+    assert shifted.residual == shifted.M2 - base - 12.0 * THEORY.lam * shifted.i0
     assert state.M2 > THEORY.m2
     assert state.sigma == 0.0
     # the cached integrals are those of the returned mass

@@ -24,8 +24,8 @@ _HOMES = {
                "NonConvergence", "NonFiniteValue", "PhaseUnavailable"),
     "hartree": ("BranchInfo", "HartreeSolution", "OscillatorModel", "Phase",
                 "classical_well_depth", "critical_coupling",
-                "general_gap_residuals", "hartree_coefficients", "solve_gap",
-                "solve_level", "ssb_sigma_squared", "zeroth_energy"),
+                "general_gap_residuals", "solve_gap", "solve_level",
+                "ssb_sigma_squared", "zeroth_energy"),
     "hipt": ("Contribution", "PerturbationReport", "build_h_prime",
              "second_order"),
     "ladder": ("ModeParameters", "NormalOrderedPolynomial", "constant",

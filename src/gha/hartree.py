@@ -31,9 +31,12 @@ with level energy E = ξ[(k+1)ω + (k−1)g/ω]/(2k).  Worked instances:
 For the quartic double well a broken-symmetry branch with σ² =
 −(g + 12λξ/ω)/(4λ) exists for λ ≤ λ_c(ξ, g); its frequency satisfies the
 cubic ω³ + 2gω + 6λ p(ξ) = 0 with p(ξ) = 5ξ − 1/(4ξ) and is given in closed
-form by ω = 2√(−2g/3) cos[π/6 + ⅓ arcsin(λ/λ_c)].  There the configuration
-equation gσ + λ∂_σ⟨φ⁴⟩ = 0 reduces B to σω²/λ, which the level's solution
-uses; `hartree_coefficients` keeps the general form for any (ω, σ).
+form by ω = 2√(−2g/3) cos[π/6 + ⅓ arcsin(λ/λ_c)].  There σ solves the
+configuration equation gσ + λ∂_σ⟨φ⁴⟩ = 0.
+
+On every branch the level's coefficients follow from completing the square
+in H₀: ω² = g + 2λA and σ = λB/ω², so B = σω²/λ, and C makes ⟨V⟩ = ⟨φ^{2k}⟩
+with ⟨φ²⟩ = σ² + ξ/ω.
 
 The σ = 0 gap residual f(ω) = ω^{k+1} − gω^{k−1} − c₀, c₀ = 2kλc_k(n)/ξ > 0,
 is solved by Newton descent from ω₀ = max(√(2·max(g, 0)), (2c₀)^{1/(k+1)}).
@@ -47,9 +50,13 @@ descent starts at min(ω₀, (2c₀/|g|)^{1/(k−1)}): there f ≥ ω^{k−1}|g|
 c₀ > 0 as well, f is increasing and convex on all of ω > 0, and where |g|
 dominates this start lies within a factor 2^{1/(k−1)} of the root, whereas
 from ω₀ the first step can round to ω ≤ 0.  A start or a residual that
-leaves floating-point range raises `NonFiniteValue`.  The broken branch
-descends the same way from just above its closed form; its cubic is convex
-and increasing above √(−2g/3), below which its largest root never lies.
+leaves floating-point range, or a root below the smallest normal float,
+raises `NonFiniteValue`.  The root's residual must be at most 1e-12 times
+the largest of ω^{k+1}, |g|ω^{k−1} and c₀, or twice the smallest subnormal
+where that product underflows; there is no absolute floor.  The broken
+branch descends the same way from just above its closed form; its cubic is
+convex and increasing above √(−2g/3), below which its largest root never
+lies.
 
 `solve_level` memoizes each level's solution on the model instance, so the
 second-order sums, the table columns and the oracle's basis frequency share
@@ -59,6 +66,7 @@ one solve per (model, level).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Tuple
@@ -69,6 +77,10 @@ from .errors import (DomainError, NoPhysicalRoot, NonConvergence,
 # Newton descends monotonically from its start and settles in under ten
 # steps on the σ = 0 gap; near λ_c the broken branch's double root slows it
 _NEWTON_STEPS = 100
+
+# the smallest normal float and the smallest subnormal one
+_TINY = sys.float_info.min
+_SUBNORMAL = math.ulp(0.0)
 
 
 class Phase(str, Enum):
@@ -113,7 +125,6 @@ class HartreeSolution:
     """Per-level self-consistent output."""
 
     n: int
-    xi: float
     omega: float
     sigma: float
     phase: Phase
@@ -266,38 +277,25 @@ def solve_gap(model: OscillatorModel, n: int, phase: Phase) -> float:
     if g < 0.0:
         # fn ≥ |g|ω^{k−1} − c₀ = c₀ there, near the root where |g| dominates
         w = min(w, (2.0 * c0 / -g) ** (1.0 / (k - 1)))
-    if not w < math.inf:
+    # a root below the smallest normal float keeps too few digits to be a
+    # level; the descent only lowers ω, so a start down there means one
+    if not _TINY <= w < math.inf:
         raise NonFiniteValue(f"gap start of level {n} of {model} leaves floating-point range")
     try:
         w, residual = _newton(fn, dfn, w)
     except OverflowError as exc:
         raise NonFiniteValue(
             f"gap residual of level {n} of {model} leaves floating-point range") from exc
+    if not w >= _TINY:
+        raise NonFiniteValue(f"gap root of level {n} of {model} leaves floating-point range")
     # the residual is a sum of ω^{k+1}, gω^{k−1} and c₀; rounding in the
-    # largest of them bounds how small it can get
-    tol = 1e-12 * max(1.0, w ** (k + 1), abs(g) * w ** (k - 1), c0)
+    # largest of them bounds how small it can get, and below the normal
+    # range each rounding errs by up to half the smallest subnormal
+    scale = max(w ** (k + 1), abs(g) * w ** (k - 1), c0)
+    tol = max(1e-12 * scale, 2.0 * _SUBNORMAL)
     if not abs(residual) <= tol:
         raise NonConvergence(f"gap residual {residual:.3e} above tolerance {tol:.3e}")
     return w
-
-
-def hartree_coefficients(
-    model: OscillatorModel, n: int, omega: float, sigma: float
-) -> Tuple[float, float, float]:
-    """A and B of the Hartree potential V = Aφ² − Bφ + C from the level-n
-    moments, with C fixed so that ⟨V⟩ = ⟨φ^{2k}⟩ identically."""
-    if not omega > 0.0 or not math.isfinite(omega):
-        raise DomainError(f"omega must be positive and finite, got {omega}")
-    if not math.isfinite(sigma):
-        raise DomainError(f"sigma must be finite, got {sigma}")
-    avg, d_sigma, A, _, _ = _field_averages(model.k, n, omega, sigma)
-    B = (1.0 + model.g) * sigma * omega * omega / model.lam + omega * omega * d_sigma
-    return A, B, _constant_term(n, omega, sigma, avg, A, B)
-
-
-def _constant_term(n: int, w: float, s: float, avg: float, A: float, B: float) -> float:
-    """C such that ⟨n|Aφ² − Bφ + C|n⟩ = ⟨φ^{2k}⟩ = avg, with ⟨φ²⟩ = σ² + ξ/ω."""
-    return avg - A * (s * s + _xi(n) / w) + B * s
 
 
 def zeroth_energy(model: OscillatorModel, n: int, omega: float, phase: Phase) -> float:
@@ -318,29 +316,14 @@ def ssb_sigma_squared(model: OscillatorModel, n: int, omega: float) -> float:
     return -(model.g + 12.0 * model.lam * xi / omega) / (4.0 * model.lam)
 
 
-def _finish(model, n, omega, sigma, phase, branches=None) -> HartreeSolution:
-    if phase is Phase.DWO_SSB:
-        # the configuration equation gσ + λ∂_σ⟨φ⁴⟩ = 0 reduces the general B
-        # to σω²/λ; the general form cancels two terms |g| times larger
-        avg, _, A, _, _ = _field_averages(model.k, n, omega, sigma)
-        B = sigma * omega * omega / model.lam
-        C = _constant_term(n, omega, sigma, avg, A, B)
-    else:
-        A, B, C = hartree_coefficients(model, n, omega, sigma)
+def _finish(model, n, omega, sigma, phase, energy, branches=None) -> HartreeSolution:
+    """The level's solution at its gap root (ω, σ) with energy E₀."""
+    avg, _, A, _, _ = _field_averages(model.k, n, omega, sigma)
+    B = sigma * omega * omega / model.lam
+    C = avg - A * (sigma * sigma + _xi(n) / omega) + B * sigma
     h0 = model.lam * C - 0.5 * omega * omega * sigma * sigma
-    return HartreeSolution(
-        n=n,
-        xi=_xi(n),
-        omega=omega,
-        sigma=sigma,
-        phase=phase,
-        A=A,
-        B=B,
-        C=C,
-        h0=h0,
-        energy=zeroth_energy(model, n, omega, phase),
-        branches=branches,
-    )
+    return HartreeSolution(n=n, omega=omega, sigma=sigma, phase=phase, A=A, B=B, C=C,
+                           h0=h0, energy=energy, branches=branches)
 
 
 def solve_level(model: OscillatorModel, n: int) -> HartreeSolution:
@@ -370,7 +353,8 @@ def _solve_level(model: OscillatorModel, n: int) -> HartreeSolution:
     xi = _xi(n)
     if model.g > 0.0:
         omega = solve_gap(model, n, Phase.AHO)
-        return _finish(model, n, omega, 0.0, Phase.AHO)
+        return _finish(model, n, omega, 0.0, Phase.AHO,
+                       zeroth_energy(model, n, omega, Phase.AHO))
     if model.power != 4:
         raise PhaseUnavailable(
             "negative-g spectra are provided for the quartic well only"
@@ -379,7 +363,7 @@ def _solve_level(model: OscillatorModel, n: int) -> HartreeSolution:
     w_sr = solve_gap(model, n, Phase.DWO_SR)
     e_sr = zeroth_energy(model, n, w_sr, Phase.DWO_SR)
     if model.lam > lam_c:
-        return _finish(model, n, w_sr, 0.0, Phase.DWO_SR)
+        return _finish(model, n, w_sr, 0.0, Phase.DWO_SR, e_sr)
     w_ssb = solve_gap(model, n, Phase.DWO_SSB)
     s2 = ssb_sigma_squared(model, n, w_ssb)
     if s2 <= 0.0:
@@ -393,8 +377,8 @@ def _solve_level(model: OscillatorModel, n: int) -> HartreeSolution:
     # the lower branch is the physical one; on an exact tie keep the
     # symmetry-restored branch
     if e_ssb < e_sr:
-        return _finish(model, n, w_ssb, s_ssb, Phase.DWO_SSB, branches)
-    return _finish(model, n, w_sr, 0.0, Phase.DWO_SR, branches)
+        return _finish(model, n, w_ssb, s_ssb, Phase.DWO_SSB, e_ssb, branches)
+    return _finish(model, n, w_sr, 0.0, Phase.DWO_SR, e_sr, branches)
 
 
 def general_gap_residuals(
@@ -421,14 +405,3 @@ def classical_well_depth(model: OscillatorModel) -> float:
     """Depth g²/(16λ) of the double-well minima below zero; the usual
     additive shift when quoting double-well spectra."""
     return model.g * model.g / (16.0 * model.lam)
-
-
-def potential_polynomial(A: float, B: float, C: float, mode: ladder.ModeParameters):
-    """Hartree potential V = Aφ² − Bφ + C as a ladder polynomial."""
-    from . import ladder
-
-    v = ladder.field_power(2, mode).scale(A)
-    v = v - ladder.field_power(1, mode).scale(B)
-    v = v + ladder.constant(C)
-    return v
-

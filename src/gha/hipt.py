@@ -28,8 +28,10 @@ element on the broken branch is a difference of terms of size σ^{2k} far
 larger than itself.  At σ = 0 only h₂ = −A and h_{2k} = 1 are nonzero and the
 odd offsets come out as exact zeros.  h₀ = σ^{2k} − Aσ² + Bσ − C enters the
 m = n element alone and is formed from C, so the first-order check tests C.
-`build_h_prime` forms H′ as a normal-ordered ladder polynomial instead; it
-is kept as the independent reference the tests compare the column with.
+`build_h_prime` forms H′ as a normal-ordered ladder polynomial instead, with
+V from `potential_polynomial`; the two are kept as the independent reference
+the tests compare the column with, and are the only library code that uses
+`gha.ladder`.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .hartree import (
     HartreeSolution,
     OscillatorModel,
     _field_averages,
-    potential_polynomial,
     solve_level,
 )
 
@@ -66,6 +67,16 @@ class PerturbationReport:
     delta_e2: float
     e2: float
     contributions: Tuple[Contribution, ...]
+
+
+def potential_polynomial(A: float, B: float, C: float, mode: ladder.ModeParameters):
+    """Hartree potential V = Aφ² − Bφ + C as a ladder polynomial in mode."""
+    from . import ladder
+
+    v = ladder.field_power(2, mode).scale(A)
+    v = v - ladder.field_power(1, mode).scale(B)
+    v = v + ladder.constant(C)
+    return v
 
 
 def build_h_prime(model: OscillatorModel, sol: HartreeSolution):

@@ -31,12 +31,10 @@ from gha.hartree import (
     Phase,
     classical_well_depth,
     critical_coupling,
-    hartree_coefficients,
-    potential_polynomial,
     solve_gap,
     solve_level,
 )
-from gha.hipt import build_h_prime, second_order
+from gha.hipt import build_h_prime, potential_polynomial, second_order
 from gha.ladder import ModeParameters, expectation, field_power
 from gha.oracle import converged_levels
 from gha.qft import (
@@ -346,10 +344,9 @@ def test_criterion_08_hartree_condition_suite():
         model = OscillatorModel(power=power, g=g, lam=lam)
         sol = solve_level(model, n)
         mode = ModeParameters(omega=sol.omega, sigma=sol.sigma)
-        a, b, c = hartree_coefficients(model, n, sol.omega, sol.sigma)
         # V replaces the bare phi^2k inside H_I = lam*phi^2k, so the Hartree
         # condition <lam V> = <H_I> divides through to <V> = <phi^2k>
-        v_mean = lam * expectation(potential_polynomial(a, b, c, mode), n)
+        v_mean = lam * expectation(potential_polynomial(sol.A, sol.B, sol.C, mode), n)
         hi_mean = lam * expectation(field_power(model.power, mode), n)
         worst_v = max(worst_v, abs(v_mean - hi_mean))
         worst_h = max(worst_h, abs(expectation(build_h_prime(model, sol), n)))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gha import hartree, ladder
-from gha.errors import DomainError, NonFiniteValue, PhaseUnavailable
+from gha.errors import DomainError, NonConvergence, NonFiniteValue, PhaseUnavailable
 from gha.hartree import (
     OscillatorModel,
     Phase,
@@ -15,15 +15,14 @@ from gha.hartree import (
     critical_coupling,
     gap_residual_scale,
     general_gap_residuals,
-    hartree_coefficients,
     moment,
-    potential_polynomial,
     solve_gap,
     solve_level,
     ssb_sigma_squared,
     xi_p,
     zeroth_energy,
 )
+from gha.hipt import potential_polynomial
 
 from ladder_reference import hamiltonian_polynomial
 
@@ -89,34 +88,35 @@ def test_critical_coupling_domain():
 
 
 def test_hartree_coefficients_symmetric():
-    A, B, C = hartree_coefficients(QUARTIC, 0, 2.0, 0.0)
-    assert abs(A - 1.5) < 1e-14
-    assert B == 0.0
+    sol = hartree._finish(QUARTIC, 0, 2.0, 0.0, Phase.AHO, 0.8125)
+    assert abs(sol.A - 1.5) < 1e-14
+    assert sol.B == 0.0
     # <phi^4> = A <phi^2> + C at omega=2: 3/16 = 1.5/4 + C
-    assert abs(C + 0.1875) < 1e-14
-
-
-def test_hartree_coefficients_shifted():
-    A, B, _ = hartree_coefficients(QUARTIC, 0, 1.0, 1.0)
-    assert abs(A - 9.0) < 1e-12
-    assert abs(B - 12.0) < 1e-12
+    assert abs(sol.C + 0.1875) < 1e-14
 
 
 def test_hartree_condition_defines_c():
     # <n|V|n> = <n|phi^{2k}|n> for arbitrary omega, sigma, not only at the
-    # self-consistent point
+    # self-consistent point, and for each solved level on both branches
     rng = np.random.default_rng(3)
+    cases = []
     for power in (4, 6, 8):
         m = OscillatorModel(power=power, g=1.0, lam=0.7)
         for _ in range(5):
             w = float(rng.uniform(0.3, 4.0))
             s = float(rng.uniform(-1.5, 1.5))
             n = int(rng.integers(0, 6))
-            A, B, C = hartree_coefficients(m, n, w, s)
-            mode = ladder.ModeParameters(omega=w, sigma=s)
-            v = ladder.expectation(potential_polynomial(A, B, C, mode), n)
-            h_int = ladder.expectation(ladder.field_power(power, mode), n)
-            assert abs(v - h_int) < 1e-9 * max(1.0, abs(h_int))
+            cases.append((m, hartree._finish(m, n, w, s, Phase.AHO, 0.0)))
+    for lam in (0.7, 0.05, 0.01):
+        m = OscillatorModel(power=4, g=-1.0, lam=lam)
+        cases += [(m, solve_level(m, n)) for n in range(3)]
+    assert {sol.phase for _, sol in cases} == {Phase.AHO, Phase.DWO_SR, Phase.DWO_SSB}
+    for m, sol in cases:
+        n = sol.n
+        mode = ladder.ModeParameters(omega=sol.omega, sigma=sol.sigma)
+        v = ladder.expectation(potential_polynomial(sol.A, sol.B, sol.C, mode), n)
+        h_int = ladder.expectation(ladder.field_power(m.power, mode), n)
+        assert abs(v - h_int) < 1e-9 * max(1.0, abs(h_int))
 
 
 def test_level_energies():
@@ -319,11 +319,6 @@ def test_model_validation():
     with pytest.raises(DomainError):
         solve_level(QUARTIC, -1)
     with pytest.raises(DomainError):
-        hartree_coefficients(QUARTIC, 0, -1.0, 0.0)
-    for w, s in ((math.inf, 0.0), (1.0, math.nan), (1.0, math.inf)):
-        with pytest.raises(DomainError):
-            hartree_coefficients(QUARTIC, 0, w, s)
-    with pytest.raises(DomainError):
         moment(1, -1)
 
 
@@ -332,6 +327,31 @@ def test_overflow_is_a_typed_error_naming_the_model():
     model = OscillatorModel(power=4, g=-1.0, lam=1e-300)
     with pytest.raises(NonFiniteValue, match=r"OscillatorModel\(power=4, g=-1.0, lam=1e-300\)"):
         solve_level(model, 0)
+
+
+@pytest.mark.parametrize("g, lam, n", [
+    # the root underflows to 0.0
+    (-1.7426264624882977e55, 1.9574360759863343e-306, 2),
+    # the root is the subnormal 8.23e-317, its residual 1.4e-8 of its terms
+    (-4.750424056133419e162, 1.1754133192628986e-155, 5),
+])
+def test_gap_root_below_normal_range_is_non_finite(g, lam, n):
+    model = OscillatorModel(power=4, g=g, lam=lam)
+    with pytest.raises(NonFiniteValue, match="leaves floating-point range"):
+        solve_gap(model, n, Phase.DWO_SR)
+    with pytest.raises(NonFiniteValue):
+        solve_level(model, n)
+
+
+def test_gap_check_rejects_an_unmoved_start(monkeypatch):
+    # every term of this gap is far below 1; the start 9.0e-27 is twice the
+    # root 4.5e-27, and its residual c₀ ≈ 9.6e-30 is wrong at the scale of
+    # the terms, though below an absolute 1e-12
+    model = OscillatorModel(power=4, g=-2.110974189309853e-3, lam=1.5963222272433442e-30)
+    assert solve_gap(model, 0, Phase.DWO_SR) == pytest.approx(4.5e-27, rel=0.01)
+    monkeypatch.setattr(hartree, "_newton", lambda fn, dfn, w, floor=0.0: (w, fn(w)))
+    with pytest.raises(NonConvergence, match="gap residual"):
+        solve_gap(model, 0, Phase.DWO_SR)
 
 
 # Hand-expanded per-power formulas, kept as the reference for the moment
@@ -361,25 +381,6 @@ def reference_a(power, xi, w, s):
         105.0 * s**4 * (4.0 * xi * xi + 1.0) / (2.0 * xi * w),
         105.0 / (2.0 * w * w) * s * s * (4.0 * xi * xi + 5.0),
         35.0 * _h(xi) / (2.0 * w**3),
-    ]
-
-
-def reference_b(power, g, lam, xi, w, s):
-    if power == 4:
-        return [(1.0 + g) * s * w * w / lam, 4.0 * w * w * s**3, 12.0 * w * s * xi]
-    if power == 6:
-        return [
-            s * (1.0 + g) * w * w / lam,
-            s * 6.0 * w * w * s**4,
-            s * 60.0 * s * s * xi * w,
-            s * 11.25 * (4.0 * xi * xi + 1.0),
-        ]
-    return [
-        s * (1.0 + g) * w * w / lam,
-        s * 8.0 * w * w * s**6,
-        s * 168.0 * s**4 * xi * w,
-        s * 105.0 * s * s * (4.0 * xi * xi + 1.0),
-        s * 35.0 * xi * (4.0 * xi * xi + 5.0) / w,
     ]
 
 
@@ -458,22 +459,22 @@ def test_moment_core_reproduces_closed_forms(power):
         n = int(rng.integers(0, 41))
         xi = n + 0.5
         m = OscillatorModel(power=power, g=g, lam=lam)
-        A, B, C = hartree_coefficients(m, n, w, s)
+        phase = Phase.AHO if g > 0 else Phase.DWO_SR
+        sol = hartree._finish(m, n, w, s, phase, 0.0)
         a_terms = reference_a(power, xi, w, s)
-        b_terms = reference_b(power, g, lam, xi, w, s)
-        assert_matches_terms(A, a_terms)
-        assert_matches_terms(B, b_terms)
+        assert_matches_terms(sol.A, a_terms)
+        # B = σω²/λ, from completing the square in H₀
+        assert sol.B == s * w * w / lam
         mode = ladder.ModeParameters(omega=w, sigma=s)
         avg = ladder.expectation(ladder.field_power(power, mode), n)
         avg_phi2 = s * s + xi / w
-        c_terms = [avg, -math.fsum(a_terms) * avg_phi2, math.fsum(b_terms) * s]
-        assert_matches_terms(C, c_terms)
+        c_terms = [avg, -math.fsum(a_terms) * avg_phi2, s * w * w / lam * s]
+        assert_matches_terms(sol.C, c_terms)
 
         gap, config = general_gap_residuals(m, n, w, s)
         assert_matches_terms(gap, reference_gap(power, g, lam, xi, w, s))
         assert_matches_terms(config, reference_bracket(power, g, lam, xi, w, s))
 
-        phase = Phase.AHO if g > 0 else Phase.DWO_SR
         fn, dfn, _ = _gap_poly(m, n, phase)
         assert_matches_terms(fn(w), reference_gap(power, g, lam, xi, w, 0.0))
         assert_matches_terms(dfn(w), reference_gap_derivative(power, g, w))
@@ -560,15 +561,14 @@ def test_broken_branch_at_the_double_root():
 
 
 def test_broken_branch_b_keeps_its_digits():
-    # B = (1+g)σω²/λ + ω²∂_σ⟨φ⁴⟩ cancels two terms |g| times larger than
-    # σω²/λ, which the configuration equation makes it equal to
+    # B = σω²/λ moves by rounding alone when ω moves by one ulp; forms that
+    # lean on the configuration equation, (1+g)σω²/λ + ω²∂_σ⟨φ⁴⟩, cancel two
+    # terms |g| times larger than B and move by about |g| ulps
     m = OscillatorModel(power=4, g=-8.6e5, lam=1.4e-5)
     n = 19
     sol = solve_level(m, n)
     assert sol.phase is Phase.DWO_SSB
     for direction in (math.inf, -math.inf):
         moved = hartree._finish(m, n, math.nextafter(sol.omega, direction),
-                                sol.sigma, sol.phase)
+                                sol.sigma, sol.phase, sol.energy)
         assert abs(moved.B - sol.B) <= 1e-14 * abs(sol.B)
-    _, general, _ = hartree_coefficients(m, n, sol.omega, sol.sigma)
-    assert abs(general - sol.B) <= 1e-15 * abs(m.g) * abs(sol.B)

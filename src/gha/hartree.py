@@ -32,31 +32,34 @@ For the quartic double well a broken-symmetry branch with σ² =
 −(g + 12λξ/ω)/(4λ) exists for λ ≤ λ_c(ξ, g); its frequency satisfies the
 cubic ω³ + 2gω + 6λ p(ξ) = 0 with p(ξ) = 5ξ − 1/(4ξ) and is given in closed
 form by ω = 2√(−2g/3) cos[π/6 + ⅓ arcsin(λ/λ_c)].  There σ solves the
-configuration equation gσ + λ∂_σ⟨φ⁴⟩ = 0.
+configuration equation gσ + λ∂_σ⟨φ⁴⟩ = 0.  The cubic is the σ = 0 gap
+polynomial below with k = 2 at g′ = −2g and c₀′ = −6λp(ξ), and its level
+energy is the same formula at g′, less the well depth g²/(16λ).
 
 On every branch the level's coefficients follow from completing the square
 in H₀: ω² = g + 2λA and σ = λB/ω², so B = σω²/λ, and C makes ⟨V⟩ = ⟨φ^{2k}⟩
 with ⟨φ²⟩ = σ² + ξ/ω.
 
-The σ = 0 gap residual f(ω) = ω^{k+1} − gω^{k−1} − c₀, c₀ = 2kλc_k(n)/ξ > 0,
-is solved by Newton descent from ω₀ = max(√(2·max(g, 0)), (2c₀)^{1/(k+1)}).
-There f(ω₀) ≥ 0: ω₀² ≥ 2g gives ω₀^{k−1}(ω₀² − g) ≥ ω₀^{k+1}/2 ≥ c₀.  Since
-c₀ > 0 the root has ω² > g, and on [root, ∞) both f′ = ω^{k−2}[(k+1)ω² −
-(k−1)g] and f″ = ω^{k−3}[k(k+1)ω² − (k−1)(k−2)g] are positive.  On an
-increasing convex function every Newton step from above lands between the
-root and the current point, so the iterates fall monotonically onto the root
-and stop when rounding no longer lets a step decrease ω.  For g < 0 the
-descent starts at min(ω₀, (2c₀/|g|)^{1/(k−1)}): there f ≥ ω^{k−1}|g| − c₀ =
-c₀ > 0 as well, f is increasing and convex on all of ω > 0, and where |g|
-dominates this start lies within a factor 2^{1/(k−1)} of the root, whereas
-from ω₀ the first step can round to ω ≤ 0.  A start or a residual that
-leaves floating-point range, or a root below the smallest normal float,
-raises `NonFiniteValue`.  The root's residual must be at most 1e-12 times
-the largest of ω^{k+1}, |g|ω^{k−1} and c₀, or twice the smallest subnormal
-where that product underflows; there is no absolute floor.  The broken
-branch descends the same way from just above its closed form; its cubic is
-convex and increasing above √(−2g/3), below which its largest root never
-lies.
+Every branch solves f(ω) = ω^{k+1} − gω^{k−1} − c₀ by one Newton descent
+onto its largest root, from a start where f is nonnegative, increasing and
+convex.  At σ = 0, c₀ = 2kλc_k(n)/ξ > 0 and the start is ω₀ =
+max(√(2·max(g, 0)), (2c₀)^{1/(k+1)}).  There f(ω₀) ≥ 0: ω₀² ≥ 2g gives
+ω₀^{k−1}(ω₀² − g) ≥ ω₀^{k+1}/2 ≥ c₀.  Since c₀ > 0 the root has ω² > g, and
+on [root, ∞) both f′ = ω^{k−2}[(k+1)ω² − (k−1)g] and f″ = ω^{k−3}[k(k+1)ω² −
+(k−1)(k−2)g] are positive.  On an increasing convex function every Newton
+step from above lands between the root and the current point, so the iterates
+fall monotonically onto the root and stop when rounding no longer lets a step
+decrease ω.  For g < 0 the descent starts at min(ω₀, (2c₀/|g|)^{1/(k−1)}):
+there f ≥ ω^{k−1}|g| − c₀ = c₀ > 0 as well, f is increasing and convex on all
+of ω > 0, and where |g| dominates this start lies within a factor 2^{1/(k−1)}
+of the root, whereas from ω₀ the first step can round to ω ≤ 0.  The broken
+branch starts just above its closed form, and its descent stays above
+√(g′/3), where f′ = 3ω² − g′ vanishes and below which its largest root never
+lies.  A start or a residual that leaves floating-point range, or a start or
+root whose ω^{k−1} falls below the smallest normal float, raises
+`NonFiniteValue`.  The root's residual must be at most 1e-12 times the
+largest of ω^{k+1}, |g|ω^{k−1} and |c₀|, or twice the smallest subnormal
+where that product underflows; there is no absolute floor.
 
 `solve_level` memoizes each level's solution on the model instance, so the
 second-order sums, the table columns and the oracle's basis frequency share
@@ -201,43 +204,31 @@ def critical_coupling(xi: float, g: float) -> float:
         raise NonFiniteValue(f"lambda_c at g={g} leaves floating-point range") from exc
 
 
-def _gap_poly(model: OscillatorModel, n: int, phase: Phase):
-    """Residual polynomial, derivative, and constant-term scale for the phase."""
-    xi, g, lam = _xi(n), model.g, model.lam
+def _gap_poly(model: OscillatorModel, n: int, phase: Phase) -> Tuple[int, float, float]:
+    """(k, g, c₀) of the phase's gap residual f(ω) = ω^{k+1} − gω^{k−1} − c₀.
+
+    The broken branch's cubic ω³ + 2gω + 6λp(ξ) is the k = 2 case at
+    (−2g, −6λp(ξ)).
+    """
+    xi, lam = _xi(n), model.lam
     if phase is Phase.DWO_SSB:
-        c0 = 6.0 * lam * xi_p(xi)
-
-        def fn(w):
-            return w**3 + 2.0 * g * w + c0
-
-        def dfn(w):
-            return 3.0 * w * w + 2.0 * g
-
-        return fn, dfn, c0
+        return 2, -2.0 * model.g, -6.0 * lam * xi_p(xi)
     k = model.k
-    c0 = 2 * k * lam * moment(k, n) / xi
-
-    def fn(w):
-        return w ** (k + 1) - g * w ** (k - 1) - c0
-
-    def dfn(w):
-        return (k + 1) * w**k - (k - 1) * g * w ** (k - 2)
-
-    return fn, dfn, c0
+    return k, model.g, 2 * k * lam * moment(k, n) / xi
 
 
-def _newton(fn, dfn, w: float, floor: float = 0.0) -> Tuple[float, float]:
-    """Newton descent onto the root of fn from w at or above it; the last
-    iterate and fn there.
+def _newton(k: int, g: float, c0: float, w: float, floor: float) -> Tuple[float, float]:
+    """Newton descent onto the root of f(ω) = ω^{k+1} − gω^{k−1} − c₀ from
+    w at or above it; the last iterate and f there.
 
-    fn must be increasing and convex on (floor, w] with its root in there,
+    f must be increasing and convex on (floor, w] with its root in there,
     so every step lands between the root and the current point; the descent
     ends when rounding stops a step from decreasing w or keeping it above
     floor.
     """
     for _ in range(_NEWTON_STEPS):
-        f = fn(w)
-        w2 = w - f / dfn(w)
+        f = w ** (k + 1) - g * w ** (k - 1) - c0
+        w2 = w - f / ((k + 1) * w**k - (k - 1) * g * w ** (k - 2))
         if not floor < w2 < w:
             return w, f
         w = w2
@@ -252,7 +243,7 @@ def solve_gap(model: OscillatorModel, n: int, phase: Phase) -> float:
         raise PhaseUnavailable("AHO phase requires g > 0")
     if phase in (Phase.DWO_SR, Phase.DWO_SSB) and model.g > 0.0:
         raise PhaseUnavailable("DWO phases require g < 0")
-    fn, dfn, c0 = _gap_poly(model, n, phase)
+    k, g, c0 = _gap_poly(model, n, phase)
     if phase is Phase.DWO_SSB:
         if model.power != 4:
             raise PhaseUnavailable("broken-symmetry branch is quartic-only here")
@@ -263,35 +254,35 @@ def solve_gap(model: OscillatorModel, n: int, phase: Phase) -> float:
             )
         # closed form, exact up to rounding; the descent starts just above
         # it, whichever side of the root rounding put it on, and stays above
-        # the cubic's minimum at √(−2g/3), where the root merges with the
-        # next one at λ = λ_c
-        floor = math.sqrt(-2.0 * model.g / 3.0)
+        # the cubic's minimum at √(g′/3) = √(−2g/3), where the root merges
+        # with the next one at λ = λ_c
+        floor = math.sqrt(g / 3.0)
         w = 2.0 * floor * math.cos(
-            math.pi / 6.0 + math.asin(min(1.0, model.lam / lam_c)) / 3.0)
-        return _newton(fn, dfn, w * (1.0 + 1e-6), floor)[0]
-    if not c0 > 0.0:
-        raise NoPhysicalRoot(f"gap constant term {c0} leaves no positive root")
-    k, g = model.k, model.g
-    # fn(w₀) ≥ 0: w₀² ≥ 2g halves ω^{k+1} at worst, and w₀^{k+1} ≥ 2c₀
-    w = max(math.sqrt(2.0 * max(g, 0.0)), (2.0 * c0) ** (1.0 / (k + 1)))
-    if g < 0.0:
-        # fn ≥ |g|ω^{k−1} − c₀ = c₀ there, near the root where |g| dominates
-        w = min(w, (2.0 * c0 / -g) ** (1.0 / (k - 1)))
-    # a root below the smallest normal float keeps too few digits to be a
-    # level; the descent only lowers ω, so a start down there means one
-    if not _TINY <= w < math.inf:
-        raise NonFiniteValue(f"gap start of level {n} of {model} leaves floating-point range")
+            math.pi / 6.0 + math.asin(min(1.0, model.lam / lam_c)) / 3.0) * (1.0 + 1e-6)
+    else:
+        # f(w₀) ≥ 0: w₀² ≥ 2g halves ω^{k+1} at worst, and w₀^{k+1} ≥ 2c₀
+        floor = 0.0
+        w = max(math.sqrt(2.0 * max(g, 0.0)), (2.0 * c0) ** (1.0 / (k + 1)))
+        if g < 0.0:
+            # f ≥ |g|ω^{k−1} − c₀ = c₀ there, near the root where |g| dominates
+            w = min(w, (2.0 * c0 / -g) ** (1.0 / (k - 1)))
     try:
-        w, residual = _newton(fn, dfn, w)
+        # a level whose ω^{k−1} is below the smallest normal float keeps too
+        # few digits in gω^{k−1}; the descent only lowers ω, so a start down
+        # there means a root down there.  ω^{k−1} itself can overflow here
+        if not (w < math.inf and w ** (k - 1) >= _TINY):
+            raise NonFiniteValue(
+                f"gap start of level {n} of {model} leaves floating-point range")
+        w, residual = _newton(k, g, c0, w, floor)
     except OverflowError as exc:
         raise NonFiniteValue(
             f"gap residual of level {n} of {model} leaves floating-point range") from exc
-    if not w >= _TINY:
+    if not w ** (k - 1) >= _TINY:
         raise NonFiniteValue(f"gap root of level {n} of {model} leaves floating-point range")
     # the residual is a sum of ω^{k+1}, gω^{k−1} and c₀; rounding in the
     # largest of them bounds how small it can get, and below the normal
     # range each rounding errs by up to half the smallest subnormal
-    scale = max(w ** (k + 1), abs(g) * w ** (k - 1), c0)
+    scale = max(w ** (k + 1), abs(g) * w ** (k - 1), abs(c0))
     tol = max(1e-12 * scale, 2.0 * _SUBNORMAL)
     if not abs(residual) <= tol:
         raise NonConvergence(f"gap residual {residual:.3e} above tolerance {tol:.3e}")
@@ -299,15 +290,16 @@ def solve_gap(model: OscillatorModel, n: int, phase: Phase) -> float:
 
 
 def zeroth_energy(model: OscillatorModel, n: int, omega: float, phase: Phase) -> float:
-    """Closed-form level energy of the Hartree Hamiltonian H₀."""
-    xi = _xi(n)
-    g, w, k = model.g, omega, model.k
-    phase = Phase(phase)
-    if phase is Phase.DWO_SSB:
+    """Closed-form level energy ξ[(k+1)ω + (k−1)g/ω]/(2k) of the Hartree
+    Hamiltonian H₀; on the broken branch at the cubic's (k, g) = (2, −2g) and
+    measured from the bottom of the wells."""
+    xi, k, g = _xi(n), model.k, model.g
+    depth = 0.0
+    if Phase(phase) is Phase.DWO_SSB:
         if model.power != 4:
             raise PhaseUnavailable("broken-symmetry energies are quartic-only here")
-        return 0.25 * xi * (3.0 * w - 2.0 * g / w) - g * g / (16.0 * model.lam)
-    return xi * ((k + 1) * w + (k - 1) * g / w) / (2 * k)
+        g, depth = -2.0 * g, classical_well_depth(model)
+    return xi * ((k + 1) * omega + (k - 1) * g / omega) / (2 * k) - depth
 
 
 def ssb_sigma_squared(model: OscillatorModel, n: int, omega: float) -> float:
@@ -397,8 +389,7 @@ def general_gap_residuals(
 def gap_residual_scale(model: OscillatorModel, n: int, phase: Phase) -> float:
     """Natural magnitude of the gap polynomial's constant term, used to judge
     residual smallness without pretending float64 can do better than eps."""
-    _, _, c0 = _gap_poly(model, n, Phase(phase))
-    return max(1.0, abs(c0))
+    return max(1.0, abs(_gap_poly(model, n, Phase(phase))[2]))
 
 
 def classical_well_depth(model: OscillatorModel) -> float:

@@ -27,7 +27,9 @@ for the quartic, by the configuration equation) come from the moment loop of
 element on the broken branch is a difference of terms of size σ^{2k} far
 larger than itself.  At σ = 0 only h₂ = −A and h_{2k} = 1 are nonzero and the
 odd offsets come out as exact zeros.  h₀ = σ^{2k} − Aσ² + Bσ − C enters the
-m = n element alone and is formed from C, so the first-order check tests C.
+m = n element alone and is formed from C, so the first-order check tests C;
+it holds ⟨n|H′|n⟩ to 1e-9 of the largest of ⟨φ^{2k}⟩, |A⟨φ²⟩|, |Bσ| and
+|C|, the scale of its own terms at every λ.
 `build_h_prime` forms H′ as a normal-ordered ladder polynomial instead, with
 V from `potential_polynomial`; the two are kept as the independent reference
 the tests compare the column with, and are the only library code that uses
@@ -132,13 +134,16 @@ def second_order(
     sol = solve_level(model, n)
     column = h_prime_column(model, sol, n)
 
-    # first-order term is zero by construction of C; checked, never added
-    diag = model.lam * column[n]
-    bound = 1e-9 * max(1.0, abs(sol.energy))
-    if not abs(diag) <= bound:
-        raise NonConvergence(
-            f"first-order term {diag:.3e} of level {n} exceeds {bound:.3e}"
-        )
+    # the first-order term λ⟨n|H′|n⟩ is zero by construction of C; checked,
+    # never added.  ⟨n|H′|n⟩ = ⟨φ^{2k}⟩ − A⟨φ²⟩ + Bσ − C is held to 1e-9 of
+    # its largest term, with ⟨φ^{2k}⟩ = C + A⟨φ²⟩ − Bσ as C states it
+    s = sol.sigma
+    a_phi2 = sol.A * (s * s + (n + 0.5) / sol.omega)
+    b_sigma = sol.B * s
+    bound = 1e-9 * max(abs(sol.C + a_phi2 - b_sigma), abs(a_phi2), abs(b_sigma), abs(sol.C))
+    if not abs(column[n]) <= bound:
+        raise NonConvergence(f"first-order term {model.lam * column[n]:.3e} of level {n}"
+                             f" exceeds {model.lam * bound:.3e}")
 
     raw = []
     for m, element in column.items():

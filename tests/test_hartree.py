@@ -343,15 +343,36 @@ def test_gap_root_below_normal_range_is_non_finite(g, lam, n):
         solve_level(model, n)
 
 
+@pytest.mark.parametrize("power, g, lam, n, phase", [
+    # ω² ≈ 7.0e-314 at the start 2.6e-157: the residual check failed on a
+    # root that had lost its digits
+    (6, -1.9131896110902806e34, 2.1050516422410636e-283, 14, Phase.DWO_SR),
+    # ω³ ≈ 4.2e-318 at the start 1.6e-106: the descent spent all its steps
+    (8, -5.233714652376457e246, 2.9074180988384645e-75, 4, Phase.DWO_SR),
+    # −2g overflows, and the broken branch returned ω = inf unchecked
+    (4, -1e308, 1e-300, 0, Phase.DWO_SSB),
+])
+def test_gap_start_out_of_range_is_non_finite(power, g, lam, n, phase):
+    with pytest.raises(NonFiniteValue, match="gap start"):
+        solve_gap(OscillatorModel(power=power, g=g, lam=lam), n, phase)
+
+
 def test_gap_check_rejects_an_unmoved_start(monkeypatch):
-    # every term of this gap is far below 1; the start 9.0e-27 is twice the
-    # root 4.5e-27, and its residual c₀ ≈ 9.6e-30 is wrong at the scale of
-    # the terms, though below an absolute 1e-12
-    model = OscillatorModel(power=4, g=-2.110974189309853e-3, lam=1.5963222272433442e-30)
-    assert solve_gap(model, 0, Phase.DWO_SR) == pytest.approx(4.5e-27, rel=0.01)
-    monkeypatch.setattr(hartree, "_newton", lambda fn, dfn, w, floor=0.0: (w, fn(w)))
-    with pytest.raises(NonConvergence, match="gap residual"):
-        solve_gap(model, 0, Phase.DWO_SR)
+    cases = [
+        # every term of this gap is far below 1; the start 9.0e-27 is twice
+        # the root 4.5e-27, and its residual c₀ ≈ 9.6e-30 is wrong at the
+        # scale of the terms, though below an absolute 1e-12
+        (-2.110974189309853e-3, 1.5963222272433442e-30, Phase.DWO_SR, 4.5e-27),
+        # the broken branch starts 1e-6 above its closed form, far from λ_c
+        (-1.0, 0.01, Phase.DWO_SSB, 1.3832),
+    ]
+    for g, lam, phase, root in cases:
+        assert solve_gap(OscillatorModel(4, g, lam), 0, phase) == pytest.approx(root, rel=0.01)
+    monkeypatch.setattr(hartree, "_newton", lambda k, g, c0, w, floor:
+                        (w, w ** (k + 1) - g * w ** (k - 1) - c0))
+    for g, lam, phase, _ in cases:
+        with pytest.raises(NonConvergence, match="gap residual"):
+            solve_gap(OscillatorModel(4, g, lam), 0, phase)
 
 
 # Hand-expanded per-power formulas, kept as the reference for the moment
@@ -475,11 +496,25 @@ def test_moment_core_reproduces_closed_forms(power):
         assert_matches_terms(gap, reference_gap(power, g, lam, xi, w, s))
         assert_matches_terms(config, reference_bracket(power, g, lam, xi, w, s))
 
-        fn, dfn, _ = _gap_poly(m, n, phase)
-        assert_matches_terms(fn(w), reference_gap(power, g, lam, xi, w, 0.0))
-        assert_matches_terms(dfn(w), reference_gap_derivative(power, g, w))
+        k, g_gap, c0 = _gap_poly(m, n, phase)
+        assert (k, g_gap) == (power // 2, g)
+        assert_matches_terms(w ** (k + 1) - g_gap * w ** (k - 1) - c0,
+                             reference_gap(power, g, lam, xi, w, 0.0))
+        assert_matches_terms((k + 1) * w**k - (k - 1) * g_gap * w ** (k - 2),
+                             reference_gap_derivative(power, g, w))
         energy = zeroth_energy(m, n, w, phase)
         assert_matches_terms(energy, reference_energy(power, g, xi, w))
+        if power == 4 and g < 0:
+            # the broken branch's cubic ω³ + 2gω + 6λp(ξ) and its energy,
+            # measured from the bottom of the wells
+            k, g_gap, c0 = _gap_poly(m, n, Phase.DWO_SSB)
+            assert (k, g_gap, c0) == (2, -2.0 * g, -6.0 * lam * xi_p(xi))
+            assert_matches_terms(w**3 - g_gap * w - c0,
+                                 [w**3, 2.0 * g * w, 6.0 * lam * xi_p(xi)])
+            assert_matches_terms(3 * w**2 - g_gap, [3.0 * w * w, 2.0 * g])
+            energy = zeroth_energy(m, n, w, Phase.DWO_SSB)
+            assert_matches_terms(energy, [0.75 * xi * w, -0.5 * xi * g / w,
+                                          -g * g / (16.0 * lam)])
 
 
 def test_moments_match_ladder_algebra():

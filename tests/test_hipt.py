@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 
 import mpmath as mp
 import pytest
@@ -222,6 +223,22 @@ def test_nonzero_first_order_term_raises(monkeypatch):
     monkeypatch.setattr(hipt, "h_prime_column", shifted)
     with pytest.raises(NonConvergence, match="first-order term 1.000e-03"):
         second_order(QUARTIC, 0)
+
+
+def test_first_order_check_holds_at_tiny_coupling(monkeypatch):
+    # at λ = 1e-30 a C wrong by 1e-6 of itself leaves λ⟨0|H′|0⟩ ≈ 1e-36,
+    # far below an absolute 1e-9 but not below the scale of its terms
+    model = OscillatorModel(power=4, g=1.0, lam=1e-30)
+    second_order(model, 0)
+    real = hipt.solve_level
+
+    def wrong_c(model, n):
+        sol = real(model, n)
+        return replace(sol, C=sol.C * (1.0 + 1e-6)) if n == 0 else sol
+
+    monkeypatch.setattr(hipt, "solve_level", wrong_c)
+    with pytest.raises(NonConvergence, match="first-order term"):
+        second_order(model, 0)
 
 
 def test_first_order_check_survives_optimized_mode():

@@ -14,6 +14,7 @@ from gha.hartree import (
     HartreeSolution,
     OscillatorModel,
     Phase,
+    critical_coupling,
     gap_residual_scale,
     general_gap_residuals,
     moment,
@@ -161,6 +162,28 @@ def test_double_well_branches_at_tiny_coupling(lg, ll, n):
                 root = _largest_cubic_root(-mp.mpf(g), -mp.mpf(c0))
                 cond = 1.0
             assert abs(w / root - 1) <= 1e-15 * cond, (phase, w, root)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=-20.0, max_value=40.0, allow_nan=False),
+       st.floats(min_value=-16.0, max_value=-1.0, allow_nan=False), levels)
+def test_broken_branch_near_the_critical_coupling(lg, lu, n):
+    # λ = λ_c(1 − 10^u): as u falls the cubic's two largest roots merge at
+    # √(−2g/3), where f′ vanishes and float64 fixes the root to about √ε
+    g, xi = -(10.0**lg), n + 0.5
+    model = OscillatorModel(power=4, g=g, lam=critical_coupling(xi, g) * (1.0 - 10.0**lu))
+    w = solve_gap(model, n, Phase.DWO_SSB)
+    c0 = 6.0 * model.lam * xi_p(xi)
+    scale = max(w**3, -2.0 * g * w, c0)
+    assert abs(w**3 + 2.0 * g * w + c0) <= 1e-12 * scale
+    # a residual εS, ε = 1e-15 for rounding in the float cubic, moves a
+    # simple root by εS/(ω|f′|) relative, and a double one by √(εS/(3ω³))
+    fp = abs(3.0 * w * w + 2.0 * g)
+    tol = min(1e-15 * scale / (w * fp) if fp else math.inf,
+              math.sqrt(1e-15 * scale / (3.0 * w**3)))
+    with mp.workdps(50):
+        root = mp.re(_largest_cubic_root(2 * mp.mpf(g), c0))
+        assert abs(w / root - 1) <= max(1e-15, tol), (w, root)
 
 
 def test_levels_are_finite_or_a_typed_error():

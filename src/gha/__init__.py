@@ -20,8 +20,8 @@ __version__ = "0.1.0"
 
 # home module of every public name
 _HOMES = {
-    "errors": ("BudgetExceeded", "DomainError", "GhaError", "NoPhysicalRoot",
-               "NonConvergence", "NonFiniteValue", "PhaseUnavailable"),
+    "errors": ("BudgetExceeded", "DomainError", "GhaError", "NonConvergence",
+               "NonFiniteValue", "PhaseUnavailable"),
     "hartree": ("BranchInfo", "HartreeSolution", "OscillatorModel", "Phase",
                 "classical_well_depth", "critical_coupling",
                 "general_gap_residuals", "solve_gap", "solve_level",

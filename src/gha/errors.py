@@ -9,10 +9,6 @@ class DomainError(GhaError, ValueError):
     """An argument lies outside the mathematical domain of the operation."""
 
 
-class NoPhysicalRoot(GhaError, ArithmeticError):
-    """A gap equation has no positive real root in the searched range."""
-
-
 class PhaseUnavailable(GhaError):
     """The requested quantum phase does not exist for these parameters."""
 

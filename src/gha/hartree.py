@@ -34,7 +34,12 @@ cubic ω³ + 2gω + 6λ p(ξ) = 0 with p(ξ) = 5ξ − 1/(4ξ) and is given in c
 form by ω = 2√(−2g/3) cos[π/6 + ⅓ arcsin(λ/λ_c)].  There σ solves the
 configuration equation gσ + λ∂_σ⟨φ⁴⟩ = 0.  The cubic is the σ = 0 gap
 polynomial below with k = 2 at g′ = −2g and c₀′ = −6λp(ξ), and its level
-energy is the same formula at g′, less the well depth g²/(16λ).
+energy is the same formula at g′, less the well depth g²/(16λ).  Its σ² is
+always positive: the root has ω² ≥ −2g/3 and λ ≤ λ_c, so g + 12λξ/ω ≤
+g(1 − 8ξ/(3p(ξ))) ≤ g/3 < 0, and once the root's residual is finite so are
+g′ω, 12λ and 12λξ.  Below λ_c a level has both branches, and the lower
+energy is the physical one; on an exact tie, or a NaN, the
+symmetry-restored branch is kept.
 
 On every branch the level's coefficients follow from completing the square
 in H₀: ω² = g + 2λA and σ = λB/ω², so B = σω²/λ, and C makes ⟨V⟩ = ⟨φ^{2k}⟩
@@ -55,11 +60,12 @@ of ω > 0, and where |g| dominates this start lies within a factor 2^{1/(k−1)}
 of the root, whereas from ω₀ the first step can round to ω ≤ 0.  The broken
 branch starts just above its closed form, and its descent stays above
 √(g′/3), where f′ = 3ω² − g′ vanishes and below which its largest root never
-lies.  A start or a residual that leaves floating-point range, or a start or
-root whose ω^{k−1} falls below the smallest normal float, raises
-`NonFiniteValue`.  The root's residual must be at most 1e-12 times the
-largest of ω^{k+1}, |g|ω^{k−1} and |c₀|, or twice the smallest subnormal
-where that product underflows; there is no absolute floor.
+lies.  One range rule holds at the root: ω^{k−1} and the largest gap term
+max(ω^{k+1}, |g|ω^{k−1}, |c₀|) must both be finite normal floats, or the solve
+raises `NonFiniteValue`, as it does for a start that is not finite or whose
+ω^{k−1} is below the smallest normal float, and for a residual that
+overflows.  The root's residual must then be at most 1e-12 times that
+largest term, with no absolute floor and no subnormal one.
 
 `solve_level` memoizes each level's solution on the model instance, so the
 second-order sums, the table columns and the oracle's basis frequency share
@@ -74,16 +80,14 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Tuple
 
-from .errors import (DomainError, NoPhysicalRoot, NonConvergence,
-                     NonFiniteValue, PhaseUnavailable)
+from .errors import DomainError, NonConvergence, NonFiniteValue, PhaseUnavailable
 
 # Newton descends monotonically from its start and settles in under ten
 # steps on the σ = 0 gap; near λ_c the broken branch's double root slows it
 _NEWTON_STEPS = 100
 
-# the smallest normal float and the smallest subnormal one
+# the smallest normal float
 _TINY = sys.float_info.min
-_SUBNORMAL = math.ulp(0.0)
 
 
 class Phase(str, Enum):
@@ -277,13 +281,13 @@ def solve_gap(model: OscillatorModel, n: int, phase: Phase) -> float:
     except OverflowError as exc:
         raise NonFiniteValue(
             f"gap residual of level {n} of {model} leaves floating-point range") from exc
-    if not w ** (k - 1) >= _TINY:
-        raise NonFiniteValue(f"gap root of level {n} of {model} leaves floating-point range")
-    # the residual is a sum of ω^{k+1}, gω^{k−1} and c₀; rounding in the
-    # largest of them bounds how small it can get, and below the normal
-    # range each rounding errs by up to half the smallest subnormal
+    # the residual is a sum of ω^{k+1}, gω^{k−1} and c₀, and rounding in the
+    # largest of them bounds how small it can get; that term must be a
+    # finite normal float, or its rounding is no longer relative
     scale = max(w ** (k + 1), abs(g) * w ** (k - 1), abs(c0))
-    tol = max(1e-12 * scale, 2.0 * _SUBNORMAL)
+    if not (w ** (k - 1) >= _TINY and _TINY <= scale < math.inf):
+        raise NonFiniteValue(f"gap root of level {n} of {model} leaves floating-point range")
+    tol = 1e-12 * scale
     if not abs(residual) <= tol:
         raise NonConvergence(f"gap residual {residual:.3e} above tolerance {tol:.3e}")
     return w
@@ -341,36 +345,34 @@ def solve_level(model: OscillatorModel, n: int) -> HartreeSolution:
     return sol
 
 
+def _branch(model: OscillatorModel, n: int, phase: Phase) -> Tuple[float, float, Phase, float]:
+    """(ω, σ, phase, E₀) of one branch of level n, in `_finish`'s order.
+
+    The broken branch takes σ = +√σ², and σ² is positive wherever its gap
+    solves (see the module docstring); the two wells are degenerate, so the
+    sign is not physical.
+    """
+    omega = solve_gap(model, n, phase)
+    sigma = math.sqrt(ssb_sigma_squared(model, n, omega)) if phase is Phase.DWO_SSB else 0.0
+    return omega, sigma, phase, zeroth_energy(model, n, omega, phase)
+
+
 def _solve_level(model: OscillatorModel, n: int) -> HartreeSolution:
-    xi = _xi(n)
     if model.g > 0.0:
-        omega = solve_gap(model, n, Phase.AHO)
-        return _finish(model, n, omega, 0.0, Phase.AHO,
-                       zeroth_energy(model, n, omega, Phase.AHO))
+        return _finish(model, n, *_branch(model, n, Phase.AHO))
     if model.power != 4:
         raise PhaseUnavailable(
             "negative-g spectra are provided for the quartic well only"
         )
-    lam_c = critical_coupling(xi, model.g)
-    w_sr = solve_gap(model, n, Phase.DWO_SR)
-    e_sr = zeroth_energy(model, n, w_sr, Phase.DWO_SR)
+    lam_c = critical_coupling(_xi(n), model.g)
+    sr = _branch(model, n, Phase.DWO_SR)
     if model.lam > lam_c:
-        return _finish(model, n, w_sr, 0.0, Phase.DWO_SR, e_sr)
-    w_ssb = solve_gap(model, n, Phase.DWO_SSB)
-    s2 = ssb_sigma_squared(model, n, w_ssb)
-    if s2 <= 0.0:
-        raise NoPhysicalRoot(f"broken-symmetry shift came out with sigma^2={s2}")
-    s_ssb = math.sqrt(s2)  # the two minima are degenerate; sign is not physical
-    e_ssb = zeroth_energy(model, n, w_ssb, Phase.DWO_SSB)
-    branches = (
-        BranchInfo(Phase.DWO_SR, w_sr, 0.0, e_sr),
-        BranchInfo(Phase.DWO_SSB, w_ssb, s_ssb, e_ssb),
-    )
-    # the lower branch is the physical one; on an exact tie keep the
-    # symmetry-restored branch
-    if e_ssb < e_sr:
-        return _finish(model, n, w_ssb, s_ssb, Phase.DWO_SSB, e_ssb, branches)
-    return _finish(model, n, w_sr, 0.0, Phase.DWO_SR, e_sr, branches)
+        return _finish(model, n, *sr)
+    ssb = _branch(model, n, Phase.DWO_SSB)
+    # the lower branch is the physical one; on an exact tie, or a NaN, keep
+    # the symmetry-restored branch
+    branches = tuple(BranchInfo(phase, w, s, e) for w, s, phase, e in (sr, ssb))
+    return _finish(model, n, *(ssb if ssb[3] < sr[3] else sr), branches)
 
 
 def general_gap_residuals(

@@ -334,6 +334,9 @@ def test_overflow_is_a_typed_error_naming_the_model():
     (-1.7426264624882977e55, 1.9574360759863343e-306, 2),
     # the root is the subnormal 8.23e-317, its residual 1.4e-8 of its terms
     (-4.750424056133419e162, 1.1754133192628986e-155, 5),
+    # ω = 2.18e-107 is normal, but c₀, |g|ω and ω³ are all subnormal, and
+    # the root came back 1.1e-5 off the root for the exact λ
+    (-1.4710131100118016e-212, 1.556e-321, 35),
 ])
 def test_gap_root_below_normal_range_is_non_finite(g, lam, n):
     model = OscillatorModel(power=4, g=g, lam=lam)
@@ -355,6 +358,15 @@ def test_gap_root_below_normal_range_is_non_finite(g, lam, n):
 def test_gap_start_out_of_range_is_non_finite(power, g, lam, n, phase):
     with pytest.raises(NonFiniteValue, match="gap start"):
         solve_gap(OscillatorModel(power=power, g=g, lam=lam), n, phase)
+
+
+def test_broken_branch_residual_overflow_is_non_finite():
+    # c₀′ = −6λp(ξ) overflows: the residual was nan against a tolerance inf
+    model = OscillatorModel(power=4, g=-3.3612749348220363e+205, lam=1.7679416060938297e+307)
+    with pytest.raises(NonFiniteValue, match="gap root"):
+        solve_gap(model, 0, Phase.DWO_SSB)
+    with pytest.raises(NonFiniteValue):
+        solve_level(model, 0)
 
 
 def test_gap_check_rejects_an_unmoved_start(monkeypatch):

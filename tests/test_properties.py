@@ -6,10 +6,10 @@ import sys
 
 import mpmath as mp
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gha.errors import NoPhysicalRoot, NonFiniteValue, PhaseUnavailable
+from gha.errors import NonConvergence, NonFiniteValue, PhaseUnavailable
 from gha.hartree import (
     HartreeSolution,
     OscillatorModel,
@@ -21,6 +21,7 @@ from gha.hartree import (
     solve_gap,
     solve_level,
     xi_p,
+    zeroth_energy,
 )
 from gha.hipt import second_order
 from gha.ladder import ModeParameters, expectation
@@ -186,6 +187,55 @@ def test_broken_branch_near_the_critical_coupling(lg, lu, n):
         assert abs(w / root - 1) <= max(1e-15, tol), (w, root)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=-300.0, max_value=300.0, allow_nan=False),
+       st.integers(min_value=0, max_value=10**6), st.booleans(),
+       st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
+def test_broken_branch_shift_is_real(lg, n, near_critical, t):
+    # λ = λ_c(1 − 10^U(−16, 0)) or λ_c·10^U(−300, 0).  The broken root has
+    # ω² ≥ −2g/3, so −(g + 12λξ/ω) ≥ |g|/3 and σ² > 0 needs no check
+    g, xi = -(10.0**lg), n + 0.5
+    try:
+        lam_c = critical_coupling(xi, g)
+    except NonFiniteValue:
+        return
+    lam = lam_c * (1.0 - 10.0 ** (-16.0 * t)) if near_critical else lam_c * 10.0 ** (-300.0 * t)
+    assume(lam > 0.0)
+    try:
+        w = solve_gap(OscillatorModel(power=4, g=g, lam=lam), n, Phase.DWO_SSB)
+    except (NonFiniteValue, NonConvergence):
+        return
+    assert -(g + 12.0 * lam * xi / w) >= 0.3 * -g
+
+
+@settings(max_examples=200, deadline=None)
+@given(powers, st.booleans(), st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+       log_couplings, st.floats(min_value=0.0, max_value=12.0, allow_nan=False))
+def test_zeroth_order_at_high_levels(power, double_well, lg, ll, ln):
+    # n log-uniform up to 1e12 on the σ = 0 branches, against a 60-digit
+    # root of the gap polynomial with its exact integer moment
+    n = int(10.0**ln) - 1
+    model = OscillatorModel(power=power, g=(-1.0 if double_well else 1.0) * 10.0**lg,
+                            lam=10.0**ll)
+    phase = Phase.DWO_SR if double_well else Phase.AHO
+    w = solve_gap(model, n, phase)
+    energy = zeroth_energy(model, n, w, phase)
+    k = model.k
+    with mp.workdps(60):
+        xi, g = mp.mpf(n) + mp.mpf(1) / 2, mp.mpf(model.g)
+        moment_k = mp.mpf(math.prod(range(1, 2 * k, 2)) * sum(
+            math.comb(k, i) * math.comb(n, i) * 2**i for i in range(k + 1))) / 2**k
+        c0 = 2 * k * mp.mpf(model.lam) * moment_k / xi
+        root = mp.mpf(w)
+        for _ in range(6):
+            root -= ((root**(k + 1) - g * root**(k - 1) - c0)
+                     / ((k + 1) * root**k - (k - 1) * g * root**(k - 2)))
+        assert abs(w / root - 1) <= 1e-15, (w, root)
+        # E₀ against the scale of its two terms, which cancel in the double well
+        terms = [xi * (k + 1) * root / (2 * k), xi * (k - 1) * g / (root * 2 * k)]
+        assert abs(energy - sum(terms)) <= 1e-15 * max(abs(t) for t in terms), (energy, terms)
+
+
 def test_levels_are_finite_or_a_typed_error():
     # |g| and λ log-uniform over the whole float range, both signs of g
     rng = random.Random(15)
@@ -199,7 +249,7 @@ def test_levels_are_finite_or_a_typed_error():
     for power, g, lam, n in cases:
         try:
             sol = solve_level(OscillatorModel(power=power, g=g, lam=lam), n)
-        except (NonFiniteValue, NoPhysicalRoot, PhaseUnavailable) as exc:
+        except (NonFiniteValue, PhaseUnavailable) as exc:
             outcomes.add(type(exc))
             continue
         outcomes.add(HartreeSolution)

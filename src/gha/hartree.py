@@ -67,13 +67,19 @@ raises `NonFiniteValue`, as it does for a start that is not finite or whose
 overflows.  The root's residual must then be at most 1e-12 times that
 largest term, with no absolute floor and no subnormal one.
 
-`solve_level` memoizes each level's solution on the model instance, so the
-second-order sums, the table columns and the oracle's basis frequency share
-one solve per (model, level).
+A level is solved in two memoized steps on the model instance.  The winner
+step solves the gap of each branch and keeps the lowest branch's (ω, σ,
+phase, E₀); the solution step, `solve_level`, adds the coefficients A, B, C
+and h₀ at that winner.  The second-order denominators read only E₀ of the
+2k neighbours, so neighbours stop at the winner step, and the second-order
+sums, the table columns and the oracle's basis frequency share one solve
+per (model, level); a failed step stores nothing and fails again.  The
+moments c_j(n) of the 4096 pairs (j, n) used last are cached per process.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -103,6 +109,8 @@ class OscillatorModel:
     power: int
     g: float
     lam: float
+    # level n -> (ω, σ, phase, E₀, branches) of its lowest branch, filled by _winner
+    _winners: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # level n -> HartreeSolution, filled by solve_level
     _levels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -154,6 +162,8 @@ def _xi(n: int) -> float:
     return n + 0.5
 
 
+# typed, so that a float n still fails in math.comb as it did uncached
+@functools.lru_cache(maxsize=4096, typed=True)
 def moment(j: int, n: int) -> float:
     """c_j(n) = ω^j⟨n|(φ−σ)^{2j}|n⟩, summed exactly in integers and rounded once."""
     if j < 0 or n < 0:
@@ -313,33 +323,57 @@ def ssb_sigma_squared(model: OscillatorModel, n: int, omega: float) -> float:
 
 
 def _finish(model, n, omega, sigma, phase, energy, branches=None) -> HartreeSolution:
-    """The level's solution at its gap root (ω, σ) with energy E₀."""
+    """The level's solution at its gap root (ω, σ) with energy E₀; branches
+    are the two double-well branches in `_branch`'s order, or None."""
     avg, _, A, _, _ = _field_averages(model.k, n, omega, sigma)
     B = sigma * omega * omega / model.lam
     C = avg - A * (sigma * sigma + _xi(n) / omega) + B * sigma
     h0 = model.lam * C - 0.5 * omega * omega * sigma * sigma
+    if branches is not None:
+        branches = tuple(BranchInfo(ph, w, s, e) for w, s, ph, e in branches)
     return HartreeSolution(n=n, omega=omega, sigma=sigma, phase=phase, A=A, B=B, C=C,
                            h0=h0, energy=energy, branches=branches)
+
+
+def _winner(model: OscillatorModel, n: int):
+    """(ω, σ, phase, E₀, branches) of level n's lowest branch: the winner
+    step, solved once per model instance.  A failed solve stores nothing and
+    fails again."""
+    won = model._winners.get(n)
+    if won is None:
+        try:
+            won = _solve_level(model, n)
+            # an energy that overflows is inf or nan without raising; a
+            # branch that loses has a finite energy, as the broken branch's
+            # cannot be +inf or nan.  Where the coefficients overflow too,
+            # their error is the one reported, as in a one-step solve
+            if not math.isfinite(won[3]):
+                _finish(model, n, *won)
+                raise NonFiniteValue(f"level {n} of {model} leaves floating-point range")
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise NonFiniteValue(
+                f"level {n} of {model} leaves floating-point range: {exc}") from exc
+        model._winners[n] = won
+    return won
 
 
 def solve_level(model: OscillatorModel, n: int) -> HartreeSolution:
     """Full per-level pipeline: gap solve, phase selection, coefficients, energy.
 
-    Each level is solved once per model instance; later calls return the
-    stored solution.  A failed solve stores nothing and fails again.
+    The solution step over `_winner`: each level is solved once per model
+    instance, and later calls return the stored solution.  A failed solve
+    stores nothing and fails again.
     """
     sol = model._levels.get(n)
     if sol is None:
         try:
-            sol = _solve_level(model, n)
+            sol = _finish(model, n, *_winner(model, n))
         except (OverflowError, ZeroDivisionError) as exc:
             raise NonFiniteValue(
                 f"level {n} of {model} leaves floating-point range: {exc}") from exc
         # a product or a sum that overflows gives inf or nan without raising.
-        # ω is finite, and a non-finite A, B, C or σ makes h0 non-finite too;
-        # a branch that loses has finite values, as the broken branch's energy
-        # cannot be +inf or nan and its σ² overflows only where it wins
-        if not (math.isfinite(sol.h0) and math.isfinite(sol.energy)):
+        # ω is finite, and a non-finite A, B, C or σ makes h0 non-finite too
+        if not math.isfinite(sol.h0):
             raise NonFiniteValue(f"level {n} of {model} leaves floating-point range")
         model._levels[n] = sol
     return sol
@@ -357,9 +391,11 @@ def _branch(model: OscillatorModel, n: int, phase: Phase) -> Tuple[float, float,
     return omega, sigma, phase, zeroth_energy(model, n, omega, phase)
 
 
-def _solve_level(model: OscillatorModel, n: int) -> HartreeSolution:
+def _solve_level(model: OscillatorModel, n: int):
+    """The unmemoized winner step: the lowest branch's (ω, σ, phase, E₀),
+    and both branches of a double-well level below λ_c, else None."""
     if model.g > 0.0:
-        return _finish(model, n, *_branch(model, n, Phase.AHO))
+        return (*_branch(model, n, Phase.AHO), None)
     if model.power != 4:
         raise PhaseUnavailable(
             "negative-g spectra are provided for the quartic well only"
@@ -367,12 +403,11 @@ def _solve_level(model: OscillatorModel, n: int) -> HartreeSolution:
     lam_c = critical_coupling(_xi(n), model.g)
     sr = _branch(model, n, Phase.DWO_SR)
     if model.lam > lam_c:
-        return _finish(model, n, *sr)
+        return (*sr, None)
     ssb = _branch(model, n, Phase.DWO_SSB)
     # the lower branch is the physical one; on an exact tie, or a NaN, keep
     # the symmetry-restored branch
-    branches = tuple(BranchInfo(phase, w, s, e) for w, s, phase, e in (sr, ssb))
-    return _finish(model, n, *(ssb if ssb[3] < sr[3] else sr), branches)
+    return (*(ssb if ssb[3] < sr[3] else sr), (sr, ssb))
 
 
 def general_gap_residuals(

@@ -10,7 +10,9 @@ matrix elements are taken in the single level-n Hartree basis (ω(n), σ(n));
 the energies E_m in the denominators are the zeroth-order Hartree energies,
 each computed from its own level-m gap equation.  Using the rigid spectrum
 h₀ + ω(n)(m + ½) of the level-n basis instead does not reproduce the
-published numbers.
+published numbers.  Only level n needs its full Hartree solution; the 2k
+neighbours are solved only to their energy E_m, by the winner step of
+`gha.hartree`, which `solve_level` shares.
 
 Only |m − n| ≤ 2k can contribute, and for σ = 0 only even m − n survive
 parity.  On the broken-symmetry branch (σ ≠ 0) the odd offsets contribute
@@ -20,10 +22,13 @@ The column ⟨m|H′|n⟩ is summed as Σ_p h_p χ^p|n⟩ in χ = φ − σ = c(
 c = 1/√(2ω).  Applying χ 2k times to the unit vector |n⟩ on the window
 max(0, n−2k)…n+2k, (χv)[j] = c√(j+1) v[j+1] + c√j v[j−1], yields every
 χ^p|n⟩; no path of 2k unit steps from n leaves the window before its last
-step, so cutting the basis there drops nothing.  h_p = C(2k,p)σ^{2k−p} for
-p ≥ 3, and h₂ = C(2k,2)σ^{2k−2} − A and h₁ = 2kσ^{2k−1} − 2Aσ + B (−12σξ/ω
-for the quartic, by the configuration equation) come from the moment loop of
-`gha.hartree` without the terms that cancel.  Written in φ instead, each
+step, so cutting the basis there drops nothing.  χ^p|n⟩ is nonzero only at
+n−p, n−p+2, …, n+p, so each application fills only that band, clipped at 0
+with its parity kept; the entries it skips are exact zeros.
+h_p = C(2k,p)σ^{2k−p} for p ≥ 3, and h₂ = C(2k,2)σ^{2k−2} − A and
+h₁ = 2kσ^{2k−1} − 2Aσ + B (−12σξ/ω for the quartic, by the configuration
+equation) come from the moment loop of `gha.hartree` without the terms that
+cancel.  Written in φ instead, each
 element on the broken branch is a difference of terms of size σ^{2k} far
 larger than itself.  At σ = 0 only h₂ = −A and h_{2k} = 1 are nonzero and the
 odd offsets come out as exact zeros.  h₀ = σ^{2k} − Aσ² + Bσ − C enters the
@@ -47,6 +52,7 @@ from .hartree import (
     HartreeSolution,
     OscillatorModel,
     _field_averages,
+    _winner,
     solve_level,
 )
 
@@ -104,25 +110,26 @@ def h_prime_column(model: OscillatorModel, sol: HartreeSolution, n: int) -> dict
     else:
         h[2] = -sol.A
     lo = max(0, n - power)
-    size = n + power + 1 - lo
+    size = n + power + 3 - lo
     c = 1.0 / math.sqrt(2.0 * sol.omega)
-    # hop[i] = ⟨lo+i|χ|lo+i−1⟩ = c√(lo+i)
-    hop = [c * math.sqrt(lo + i) for i in range(size)]
+    # index i holds level lo+i−1, with a zero at each end of the window;
+    # hop[i] = ⟨lo+i−1|χ|lo+i−2⟩ = c√(lo+i−1)
+    hop = [0.0] + [c * math.sqrt(lo + i) for i in range(size - 1)]
     v = [0.0] * size
-    v[n - lo] = 1.0
+    v[n - lo + 1] = 1.0
     powers = [v]  # χ^p|n⟩ for p = 0…2k
-    for _ in range(power):
+    for p in range(1, power + 1):
         w = [0.0] * size
-        for i in range(1, size):
-            w[i - 1] += hop[i] * v[i]
-            w[i] += hop[i] * v[i - 1]
+        # χ^p|n⟩ is nonzero only at n−p, n−p+2, …, n+p, none of them below 0
+        for i in range(max(n - p, (n - p) % 2) - lo + 1, n + p - lo + 2, 2):
+            w[i] = hop[i] * v[i - 1] + hop[i + 1] * v[i + 1]
         v = w
         powers.append(v)
     column = v
     for p in range(power - 1, 0, -1):
         if h[p]:
             column = [x + h[p] * y for x, y in zip(column, powers[p])]
-    column = dict(enumerate(column, lo))
+    column = dict(enumerate(column[1:-1], lo))
     column[n] += s**power - sol.A * s * s + sol.B * s - sol.C
     return column
 
@@ -161,7 +168,7 @@ def second_order(
     for m, num in raw:
         if abs(num) <= cutoff:
             continue
-        den = sol.energy - solve_level(model, m).energy
+        den = sol.energy - _winner(model, m)[3]
         if den == 0.0:
             raise NonConvergence(f"degenerate denominator between levels {n} and {m}")
         contributions.append(Contribution(m=m, numerator=num, denominator=den))

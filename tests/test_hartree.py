@@ -22,7 +22,7 @@ from gha.hartree import (
     xi_p,
     zeroth_energy,
 )
-from gha.hipt import potential_polynomial
+from gha.hipt import potential_polynomial, second_order
 
 from ladder_reference import hamiltonian_polynomial
 
@@ -320,6 +320,11 @@ def test_model_validation():
         solve_level(QUARTIC, -1)
     with pytest.raises(DomainError):
         moment(1, -1)
+    # the moment cache keys on the argument types: a float level fails in
+    # math.comb as it did uncached, after the integer level has been cached
+    moment(2, 1)
+    with pytest.raises(TypeError):
+        moment(2, 1.0)
 
 
 def test_overflow_is_a_typed_error_naming_the_model():
@@ -327,6 +332,19 @@ def test_overflow_is_a_typed_error_naming_the_model():
     model = OscillatorModel(power=4, g=-1.0, lam=1e-300)
     with pytest.raises(NonFiniteValue, match=r"OscillatorModel\(power=4, g=-1.0, lam=1e-300\)"):
         solve_level(model, 0)
+
+
+def test_overflowing_energy_reports_the_coefficients_error():
+    # the winning DWO_SR energy g/ω overflows to −inf and ω² underflows in
+    # the averages; the level names the coefficients' error, as a level
+    # solved in one step did, also at the winner step that second order
+    # takes its neighbours to
+    model = OscillatorModel(power=4, g=-1.011159896108892e+138, lam=9.030102062832079e-104)
+    with pytest.raises(NonFiniteValue, match="range: float division by zero"):
+        solve_level(model, 11)
+    fresh = OscillatorModel(power=4, g=-1.011159896108892e+138, lam=9.030102062832079e-104)
+    with pytest.raises(NonFiniteValue, match="range: float division by zero"):
+        hartree._winner(fresh, 11)
 
 
 @pytest.mark.parametrize("g, lam, n", [
@@ -581,6 +599,28 @@ def test_failed_solves_are_not_memoized(calls):
         with pytest.raises(NonFiniteValue):
             solve_level(overflowing, 40)
     assert calls == [0, 0, 40, 40]
+    # the winner step holds (E₀ ≈ −6.25e258) but σ⁴ ≈ 6e318 overflows in
+    # the coefficients: the winner is kept, the solution never is
+    deep = OscillatorModel(power=4, g=-1e100, lam=1e-60)
+    for _ in range(2):
+        with pytest.raises(NonFiniteValue, match="level 0 of"):
+            solve_level(deep, 0)
+        with pytest.raises(NonFiniteValue, match="level 0 of"):
+            second_order(deep, 0)
+    assert calls == [0, 0, 40, 40, 0]
+    assert deep._winners[0][2] is Phase.DWO_SSB and 0 not in deep._levels
+
+
+def test_neighbours_stop_at_the_winner_step(calls):
+    # second order reads only the energies of level 5's neighbours; their
+    # winners are kept, so a later full solve of one adds no gap solve
+    m = OscillatorModel(power=4, g=1.0, lam=1.0)
+    second_order(m, 5)
+    assert calls == [5, 1, 3, 7, 9]
+    assert 5 in m._levels and 3 not in m._levels
+    assert solve_level(m, 3) == solve_level(OscillatorModel(power=4, g=1.0, lam=1.0), 3)
+    # the one new solve is the separate model's
+    assert calls == [5, 1, 3, 7, 9, 3]
 
 
 def test_memo_leaves_equality_hash_and_repr_alone():

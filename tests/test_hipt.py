@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gha import hipt, ladder
+from gha import hartree, hipt, ladder
 from gha.errors import NonConvergence
 from gha.hartree import (OscillatorModel, Phase, classical_well_depth, critical_coupling,
                          solve_level)
@@ -76,29 +76,53 @@ def _column_draws(count, seed):
         count -= 1
 
 
+def _check_column(model, sol, n):
+    """h_prime_column against the ladder algebra of build_h_prime."""
+    power = model.power
+    column = h_prime_column(model, sol, n)
+    assert list(column) == list(range(max(0, n - power), n + power + 1))
+    reference = build_h_prime(model, sol)
+    scale = max(abs(v) for v in column.values())
+    if sol.sigma:
+        # on the broken branch the elements are differences of terms up
+        # to ~σ^{2k}, far larger than the elements; both sides round there
+        mode = ladder.ModeParameters(omega=sol.omega, sigma=sol.sigma)
+        terms = (ladder.field_power(power, mode), ladder.field_power(2, mode).scale(sol.A),
+                 ladder.field_power(1, mode).scale(sol.B), ladder.constant(sol.C))
+        scale = max(sum(abs(ladder.matrix_element(t, m, n)) for t in terms) for m in column)
+    for m, value in column.items():
+        want = ladder.matrix_element(reference, m, n)
+        assert abs(value - want) <= 1e-13 * scale, (model, n, m)
+        if sol.sigma == 0.0 and (m - n) % 2:
+            assert value == 0.0, (model, n, m)
+
+
 def test_column_matches_ladder_algebra():
     broken = 0
     for power, g, lam, n in _column_draws(300, seed=8):
         model = OscillatorModel(power=power, g=g, lam=lam)
         sol = solve_level(model, n)
         broken += sol.phase is Phase.DWO_SSB
-        column = h_prime_column(model, sol, n)
-        assert list(column) == list(range(max(0, n - power), n + power + 1))
-        reference = build_h_prime(model, sol)
-        scale = max(abs(v) for v in column.values())
-        if sol.sigma:
-            # on the broken branch the elements are differences of terms up
-            # to ~σ^{2k}, far larger than the elements; both sides round there
-            mode = ladder.ModeParameters(omega=sol.omega, sigma=sol.sigma)
-            terms = (ladder.field_power(power, mode), ladder.field_power(2, mode).scale(sol.A),
-                     ladder.field_power(1, mode).scale(sol.B), ladder.constant(sol.C))
-            scale = max(sum(abs(ladder.matrix_element(t, m, n)) for t in terms) for m in column)
-        for m, value in column.items():
-            want = ladder.matrix_element(reference, m, n)
-            assert abs(value - want) <= 1e-13 * scale, (power, g, lam, n, m)
-            if sol.sigma == 0.0 and (m - n) % 2:
-                assert value == 0.0, (power, g, lam, n, m)
+        _check_column(model, sol, n)
     assert broken >= 30, broken
+
+
+@pytest.mark.parametrize("power", [4, 6, 8])
+def test_column_where_the_band_clips_at_zero(power):
+    # for n < 2k the band n−p, n−p+2, …, n+p of χ^p|n⟩ reaches below 0 and
+    # starts at 0 or 1 by the parity of n − p
+    for n in range(power):
+        model = OscillatorModel(power=power, g=1.0, lam=0.7)
+        _check_column(model, solve_level(model, n), n)
+    if power == 4:
+        # both branches of each level below λ_c, the losing one included
+        model = OscillatorModel(power=4, g=-1.0, lam=0.005)
+        for n in range(power):
+            sol = solve_level(model, n)
+            assert {b.phase for b in sol.branches} == {Phase.DWO_SR, Phase.DWO_SSB}
+            for b in sol.branches:
+                branch = hartree._finish(model, n, b.omega, b.sigma, b.phase, b.energy)
+                _check_column(model, branch, n)
 
 
 def _shadow_delta_e2(model, n):
@@ -274,3 +298,28 @@ def test_second_order_is_the_same_on_a_warmed_model(power, g, lam, n):
     first = second_order(warm, n)
     assert second_order(warm, n) == first
     assert second_order(OscillatorModel(power=power, g=g, lam=lam), n) == first
+
+
+# (power, sign of g); negative-g spectra exist for the quartic only
+_shapes = st.sampled_from([(4, 1.0), (4, -1.0), (6, 1.0), (8, 1.0)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_shapes, st.floats(min_value=-1.0, max_value=3.0), st.floats(min_value=-4.0, max_value=2.0),
+       st.integers(min_value=0, max_value=40))
+@example((4, -1.0), 0.0, -1.5, 2)  # the broken branch wins at n and below
+def test_denominators_are_full_solve_energies(shape, log_g, log_lam, n):
+    # neighbours are solved only to their energy; it must be the very float
+    # the full solve gives, on a fresh model and on one warmed by solve_level.
+    # On the double well λ = λ_c(n)·10^log_lam, below λ_c where log_lam < 0
+    power, sign = shape
+    g = sign * 10.0**log_g
+    lam = (critical_coupling(n + 0.5, g) if g < 0.0 else 1.0) * 10.0**log_lam
+    fresh = OscillatorModel(power=power, g=g, lam=lam)
+    rep = second_order(fresh, n)
+    warm = OscillatorModel(power=power, g=g, lam=lam)
+    solved = {m: solve_level(warm, m) for m in range(max(0, n - power), n + power + 1)}
+    assert second_order(warm, n) == rep
+    for c in rep.contributions:
+        assert c.denominator == solved[n].energy - solved[c.m].energy
+        assert c.denominator == solve_level(fresh, n).energy - solve_level(fresh, c.m).energy

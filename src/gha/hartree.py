@@ -75,6 +75,13 @@ and h₀ at that winner.  The second-order denominators read only E₀ of the
 sums, the table columns and the oracle's basis frequency share one solve
 per (model, level); a failed step stores nothing and fails again.  The
 moments c_j(n) of the 4096 pairs (j, n) used last are cached per process.
+
+The public `solve_gap` and `zeroth_energy` validate at the door: the level
+index, the phase (a member or its name) and whether the model's sign of g
+and power admit it.  Past those checks each is one private call, `_root`
+or `_energy`, which holds the formula.  The winner step checks the level
+once, picks its phases from the model, and calls `_root` and `_energy`
+directly.
 """
 
 from __future__ import annotations
@@ -127,7 +134,7 @@ class OscillatorModel:
         return self.power // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BranchInfo:
     phase: Phase
     omega: float
@@ -135,7 +142,7 @@ class BranchInfo:
     energy: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HartreeSolution:
     """Per-level self-consistent output."""
 
@@ -240,9 +247,12 @@ def _newton(k: int, g: float, c0: float, w: float, floor: float) -> Tuple[float,
     ends when rounding stops a step from decreasing w or keeping it above
     floor.
     """
+    # loop invariants; (k − 1)·g is the product that `(k - 1) * g * w ** (k - 2)`
+    # forms first, so hoisting it leaves every iterate the same float
+    k_up, k_down, k_low, kg = k + 1, k - 1, k - 2, (k - 1) * g
     for _ in range(_NEWTON_STEPS):
-        f = w ** (k + 1) - g * w ** (k - 1) - c0
-        w2 = w - f / ((k + 1) * w**k - (k - 1) * g * w ** (k - 2))
+        f = w ** k_up - g * w ** k_down - c0
+        w2 = w - f / (k_up * w**k - kg * w ** k_low)
         if not floor < w2 < w:
             return w, f
         w = w2
@@ -257,10 +267,16 @@ def solve_gap(model: OscillatorModel, n: int, phase: Phase) -> float:
         raise PhaseUnavailable("AHO phase requires g > 0")
     if phase in (Phase.DWO_SR, Phase.DWO_SSB) and model.g > 0.0:
         raise PhaseUnavailable("DWO phases require g < 0")
+    if phase is Phase.DWO_SSB and model.power != 4:
+        raise PhaseUnavailable("broken-symmetry branch is quartic-only here")
+    return _root(model, n, xi, phase)
+
+
+def _root(model: OscillatorModel, n: int, xi: float, phase: Phase) -> float:
+    """`solve_gap` past its checks: level n ≥ 0 with ξ = n + ½, and a phase
+    member that the model's g and power admit."""
     k, g, c0 = _gap_poly(model, n, phase)
     if phase is Phase.DWO_SSB:
-        if model.power != 4:
-            raise PhaseUnavailable("broken-symmetry branch is quartic-only here")
         lam_c = critical_coupling(xi, model.g)
         if model.lam > lam_c:
             raise PhaseUnavailable(
@@ -294,8 +310,9 @@ def solve_gap(model: OscillatorModel, n: int, phase: Phase) -> float:
     # the residual is a sum of ω^{k+1}, gω^{k−1} and c₀, and rounding in the
     # largest of them bounds how small it can get; that term must be a
     # finite normal float, or its rounding is no longer relative
-    scale = max(w ** (k + 1), abs(g) * w ** (k - 1), abs(c0))
-    if not (w ** (k - 1) >= _TINY and _TINY <= scale < math.inf):
+    w_down = w ** (k - 1)
+    scale = max(w ** (k + 1), abs(g) * w_down, abs(c0))
+    if not (w_down >= _TINY and _TINY <= scale < math.inf):
         raise NonFiniteValue(f"gap root of level {n} of {model} leaves floating-point range")
     tol = 1e-12 * scale
     if not abs(residual) <= tol:
@@ -307,11 +324,19 @@ def zeroth_energy(model: OscillatorModel, n: int, omega: float, phase: Phase) ->
     """Closed-form level energy ξ[(k+1)ω + (k−1)g/ω]/(2k) of the Hartree
     Hamiltonian H₀; on the broken branch at the cubic's (k, g) = (2, −2g) and
     measured from the bottom of the wells."""
-    xi, k, g = _xi(n), model.k, model.g
+    xi = _xi(n)
+    phase = Phase(phase)
+    if phase is Phase.DWO_SSB and model.power != 4:
+        raise PhaseUnavailable("broken-symmetry energies are quartic-only here")
+    return _energy(model, xi, omega, phase)
+
+
+def _energy(model: OscillatorModel, xi: float, omega: float, phase: Phase) -> float:
+    """`zeroth_energy` past its checks: ξ = n + ½ of a level n ≥ 0, and a
+    phase member, the broken one only for the quartic."""
+    k, g = model.k, model.g
     depth = 0.0
-    if Phase(phase) is Phase.DWO_SSB:
-        if model.power != 4:
-            raise PhaseUnavailable("broken-symmetry energies are quartic-only here")
+    if phase is Phase.DWO_SSB:
         g, depth = -2.0 * g, classical_well_depth(model)
     return xi * ((k + 1) * omega + (k - 1) * g / omega) / (2 * k) - depth
 
@@ -379,32 +404,35 @@ def solve_level(model: OscillatorModel, n: int) -> HartreeSolution:
     return sol
 
 
-def _branch(model: OscillatorModel, n: int, phase: Phase) -> Tuple[float, float, Phase, float]:
-    """(ω, σ, phase, E₀) of one branch of level n, in `_finish`'s order.
+def _branch(model: OscillatorModel, n: int, xi: float,
+            phase: Phase) -> Tuple[float, float, Phase, float]:
+    """(ω, σ, phase, E₀) of one branch of level n ≥ 0 with ξ = n + ½, in
+    `_finish`'s order; the phase is one that the model admits.
 
     The broken branch takes σ = +√σ², and σ² is positive wherever its gap
     solves (see the module docstring); the two wells are degenerate, so the
     sign is not physical.
     """
-    omega = solve_gap(model, n, phase)
+    omega = _root(model, n, xi, phase)
     sigma = math.sqrt(ssb_sigma_squared(model, n, omega)) if phase is Phase.DWO_SSB else 0.0
-    return omega, sigma, phase, zeroth_energy(model, n, omega, phase)
+    return omega, sigma, phase, _energy(model, xi, omega, phase)
 
 
 def _solve_level(model: OscillatorModel, n: int):
     """The unmemoized winner step: the lowest branch's (ω, σ, phase, E₀),
     and both branches of a double-well level below λ_c, else None."""
     if model.g > 0.0:
-        return (*_branch(model, n, Phase.AHO), None)
+        return (*_branch(model, n, _xi(n), Phase.AHO), None)
     if model.power != 4:
         raise PhaseUnavailable(
             "negative-g spectra are provided for the quartic well only"
         )
-    lam_c = critical_coupling(_xi(n), model.g)
-    sr = _branch(model, n, Phase.DWO_SR)
+    xi = _xi(n)
+    lam_c = critical_coupling(xi, model.g)
+    sr = _branch(model, n, xi, Phase.DWO_SR)
     if model.lam > lam_c:
         return (*sr, None)
-    ssb = _branch(model, n, Phase.DWO_SSB)
+    ssb = _branch(model, n, xi, Phase.DWO_SSB)
     # the lower branch is the physical one; on an exact tie, or a NaN, keep
     # the symmetry-restored branch
     return (*(ssb if ssb[3] < sr[3] else sr), (sr, ssb))

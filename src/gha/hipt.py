@@ -61,14 +61,14 @@ from .hartree import (
 _NUMERATOR_DUST = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Contribution:
     m: int
     numerator: float  # ⟨m|λH′|n⟩
     denominator: float  # E_n − E_m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PerturbationReport:
     n: int
     e0: float

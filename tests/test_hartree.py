@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gha import hartree, ladder
 from gha.errors import DomainError, NonConvergence, NonFiniteValue, PhaseUnavailable
@@ -403,6 +405,61 @@ def test_gap_check_rejects_an_unmoved_start(monkeypatch):
     for g, lam, phase, _ in cases:
         with pytest.raises(NonConvergence, match="gap residual"):
             solve_gap(OscillatorModel(4, g, lam), 0, phase)
+        # the winner step reaches the same descent past the public checks
+        with pytest.raises(NonConvergence, match="gap residual"):
+            solve_level(OscillatorModel(4, g, lam), 0)
+
+
+def test_public_gap_and_energy_validate_at_the_door():
+    aho, dwo = OscillatorModel(4, 1.0, 1.0), OscillatorModel(4, -1.0, 0.01)
+    # a phase name works as its member does
+    for model, phase in ((aho, Phase.AHO), (dwo, Phase.DWO_SR), (dwo, Phase.DWO_SSB)):
+        w = solve_gap(model, 3, phase)
+        assert solve_gap(model, 3, phase.value) == w
+        assert zeroth_energy(model, 3, w, phase.value) == zeroth_energy(model, 3, w, phase)
+    with pytest.raises(ValueError):
+        solve_gap(aho, 0, "SSB")
+    with pytest.raises(PhaseUnavailable, match="AHO phase requires g > 0"):
+        solve_gap(dwo, 0, "AHO")
+    for phase in (Phase.DWO_SR, "DWO_SSB"):
+        with pytest.raises(PhaseUnavailable, match="DWO phases require g < 0"):
+            solve_gap(aho, 0, phase)
+    for power in (6, 8):
+        well = OscillatorModel(power, -1.0, 0.01)
+        with pytest.raises(PhaseUnavailable, match="broken-symmetry branch is quartic-only"):
+            solve_gap(well, 0, Phase.DWO_SSB)
+        with pytest.raises(PhaseUnavailable, match="broken-symmetry energies are quartic-only"):
+            zeroth_energy(well, 0, 1.0, "DWO_SSB")
+    with pytest.raises(DomainError, match="level index"):
+        solve_gap(aho, -1, Phase.AHO)
+    with pytest.raises(DomainError, match="level index"):
+        zeroth_energy(aho, -1, 1.0, Phase.AHO)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([(4, 1.0), (4, -1.0), (6, 1.0), (8, 1.0)]),
+       st.floats(min_value=-1.0, max_value=3.0), st.floats(min_value=-4.0, max_value=0.5),
+       st.integers(min_value=0, max_value=40))
+@example((4, -1.0), 0.0, -1.5, 2)  # both branches, the broken one lower
+@example((4, -1.0), 0.0, -0.01, 2)  # both branches, the restored one lower
+def test_winner_step_is_the_public_gap_and_energy(shape, log_g, log_lam, n):
+    # the winner step calls the private root and energy; every branch it
+    # keeps must be the very (ω, σ, E₀) the public functions give.  On the
+    # double well λ = λ_c(n)·10^log_lam, so both branches exist where log_lam ≤ 0
+    power, sign = shape
+    g = sign * 10.0**log_g
+    lam = (critical_coupling(n + 0.5, g) if g < 0.0 else 1.0) * 10.0**log_lam
+    model = OscillatorModel(power=power, g=g, lam=lam)
+    *won, branches = hartree._winner(model, n)
+    if branches is not None:
+        assert tuple(won) in branches
+    for omega, sigma, phase, energy in branches or [won]:
+        assert omega == solve_gap(model, n, phase)
+        if phase is Phase.DWO_SSB:
+            assert sigma == math.sqrt(ssb_sigma_squared(model, n, omega))
+        else:
+            assert sigma == 0.0
+        assert energy == zeroth_energy(model, n, omega, phase)
 
 
 # Hand-expanded per-power formulas, kept as the reference for the moment

@@ -31,12 +31,10 @@ _HOMES = {
     "ladder": ("ModeParameters", "NormalOrderedPolynomial", "constant",
                "expectation", "field_power", "matrix_element",
                "momentum_squared", "multiply"),
-    "oracle": ("SpectrumEstimate", "TruncatedBasis", "converged_levels",
-               "hamiltonian_matrix"),
+    "oracle": ("SpectrumEstimate", "converged_levels", "hamiltonian_matrix"),
     "qft": ("FieldTheory", "GapState", "RenormalizedParams", "bessel_k1",
-            "density_ratio", "effective_potential", "occupation",
-            "peak_density", "renormalized", "solve_mass_gap",
-            "static_potential", "stevenson", "structure_function"),
+            "effective_potential", "renormalized", "solve_mass_gap",
+            "static_potential", "stevenson"),
     "tables": ("ComparisonReport", "ComparisonRow", "Provenance",
                "ReferenceCell", "ReferenceTable", "reference_table",
                "run_table"),

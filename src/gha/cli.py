@@ -341,8 +341,8 @@ def build_parser():
     p.set_defaults(func=_cmd_hipt)
 
     p = sub.add_parser("oracle", parents=[common],
-                       help="banded-basis diagonalization with convergence "
-                            "control")
+                       help="banded-basis diagonalization; convergence_error "
+                            "is a certified bound on each level's error")
     _model_args(p)
     p.add_argument("--nmax", type=int, default=10)
     p.add_argument("--tol", type=float, default=1e-7)

@@ -34,9 +34,38 @@ Because the potential is even, a level couples only to levels of its own
 parity: only the even offsets of the powers are kept, and offset 2r between
 levels of parity p is offset r of the block on levels p, p + 2, ….
 `hamiltonian_matrix` fills both blocks from alternate columns of the bands,
-with no N×N matrix, and each is diagonalized on its own.  Dimensions double
-until the requested levels stop moving, which both validates the Hartree
-results and reproduces the external benchmark values quoted alongside them.
+with no N×N matrix.
+
+`converged_levels` certifies levels 0..n_max with one eigensolve, which both
+validates the Hartree results and reproduces the external benchmark values
+quoted alongside them.  It takes the basis frequency from the Hartree ω of
+level n_max + 2k, picks an even dimension N a priori, builds the blocks at
+N + 2k and diagonalizes the leading N/2 × N/2 of both in one stacked `eigh`.
+Its bound rests on three facts (Parlett, *The Symmetric Eigenvalue Problem*,
+ch. 10–11):
+
+- Rayleigh–Ritz: the j-th Ritz value θ_j of a parity block is an upper bound
+  on the j-th exact level λ_j of that parity.
+- The residual (H − θ_j)v_j of a Ritz pair in the infinite basis lives only
+  in the k block rows just past the block, whose bandwidth is k.  The blocks
+  built at N + 2k hold those rows exactly, so its norm ρ_j is exact up to
+  rounding.
+- Temple (1928) and Kato (1949): if no exact level of the parity lies
+  strictly between λ_j and some b > θ_j, then θ_j − λ_j ≤ ρ_j²/(b − θ_j).
+
+Temple's b is taken as θ_{j+1} − ρ_{j+1}, the next Ritz value of the parity
+less its residual.  Some exact level lies within ρ_{j+1} of θ_{j+1}
+(Krylov–Weinstein) and λ_{j+1} ≤ θ_{j+1}, so b is a true lower bound on
+λ_{j+1} exactly when at most j + 1 exact levels of the parity lie below b:
+when the basis has missed no level there, which would need an eigenvector
+almost orthogonal to the first N states.  The oracle does not prove that;
+the tests check the bound against runs at twice the dimension and against
+an mpmath diagonalization.  Each reported error is ρ_j²/(b − θ_j) plus a
+rounding floor 8k·ε·max|H| of the diagonalized blocks, for the rounding of
+the elements and the backward error of `eigh`.  A bound that misses tol
+grows N by a factor of 1.25.  The floor grows with N, so once it reaches tol
+a larger basis can only be worse, and the oracle raises `NonConvergence`
+instead of growing into noise.
 
 numpy is imported inside the functions that use it, so `import gha` and every
 command that never diagonalizes do not pay for loading it.
@@ -45,30 +74,24 @@ command that never diagonalizes do not pay for loading it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Tuple
+import sys
+from typing import Dict, NamedTuple, Tuple
 
-from .errors import BudgetExceeded, DomainError
+from .errors import BudgetExceeded, DomainError, NonConvergence
 from .hartree import OscillatorModel, solve_level
 
-_START_DIMENSION = 64
 _MAX_DIMENSION = 4096
+_EPSILON = sys.float_info.epsilon
 
 
-@dataclass(frozen=True)
-class TruncatedBasis:
+class _TruncatedBasis(NamedTuple):
+    """Number basis |0⟩..|dimension − 1⟩ of the oscillator of this frequency."""
+
     dimension: int
     basis_frequency: float
 
-    def __post_init__(self):
-        if self.dimension < 16:
-            raise DomainError(f"basis dimension must be at least 16, got {self.dimension}")
-        if not (self.basis_frequency > 0.0) or not math.isfinite(self.basis_frequency):
-            raise DomainError(f"basis frequency must be positive, got {self.basis_frequency}")
 
-
-@dataclass(frozen=True)
-class SpectrumEstimate:
+class SpectrumEstimate(NamedTuple):
     levels: Tuple[float, ...]
     dimension_used: int
     convergence_error: Tuple[float, ...]
@@ -117,7 +140,7 @@ def _unit_powers(power: int, n_dim: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def hamiltonian_matrix(
-    model: OscillatorModel, basis: TruncatedBasis
+    model: OscillatorModel, basis: _TruncatedBasis
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Exact H_{mn} in the σ=0 number basis of the given frequency, as its
     even and odd parity blocks: block p holds H[p + 2a, p + 2b] at [a, b]."""
@@ -141,13 +164,28 @@ def hamiltonian_matrix(
     return blocks[0], blocks[1, : n_dim // 2, : n_dim // 2]
 
 
+def _start_dimension(n_max: int, k: int) -> int:
+    """A priori even dimension for levels 0..n_max of the power 2k.
+
+    ⌊(3n_max + 1)/2⌋ + 9k + 4, rounded up to even.  At the basis frequency
+    ω(n_max + 2k) it certifies every coupling of the four replayed tables,
+    and every point of the CLI's ranges (g = 1, λ ∈ [1e-2, 1e4],
+    n_max ≤ 40), to 1e-7 at the first solve.
+    """
+    n_dim = (3 * n_max + 1) // 2 + 9 * k + 4
+    return n_dim + n_dim % 2
+
+
 def converged_levels(
     model: OscillatorModel, n_max: int, tol: float
 ) -> SpectrumEstimate:
-    """Levels 0..n_max converged to tol by doubling the basis dimension.
+    """Levels 0..n_max, each with a certified bound on its error below tol.
 
-    The basis frequency is adapted to the Hartree ω of level n_max, which
-    keeps the required dimension small even at strong coupling.
+    `convergence_error` holds the Kato–Temple bound plus the rounding floor of
+    each level (see the module docstring for when it holds), and
+    `dimension_used` the dimension that certified them.  Raises
+    `NonConvergence` once the rounding floor reaches tol and `BudgetExceeded`
+    once the dimension passes `_MAX_DIMENSION`.
     """
     import numpy as np
 
@@ -155,28 +193,42 @@ def converged_levels(
         raise DomainError(f"n_max must be nonnegative, got {n_max}")
     if not 1e-10 <= tol < math.inf:
         raise DomainError(f"tolerance must lie in [1e-10, inf), got {tol}")
-    budget = f"levels 0..{n_max} not converged to {tol} within dimension {_MAX_DIMENSION}"
-    n_dim = _START_DIMENSION
-    # every compared spectrum must hold levels 0..n_max, and convergence
-    # needs two of them within the budget
-    while n_dim <= n_max:
-        n_dim *= 2
-    if 2 * n_dim > _MAX_DIMENSION:
+    budget = f"levels 0..{n_max} not certified to {tol} within dimension {_MAX_DIMENSION}"
+    k = model.k
+    n_dim = _start_dimension(n_max, k)
+    if n_dim > _MAX_DIMENSION:
         raise BudgetExceeded(budget)
-    frequency = solve_level(model, n_max).omega
-    previous = None
+    frequency = solve_level(model, n_max + 2 * k).omega
+    # levels 0..n_max are the lowest `wanted` of each parity block, even
+    # first; the bound of the last one reads the Ritz pair above it
+    wanted = (n_max // 2 + 1, (n_max + 1) // 2)
+    top = wanted[0] + 1
     while n_dim <= _MAX_DIMENSION:
-        basis = TruncatedBasis(dimension=n_dim, basis_frequency=frequency)
-        spectra = [np.linalg.eigvalsh(block) for block in hamiltonian_matrix(model, basis)]
-        levels = np.sort(np.concatenate(spectra))[: n_max + 1]
-        if previous is not None:
-            drift = np.abs(levels - previous)
-            if drift.max() < tol:
-                return SpectrumEstimate(
-                    levels=tuple(float(e) for e in levels),
-                    dimension_used=n_dim,
-                    convergence_error=tuple(float(d) for d in drift),
-                )
-        previous = levels
-        n_dim *= 2
+        m = n_dim // 2
+        blocks = hamiltonian_matrix(model, _TruncatedBasis(n_dim + 2 * k, frequency))
+        leading = np.stack([block[:m, :m] for block in blocks])
+        floor = 8 * k * _EPSILON * np.abs(leading).max()
+        if not floor < tol:
+            raise NonConvergence(
+                f"levels 0..{n_max} cannot be certified to {tol}: the rounding "
+                f"floor at dimension {n_dim} is {floor:.3g}")
+        theta, vectors = np.linalg.eigh(leading)
+        # the k rows past a block hold the residual of each of its Ritz pairs,
+        # which only the last k components of the Ritz vector reach
+        coupling = np.stack([block[m:, m - k : m] for block in blocks])
+        rho = np.linalg.norm(coupling @ vectors[:, m - k :, :top], axis=1)
+        # Temple's b for level j is θ_{j+1} − ρ_{j+1}
+        gap = theta[:, 1:top] - rho[:, 1:] - theta[:, : top - 1]
+        bound = np.divide(rho[:, :-1] ** 2, gap, out=np.full_like(gap, np.inf),
+                          where=gap > 0.0) + floor
+        levels = np.concatenate((theta[0, : wanted[0]], theta[1, : wanted[1]]))
+        errors = np.concatenate((bound[0, : wanted[0]], bound[1, : wanted[1]]))
+        if errors.max() < tol:
+            order = np.argsort(levels, kind="stable")
+            return SpectrumEstimate(
+                levels=tuple(levels[order].tolist()),
+                dimension_used=n_dim,
+                convergence_error=tuple(errors[order].tolist()),
+            )
+        n_dim = 2 * math.ceil(0.625 * n_dim)
     raise BudgetExceeded(budget)

@@ -227,33 +227,6 @@ def renormalized(theory: FieldTheory) -> RenormalizedParams:
     return RenormalizedParams(mR2=bar.M2, lambdaR=lam_r)
 
 
-def structure_function(k: float, m2: float, M2: float) -> float:
-    """Vacuum structure function u(k) = √((k²+m²)/(k²+M²))."""
-    if k < 0.0 or m2 <= 0.0 or M2 <= 0.0:
-        raise DomainError("need k >= 0, m2 > 0, M2 > 0")
-    return math.sqrt((k * k + m2) / (k * k + M2))
-
-
-def density_ratio(k: float, mR2: float) -> float:
-    """ρ(k) = (1 + k²/m_R²)^{−1/2}, the density profile of the condensate."""
-    if k < 0.0 or mR2 <= 0.0:
-        raise DomainError("need k >= 0 and mR2 > 0")
-    return 1.0 / math.sqrt(1.0 + k * k / mR2)
-
-
-def peak_density(m2: float, mR2: float) -> float:
-    """Peak condensate number density n(0) = (m/m_R)/(32π³)."""
-    if m2 <= 0.0 or mR2 <= 0.0:
-        raise DomainError("need m2 > 0 and mR2 > 0")
-    return math.sqrt(m2 / mR2) / (32.0 * math.pi**3)
-
-
-def occupation(k: float, m2: float, M2: float) -> float:
-    """Finite-cutoff mode occupation n(k) = sinh²(½ ln u(k)) = ¼(u + 1/u − 2)."""
-    u = structure_function(k, m2, M2)
-    return 0.25 * (u + 1.0 / u - 2.0)
-
-
 def _k1_scaled(x: float) -> float:
     """e^x K₁(x) = ∫₀^∞ e^{−x(cosh t−1)} cosh t dt by the trapezoid rule.
 

@@ -42,7 +42,7 @@ from .hartree import OscillatorModel, classical_well_depth, solve_level
 from .hipt import second_order
 from .oracle import converged_levels
 
-_ORACLE_DRIFT_TOL = 1e-7
+_ORACLE_TOL = 1e-7
 
 GHA_TOL = {1: 5e-4, 2: 2e-3, 3: 5e-4, 4: 5e-4}
 HIPT_TOL = {1: 2e-3, 2: 2e-3}
@@ -392,7 +392,7 @@ def run_table(table_id: int,
     def spectrum(lam):
         top = max(c.n for c in table.cells
                   if c.lam == lam and c.provenance is Provenance.EXTERNAL_REF)
-        return converged_levels(model(lam), top, tol=_ORACLE_DRIFT_TOL).levels
+        return converged_levels(model(lam), top, tol=_ORACLE_TOL).levels
 
     # every (coupling, level, provenance) is printed once
     rows: Dict[Tuple[float, int, str], ComparisonRow] = {}

@@ -1,18 +1,24 @@
-"""Dense-diagonalization benchmark: matrix assembly and convergence control."""
+"""Dense-diagonalization benchmark: matrix assembly and the certified bound."""
 
 import ast
+import math
 import pathlib
+import sys
+from unittest import mock
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gha.oracle
 from gha import ladder
-from gha.errors import BudgetExceeded, DomainError
+from gha.errors import BudgetExceeded, DomainError, NonConvergence
 from gha.hartree import OscillatorModel, solve_level
 from gha.oracle import (
     SpectrumEstimate,
-    TruncatedBasis,
+    _TruncatedBasis,
     converged_levels,
     hamiltonian_matrix,
 )
@@ -33,12 +39,12 @@ def full_matrix(model, basis):
 
 def test_nearly_free_oscillator_is_diagonal():
     m = OscillatorModel(power=4, g=1.0, lam=1e-30)
-    h = full_matrix(m, TruncatedBasis(dimension=32, basis_frequency=1.0))
+    h = full_matrix(m, _TruncatedBasis(dimension=32, basis_frequency=1.0))
     assert np.allclose(h, np.diag(np.arange(32) + 0.5), atol=1e-12)
 
 
 def test_ground_state_diagonal_element():
-    h = full_matrix(QUARTIC, TruncatedBasis(dimension=16, basis_frequency=1.0))
+    h = full_matrix(QUARTIC, _TruncatedBasis(dimension=16, basis_frequency=1.0))
     # 1/2 from the free part plus <0|phi^4|0> = 3/4 at omega=1
     assert h[0, 0] == pytest.approx(1.25, abs=1e-13)
 
@@ -47,7 +53,7 @@ def test_band_structure_and_symmetry():
     for power in (4, 6, 8):
         m = OscillatorModel(power=power, g=1.0, lam=0.7)
         for dim in (24, 25):
-            basis = TruncatedBasis(dimension=dim, basis_frequency=1.5)
+            basis = _TruncatedBasis(dimension=dim, basis_frequency=1.5)
             # one block on levels 0, 2, 4, …, one on levels 1, 3, 5, …
             even, odd = hamiltonian_matrix(m, basis)
             assert even.shape == ((dim + 1) // 2,) * 2 and odd.shape == (dim // 2,) * 2
@@ -64,10 +70,6 @@ def test_band_structure_and_symmetry():
 
 
 def test_basis_validation():
-    with pytest.raises(DomainError):
-        TruncatedBasis(dimension=8, basis_frequency=1.0)
-    with pytest.raises(DomainError):
-        TruncatedBasis(dimension=64, basis_frequency=0.0)
     with pytest.raises(DomainError):
         converged_levels(QUARTIC, -1, 1e-7)
     for tol in (1e-11, float("nan"), float("inf")):
@@ -91,9 +93,10 @@ def test_estimate_bookkeeping():
     assert isinstance(est, SpectrumEstimate)
     assert len(est.levels) == 6
     assert len(est.convergence_error) == 6
-    assert all(d < 1e-7 for d in est.convergence_error)
+    assert all(0.0 < d < 1e-7 for d in est.convergence_error)
     assert all(a < b for a, b in zip(est.levels, est.levels[1:]))
-    assert est.dimension_used >= 128 and est.dimension_used % 64 == 0
+    # the a priori ⌊(3·5 + 1)/2⌋ + 9·2 + 4 = 30 certifies at the first solve
+    assert est.dimension_used == 30
 
 
 def test_truncation_levels_decrease_with_dimension():
@@ -101,7 +104,7 @@ def test_truncation_levels_decrease_with_dimension():
     # when the basis grows
     spectra = []
     for dim in (64, 128, 256):
-        h = full_matrix(QUARTIC, TruncatedBasis(dim, 2.0))
+        h = full_matrix(QUARTIC, _TruncatedBasis(dim, 2.0))
         spectra.append(np.linalg.eigvalsh(h)[:10])
     for small, big in zip(spectra, spectra[1:]):
         assert np.all(big <= small + 1e-11)
@@ -110,7 +113,7 @@ def test_truncation_levels_decrease_with_dimension():
 def test_basis_frequency_independence():
     levels = []
     for freq in (1.0, 2.0, 4.0):
-        h = full_matrix(QUARTIC, TruncatedBasis(512, freq))
+        h = full_matrix(QUARTIC, _TruncatedBasis(512, freq))
         levels.append(np.linalg.eigvalsh(h)[:6])
     assert np.allclose(levels[0], levels[1], rtol=0.0, atol=1e-7)
     assert np.allclose(levels[0], levels[2], rtol=0.0, atol=1e-7)
@@ -133,17 +136,134 @@ def test_levels_beyond_start_dimension():
     est = converged_levels(QUARTIC, 100, 1e-7)
     assert len(est.levels) == 101
     assert len(est.convergence_error) == 101
-    assert est.dimension_used == 512
+    assert all(0.0 < d < 1e-7 for d in est.convergence_error)
+    assert est.dimension_used == 172
     assert all(a < b for a, b in zip(est.levels, est.levels[1:]))
     assert est.levels[0] == pytest.approx(0.8037706512, abs=1e-9)
 
 
 def test_levels_beyond_dimension_budget():
-    # from n_max = 2048 on, two spectra holding levels 0..n_max do not fit
-    # below the dimension cap, so nothing is built
-    for n_max in (2048, 5000):
+    # from n_max = 2717 on, the a priori dimension of the quartic passes the
+    # cap, so nothing is solved or built
+    with mock.patch.object(gha.oracle, "hamiltonian_matrix") as build, \
+            mock.patch.object(gha.oracle, "solve_level") as solve:
+        for n_max in (2717, 5000):
+            with pytest.raises(BudgetExceeded):
+                converged_levels(QUARTIC, n_max, 1e-7)
+    assert not build.called and not solve.called
+    # a deep double well certifies only at dimension 294, after growing past
+    # a smaller cap
+    deep = OscillatorModel(power=4, g=-1.0, lam=1e-3)
+    assert converged_levels(deep, 0, 1e-7).dimension_used == 294
+    with mock.patch.object(gha.oracle, "_MAX_DIMENSION", 256):
         with pytest.raises(BudgetExceeded):
-            converged_levels(QUARTIC, n_max, 1e-7)
+            converged_levels(deep, 0, 1e-7)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([(4, 1.0), (4, -1.0), (6, 1.0), (8, 1.0)]),
+       st.floats(-2.0, 4.0), st.integers(0, 40))
+def test_bound_covers_a_run_at_twice_the_dimension(kind, log_lam, n_max):
+    power, g = kind
+    model = OscillatorModel(power=power, g=g, lam=10.0**log_lam)
+    est = converged_levels(model, n_max, 1e-7)
+    # the same solve at twice the dimension, under a tol loose enough that its
+    # own rounding floor, which grows with the dimension, cannot stop it
+    with mock.patch.object(gha.oracle, "_start_dimension",
+                           lambda n, k: 2 * est.dimension_used):
+        ref = converged_levels(model, n_max, 1e-5)
+    assert ref.dimension_used == 2 * est.dimension_used
+    for a, b, bound, ref_bound in zip(est.levels, ref.levels, est.convergence_error,
+                                      ref.convergence_error):
+        assert math.isfinite(bound) and 0.0 < bound < 1e-7
+        assert abs(a - b) <= bound + ref_bound, (model, n_max)
+
+
+def mpmath_blocks(model, n_dim, omega):
+    """Both parity blocks of H on levels 0..n_dim−1, in mpmath, from
+    X̂|n⟩ = √n|n−1⟩ + √(n+1)|n+1⟩ applied in the untruncated basis."""
+    w, k = mp.mpf(omega), model.k
+    x_squared, x_power = {}, {}
+    for n in range(n_dim):
+        vector = {n: mp.mpf(1)}
+        for p in range(1, 2 * k + 1):
+            applied = {}
+            for j, c in vector.items():
+                if j:
+                    applied[j - 1] = applied.get(j - 1, 0) + mp.sqrt(j) * c
+                applied[j + 1] = applied.get(j + 1, 0) + mp.sqrt(j + 1) * c
+            vector = applied
+            if p == 2:
+                x_squared[n] = vector
+        x_power[n] = vector
+    quadratic = (mp.mpf(model.g) - w * w) / (4 * w)
+    quartic = mp.mpf(model.lam) / (2 * w) ** k
+    blocks = []
+    for parity in (0, 1):
+        levels = range(parity, n_dim, 2)
+        block = mp.matrix(len(levels), len(levels))
+        for a, m in enumerate(levels):
+            for b, n in enumerate(levels):
+                block[a, b] = (quadratic * x_squared[n].get(m, 0)
+                               + quartic * x_power[n].get(m, 0)
+                               + (w * (n + mp.mpf(0.5)) if m == n else 0))
+        blocks.append(block)
+    return blocks
+
+
+@pytest.mark.parametrize("model, n_max", [
+    (OscillatorModel(power=4, g=1.0, lam=1.0), 12),
+    (OscillatorModel(power=4, g=-1.0, lam=0.1), 8),
+    (OscillatorModel(power=6, g=1.0, lam=50.0), 6),
+    (OscillatorModel(power=8, g=1.0, lam=1e3), 0),
+])
+def test_ritz_values_match_an_mpmath_diagonalization(model, n_max):
+    # the numpy Ritz values at the dimension used agree with a 30-digit
+    # diagonalization of the same truncation to within the stated rounding
+    # floor 8k·ε·max|H|
+    est = converged_levels(model, n_max, 1e-7)
+    assert 34 <= est.dimension_used <= 40
+    omega = solve_level(model, n_max + 2 * model.k).omega
+    with mp.workdps(30):
+        blocks = mpmath_blocks(model, est.dimension_used, omega)
+        scale = max(abs(block[a, b]) for block in blocks
+                    for a in range(block.rows) for b in range(block.cols))
+        exact = sorted(e for block in blocks for e in mp.eigsy(block, eigvals_only=True))
+        floor = 8 * model.k * sys.float_info.epsilon * float(scale)
+        for ritz, reference in zip(est.levels, exact[: n_max + 1]):
+            assert abs(ritz - reference) <= floor, (ritz, reference, floor)
+
+
+def test_cli_ranges_certify_at_the_first_solve():
+    # the ranges the `gha oracle` benchmark draws: one solve at the a priori
+    # dimension certifies every level at the default tol
+    for power in (4, 6, 8):
+        for lam in (1e-2, 1.0, 1e2, 1e4):
+            model = OscillatorModel(power=power, g=1.0, lam=lam)
+            for n_max in (0, 5, 20, 40):
+                est = converged_levels(model, n_max, 1e-7)
+                assert len(est.levels) == len(est.convergence_error) == n_max + 1
+                assert all(0.0 < d < 1e-7 for d in est.convergence_error)
+                assert est.dimension_used == gha.oracle._start_dimension(n_max, model.k)
+
+
+def test_rounding_floor_stops_growth():
+    # at λ = 1e4 the floor 8k·ε·max|H| passes 1e-10 at the first octic
+    # dimension and after two growth steps of the sextic one; the oracle stops
+    # there instead of growing into noise
+    builds = []
+    real_build = gha.oracle.hamiltonian_matrix
+
+    def build(model, basis):
+        builds.append((model.power, basis.dimension))
+        return real_build(model, basis)
+
+    with mock.patch.object(gha.oracle, "hamiltonian_matrix", build):
+        for power in (6, 8):
+            with pytest.raises(NonConvergence, match="rounding floor"):
+                converged_levels(OscillatorModel(power=power, g=1.0, lam=1e4), 0, 1e-10)
+    # each build is the dimension N plus the 2k residual rows
+    assert builds == [(6, 38), (6, 46), (6, 56), (8, 48)]
 
 
 SEXTIC = OscillatorModel(power=6, g=1.0, lam=0.7)
@@ -168,7 +288,7 @@ def test_unit_power_cache_does_not_change_results():
     # and every matrix element of a cropped band is the one built in place
     for model in (QUARTIC, SEXTIC):
         for dim in (16, 17, 100):
-            basis = TruncatedBasis(dim, 1.3)
+            basis = _TruncatedBasis(dim, 1.3)
             warm = full_matrix(model, basis)
             gha.oracle._unit_power_cache.clear()
             assert np.array_equal(full_matrix(model, basis), warm)
@@ -194,7 +314,7 @@ def test_unit_powers_are_read_only():
 def test_unit_power_cache_holds_one_entry_per_power():
     gha.oracle._unit_power_cache.clear()
     for power, dim in [(4, 64), (6, 128), (4, 512), (8, 16), (4, 128), (6, 64)]:
-        basis = TruncatedBasis(dim, 1.0)
+        basis = _TruncatedBasis(dim, 1.0)
         hamiltonian_matrix(OscillatorModel(power=power, g=1.0, lam=1.0), basis)
     cache = gha.oracle._unit_power_cache
     assert sorted(cache) == [4, 6, 8]
@@ -226,7 +346,7 @@ def test_matrix_agrees_with_ladder_algebra(model):
     # between levels of opposite parity, which the blocks leave out, must vanish
     for dim in (16, 17, 64, 256):
         for freq in (0.5, 1.0, 2.7):
-            basis = TruncatedBasis(dim, freq)
+            basis = _TruncatedBasis(dim, freq)
             h = full_matrix(model, basis)
             ref = ladder_band(model, basis)
             assert np.abs(h - ref).max() <= 1e-13 * np.abs(ref).max()

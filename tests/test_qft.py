@@ -16,15 +16,11 @@ from gha.qft import (
     GapState,
     RenormalizedParams,
     bessel_k1,
-    density_ratio,
     effective_potential,
-    occupation,
-    peak_density,
     renormalized,
     solve_mass_gap,
     static_potential,
     stevenson,
-    structure_function,
 )
 
 FOUR_PI2 = 4.0 * math.pi**2
@@ -334,25 +330,6 @@ def test_renormalized_match_potential_curvatures():
     assert abs(mr2_fd - r.mR2) < 1e-3 * abs(r.mR2)
     lam_fd = (2.0 * u[2] - 8.0 * u[1] + 6.0 * u[0]) / h**4 / 24.0
     assert abs(lam_fd - r.lambdaR) < 1e-4 * abs(r.lambdaR)
-
-
-def test_structure_function_and_density():
-    assert density_ratio(0.0, 2.5) == 1.0
-    assert density_ratio(math.sqrt(2.5), 2.5) == pytest.approx(2.0**-0.5, rel=1e-14)
-    assert structure_function(1e6, 1.0, 5.0) == pytest.approx(1.0, abs=1e-11)
-    assert peak_density(1.0, 1.0) == pytest.approx(1.0 / (32.0 * math.pi**3), rel=1e-15)
-    assert peak_density(4.0, 1.0) == 2.0 * peak_density(1.0, 1.0)
-    for k in (0.0, 0.5, 3.0):
-        u = structure_function(k, 1.0, 6.0)
-        assert occupation(k, 1.0, 6.0) == pytest.approx(
-            math.sinh(0.5 * math.log(u)) ** 2, rel=1e-12
-        )
-    with pytest.raises(DomainError):
-        structure_function(-1.0, 1.0, 1.0)
-    with pytest.raises(DomainError):
-        density_ratio(1.0, 0.0)
-    with pytest.raises(DomainError):
-        peak_density(0.0, 1.0)
 
 
 def test_bessel_anchor_values():

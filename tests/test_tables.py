@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import gha
-from gha import hartree, tables
+from gha import hartree, oracle, tables
 from gha.cli import main
 from gha.errors import DomainError
 from gha.tables import ComparisonReport, Provenance, reference_table, run_table
@@ -233,10 +233,11 @@ def test_each_column_solves_each_level_once(monkeypatch):
 
 
 def test_oracle_dimension_of_each_column(monkeypatch):
-    # the dimension at which each column's spectrum stopped drifting by the
-    # table tolerance; a rounding change in the oracle must not move it
-    used = {}
-    real_spectrum = tables.converged_levels
+    # the a priori dimension ⌊(3·n_max + 1)/2⌋ + 9k + 4, rounded up to even,
+    # certifies each column's spectrum to the table tolerance with one matrix
+    # build and one eigensolve; a rounding change in the oracle must not move it
+    used, builds = {}, Counter()
+    real_spectrum, real_build = tables.converged_levels, oracle.hamiltonian_matrix
 
     def spectrum(model, n_max, tol):
         estimate = real_spectrum(model, n_max, tol)
@@ -244,12 +245,19 @@ def test_oracle_dimension_of_each_column(monkeypatch):
         return estimate
 
     monkeypatch.setattr(tables, "converged_levels", spectrum)
+    monkeypatch.setattr(oracle, "hamiltonian_matrix",
+                        lambda model, basis: builds.update([model.lam])
+                        or real_build(model, basis))
+    dimension = {1: 82, 2: 38, 3: 58, 4: 62}
     for table_id in (1, 2, 3, 4):
         used.clear()
+        builds.clear()
         run_table(table_id)
         scale = 0.5 if table_id == 3 else 1.0
         quoted = {c.lam for c in reference_table(table_id).cells
                   if c.provenance is Provenance.EXTERNAL_REF}
-        expected = {scale * lam: 256 if table_id == 1 and lam <= 100.0 else 128
+        # table 1 quotes levels up to 40, but only up to 4 at λ = 1000
+        expected = {scale * lam: 28 if lam == 1000.0 else dimension[table_id]
                     for lam in quoted}
         assert used == expected, table_id
+        assert builds == Counter(expected.keys()), table_id

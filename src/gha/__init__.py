@@ -24,15 +24,14 @@ _HOMES = {
                "NonFiniteValue", "PhaseUnavailable"),
     "hartree": ("BranchInfo", "HartreeSolution", "OscillatorModel", "Phase",
                 "classical_well_depth", "critical_coupling",
-                "general_gap_residuals", "solve_gap", "solve_level",
-                "ssb_sigma_squared", "zeroth_energy"),
+                "general_gap_residuals", "solve_level"),
     "hipt": ("Contribution", "PerturbationReport", "build_h_prime",
              "second_order"),
     "ladder": ("ModeParameters", "NormalOrderedPolynomial", "constant",
                "expectation", "field_power", "matrix_element",
                "momentum_squared", "multiply"),
     "oracle": ("SpectrumEstimate", "converged_levels", "hamiltonian_matrix"),
-    "qft": ("FieldTheory", "GapState", "RenormalizedParams", "bessel_k1",
+    "qft": ("FieldTheory", "GapState", "RenormalizedParams",
             "effective_potential", "renormalized", "solve_mass_gap",
             "static_potential", "stevenson"),
     "tables": ("ComparisonReport", "ComparisonRow", "Provenance",

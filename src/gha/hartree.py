@@ -76,12 +76,12 @@ sums, the table columns and the oracle's basis frequency share one solve
 per (model, level); a failed step stores nothing and fails again.  The
 moments c_j(n) of the 4096 pairs (j, n) used last are cached per process.
 
-The public `solve_gap` and `zeroth_energy` validate at the door: the level
-index, the phase (a member or its name) and whether the model's sign of g
-and power admit it.  Past those checks each is one private call, `_root`
-or `_energy`, which holds the formula.  The winner step checks the level
-once, picks its phases from the model, and calls `_root` and `_energy`
-directly.
+A level is the one way into its branches.  The winner step checks the
+level index once, picks only the phases that the model's sign of g and power
+admit, and computes λ_c once; it solves the broken branch only at λ ≤ λ_c
+and hands that λ_c to its closed-form start.  Each branch's ω, σ and E₀
+stay readable on the level: its own fields for the winner, and `branches`
+for both double-well branches below λ_c.
 """
 
 from __future__ import annotations
@@ -122,8 +122,10 @@ class OscillatorModel:
     _levels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.power not in (4, 6, 8):
-            raise DomainError(f"anharmonic power must be 4, 6 or 8, got {self.power}")
+        # a float power passes the membership test but fails in math.comb
+        if not hasattr(self.power, "__index__") or self.power not in (4, 6, 8):
+            raise DomainError(
+                f"anharmonic power must be the integer 4, 6 or 8, got {self.power!r}")
         if not (self.lam > 0.0) or not math.isfinite(self.lam):
             raise DomainError(f"coupling must be positive, got {self.lam}")
         if self.g == 0.0 or not math.isfinite(self.g):
@@ -214,11 +216,12 @@ def _field_averages(k: int, n: int, omega: float, sigma: float):
 
 def critical_coupling(xi: float, g: float) -> float:
     """λ_c(ξ, g) = (−2g/3)^{3/2} / (3 p(ξ)), the largest coupling with a
-    broken-symmetry branch of the quartic double well."""
-    if g >= 0.0:
+    broken-symmetry branch of the quartic double well; for finite ξ ≥ ½ and
+    finite g < 0 only."""
+    if not -math.inf < g < 0.0:
         raise DomainError(f"critical coupling is defined for g < 0, got g={g}")
-    if xi < 0.5:
-        raise DomainError(f"xi must be at least 1/2, got {xi}")
+    if not 0.5 <= xi < math.inf:
+        raise DomainError(f"xi must be finite and at least 1/2, got {xi}")
     try:
         return (-2.0 * g / 3.0) ** 1.5 / (3.0 * xi_p(xi))
     except OverflowError as exc:
@@ -259,29 +262,12 @@ def _newton(k: int, g: float, c0: float, w: float, floor: float) -> Tuple[float,
     raise NonConvergence(f"gap Newton descent did not settle in {_NEWTON_STEPS} steps")
 
 
-def solve_gap(model: OscillatorModel, n: int, phase: Phase) -> float:
-    """Positive root ω of the phase-appropriate gap equation at level n."""
-    xi = _xi(n)
-    phase = Phase(phase)
-    if phase is Phase.AHO and model.g < 0.0:
-        raise PhaseUnavailable("AHO phase requires g > 0")
-    if phase in (Phase.DWO_SR, Phase.DWO_SSB) and model.g > 0.0:
-        raise PhaseUnavailable("DWO phases require g < 0")
-    if phase is Phase.DWO_SSB and model.power != 4:
-        raise PhaseUnavailable("broken-symmetry branch is quartic-only here")
-    return _root(model, n, xi, phase)
-
-
-def _root(model: OscillatorModel, n: int, xi: float, phase: Phase) -> float:
-    """`solve_gap` past its checks: level n ≥ 0 with ξ = n + ½, and a phase
-    member that the model's g and power admit."""
+def _root(model: OscillatorModel, n: int, phase: Phase,
+          lam_c: Optional[float] = None) -> float:
+    """Positive root ω of the phase's gap equation at level n ≥ 0, for a
+    phase that the model admits; the broken branch needs the level's λ_c ≥ λ."""
     k, g, c0 = _gap_poly(model, n, phase)
     if phase is Phase.DWO_SSB:
-        lam_c = critical_coupling(xi, model.g)
-        if model.lam > lam_c:
-            raise PhaseUnavailable(
-                f"no broken-symmetry branch: lambda={model.lam} exceeds lambda_c={lam_c}"
-            )
         # closed form, exact up to rounding; the descent starts just above
         # it, whichever side of the root rounding put it on, and stays above
         # the cubic's minimum at √(g′/3) = √(−2g/3), where the root merges
@@ -318,33 +304,6 @@ def _root(model: OscillatorModel, n: int, xi: float, phase: Phase) -> float:
     if not abs(residual) <= tol:
         raise NonConvergence(f"gap residual {residual:.3e} above tolerance {tol:.3e}")
     return w
-
-
-def zeroth_energy(model: OscillatorModel, n: int, omega: float, phase: Phase) -> float:
-    """Closed-form level energy ξ[(k+1)ω + (k−1)g/ω]/(2k) of the Hartree
-    Hamiltonian H₀; on the broken branch at the cubic's (k, g) = (2, −2g) and
-    measured from the bottom of the wells."""
-    xi = _xi(n)
-    phase = Phase(phase)
-    if phase is Phase.DWO_SSB and model.power != 4:
-        raise PhaseUnavailable("broken-symmetry energies are quartic-only here")
-    return _energy(model, xi, omega, phase)
-
-
-def _energy(model: OscillatorModel, xi: float, omega: float, phase: Phase) -> float:
-    """`zeroth_energy` past its checks: ξ = n + ½ of a level n ≥ 0, and a
-    phase member, the broken one only for the quartic."""
-    k, g = model.k, model.g
-    depth = 0.0
-    if phase is Phase.DWO_SSB:
-        g, depth = -2.0 * g, classical_well_depth(model)
-    return xi * ((k + 1) * omega + (k - 1) * g / omega) / (2 * k) - depth
-
-
-def ssb_sigma_squared(model: OscillatorModel, n: int, omega: float) -> float:
-    """σ² = −(g + 12λξ/ω)/(4λ) on the broken-symmetry branch."""
-    xi = _xi(n)
-    return -(model.g + 12.0 * model.lam * xi / omega) / (4.0 * model.lam)
 
 
 def _finish(model, n, omega, sigma, phase, energy, branches=None) -> HartreeSolution:
@@ -404,18 +363,25 @@ def solve_level(model: OscillatorModel, n: int) -> HartreeSolution:
     return sol
 
 
-def _branch(model: OscillatorModel, n: int, xi: float,
-            phase: Phase) -> Tuple[float, float, Phase, float]:
+def _branch(model: OscillatorModel, n: int, xi: float, phase: Phase,
+            lam_c: Optional[float] = None) -> Tuple[float, float, Phase, float]:
     """(ω, σ, phase, E₀) of one branch of level n ≥ 0 with ξ = n + ½, in
-    `_finish`'s order; the phase is one that the model admits.
+    `_finish`'s order; the phase is one that the model admits, and the
+    broken branch needs the level's λ_c ≥ λ.
 
-    The broken branch takes σ = +√σ², and σ² is positive wherever its gap
-    solves (see the module docstring); the two wells are degenerate, so the
-    sign is not physical.
+    E₀ = ξ[(k+1)ω + (k−1)g/ω]/(2k), on the broken branch at the cubic's
+    (k, g) = (2, −2g) and measured from the bottom of the wells.  That branch
+    takes σ = +√σ² with σ² = −(g + 12λξ/ω)/(4λ), which is positive wherever
+    its gap solves (see the module docstring); the two wells are degenerate,
+    so the sign is not physical.
     """
-    omega = _root(model, n, xi, phase)
-    sigma = math.sqrt(ssb_sigma_squared(model, n, omega)) if phase is Phase.DWO_SSB else 0.0
-    return omega, sigma, phase, _energy(model, xi, omega, phase)
+    omega = _root(model, n, phase, lam_c)
+    k, g, lam = model.k, model.g, model.lam
+    sigma = depth = 0.0
+    if phase is Phase.DWO_SSB:
+        sigma = math.sqrt(-(g + 12.0 * lam * xi / omega) / (4.0 * lam))
+        g, depth = -2.0 * g, classical_well_depth(model)
+    return omega, sigma, phase, xi * ((k + 1) * omega + (k - 1) * g / omega) / (2 * k) - depth
 
 
 def _solve_level(model: OscillatorModel, n: int):
@@ -432,7 +398,7 @@ def _solve_level(model: OscillatorModel, n: int):
     sr = _branch(model, n, xi, Phase.DWO_SR)
     if model.lam > lam_c:
         return (*sr, None)
-    ssb = _branch(model, n, xi, Phase.DWO_SSB)
+    ssb = _branch(model, n, xi, Phase.DWO_SSB, lam_c)
     # the lower branch is the physical one; on an exact tie, or a NaN, keep
     # the symmetry-restored branch
     return (*(ssb if ssb[3] < sr[3] else sr), (sr, ssb))

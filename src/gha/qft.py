@@ -242,9 +242,11 @@ def _k1_scaled(x: float) -> float:
     error becomes about e^{−2π²/(h²x)}; h = 0.6/√x keeps that at e^{−55}.
     The sum stops at x(cosh t − 1) = 45; the tail it leaves out is at most
     about e^{−45} of the integral.  At small x that cut lies near t =
-    ln(90/x), so the sum takes about 5 ln(90/x) terms (219 at x = 1e-17).
-    Callers use it for x > 1e-17 only: below, x·eˣK₁(x) rounds to 1.
-    Factoring out e^{−x} keeps x up to 700 inside normal double range.
+    ln(90/x), so the sum takes about 5 ln(90/x) terms (219 at x = 1e-17),
+    and N ≤ 58 terms for x ≥ 1e-3.  Both h and N depend on x alone, so
+    nothing is iterated, and e^{−x} times the sum is within 1e-15 relative
+    of K₁ from x = 1e-17 to 700.  Callers use it for x > 1e-17 only: below,
+    x·eˣK₁(x) rounds to 1.
     """
     h = min(0.2, 0.6 / math.sqrt(x))
     n = math.ceil(2.0 * math.asinh(math.sqrt(22.5 / x)) / h)
@@ -255,38 +257,16 @@ def _k1_scaled(x: float) -> float:
     return h * total
 
 
-def bessel_k1(x: float) -> float:
-    """Modified Bessel function K₁(x) for x ∈ (0, 700].
-
-    Computed from the integral representation K₁(x) = ∫₀^∞ e^{−x cosh t}
-    cosh t dt by one fixed-step trapezoid sum (see `_k1_scaled`): the step
-    h = min(0.2, 0.6/√x) follows from the half-width π/2 of the strip where
-    the integrand is analytic and, at large x, from the 1/√x width of its
-    peak; the sum is cut where x(cosh t − 1) = 45, after N ≤ 58 terms for
-    x ≥ 1e-3 and about 5 ln(90/x) terms below.  Both depend on x alone, so
-    nothing is iterated, and the result is within 1e-15 relative of K₁ from
-    x = 1e-17 to 700.  At x ≤ 1e-17 it is 1/x, since K₁(x) = 1/x +
-    O(x ln x) and the rest is below 1e-32 relative; below x ≈ 5.6e-309,
-    where 1/x overflows, it raises NonFiniteValue.
-    """
-    if not (0.0 < x <= 700.0):
-        raise DomainError(f"bessel_k1 supports x in (0, 700], got {x}")
-    if x > 1e-17:
-        return math.exp(-x) * _k1_scaled(x)
-    k1 = 1.0 / x
-    if k1 == math.inf:
-        raise NonFiniteValue(f"K1({x}) leaves floating-point range")
-    return k1
-
-
 def static_potential(r: float, mR: float) -> float:
     """Static inter-particle potential U(r) = m_R K₁(m_R r)/(4π² r).
 
     Formed as U = x·K₁(x)/(4π²r²) with x = m_R r and x·K₁(x) = e^{−x}·x·eˣK₁(x)
-    from the scaled sum, so that no factor leaves float range unless U does:
-    x may underflow to 0, where x·K₁(x) → 1, or pass 708, where e^{−x} is no
-    longer normal and U is formed from its logarithm.  U is 0.0 where it
-    underflows and raises NonFiniteValue where it overflows.
+    from the scaled sum `_k1_scaled`, so that no factor leaves float range
+    unless U does.  At x ≤ 1e-17, x·K₁(x) is taken as 1, since K₁(x) = 1/x +
+    O(x ln x) and the rest is below 1e-32 relative; x may underflow to 0
+    there.  Past x = 708, e^{−x} is no longer normal and U is formed from its
+    logarithm.  U is 0.0 where it underflows and raises NonFiniteValue where
+    it overflows.
     """
     if not 0.0 < r < math.inf:
         raise DomainError(f"r must be positive and finite, got {r}")

@@ -25,13 +25,11 @@ from contextlib import redirect_stdout
 import numpy as np
 
 from gha import cli
-from gha.errors import PhaseUnavailable
 from gha.hartree import (
     OscillatorModel,
     Phase,
     classical_well_depth,
     critical_coupling,
-    solve_gap,
     solve_level,
 )
 from gha.hipt import build_h_prime, potential_polynomial, second_order
@@ -226,12 +224,9 @@ def test_criterion_05_critical_coupling():
     slope = 3.0 * w_c**2 + 2.0 * g
     below = OscillatorModel(power=4, g=g, lam=computed * (1.0 - 1e-9))
     above = OscillatorModel(power=4, g=g, lam=computed * (1.0 + 1e-9))
-    opens = solve_gap(below, 0, Phase.DWO_SSB) > 0.0
-    try:
-        solve_gap(above, 0, Phase.DWO_SSB)
-        closes = False
-    except PhaseUnavailable:
-        closes = True
+    opens = any(b.phase is Phase.DWO_SSB and b.omega > 0.0
+                for b in solve_level(below, 0).branches or ())
+    closes = solve_level(above, 0).branches is None
     ok = (abs(computed - closed) <= 1e-14 * closed and abs(cubic) <= 1e-14
           and abs(slope) <= 1e-14 and opens and closes)
     verdict(5, ok,

@@ -13,13 +13,14 @@ from unittest import mock
 
 import mpmath as mp
 import pytest
+import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gha
 from gha.cli import main
 from gha.hartree import OscillatorModel, solve_level
-from gha.qft import FieldTheory, bessel_k1, solve_mass_gap, stevenson
+from gha.qft import FieldTheory, solve_mass_gap, stevenson
 
 
 def run_json(capsys, argv):
@@ -221,7 +222,7 @@ def test_qft_potential_rejects_nonpositive_sigma_max(capsys, sigma_max):
 def test_qft_static(capsys):
     doc = run_json(capsys, ["qft", "static", "--mr", "1", "--r", "1,2"])
     assert len(doc["rows"]) == 2
-    expected = bessel_k1(1.0) / (4.0 * math.pi**2)
+    expected = scipy.special.k1(1.0) / (4.0 * math.pi**2)
     assert doc["rows"][0]["U"] == pytest.approx(expected, rel=1e-12)
     # short distances reach the Coulomb-like core until U leaves float range
     doc = run_json(capsys, ["qft", "static", "--mr", "1", "--r", "0.0005"])

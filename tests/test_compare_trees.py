@@ -1,0 +1,39 @@
+"""The parent-against-change harness `tools/compare_trees.py`."""
+
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "tools" / "compare_trees.py"
+SRC = ROOT / "src"
+
+
+def compare(parent, change):
+    proc = subprocess.run([sys.executable, "-B", str(SCRIPT), str(parent), str(change),
+                           "--draws", "60"], capture_output=True, text=True, timeout=300)
+    total = re.search(r"^total mismatches: (\d+)$", proc.stdout, re.M)
+    assert total, proc.stdout + proc.stderr
+    return proc.returncode, int(total.group(1)), proc.stdout
+
+
+def test_a_tree_against_itself_has_no_mismatch():
+    code, total, out = compare(SRC, SRC)
+    assert (code, total) == (0, 0), out
+    for name in ("hartree.solve_level", "hipt.second_order"):
+        rows = re.findall(rf"^{re.escape(name)} +(\d+) +90 +0 +(\w+) +(\w+)$", out, re.M)
+        assert [seed for seed, _, _ in rows] == ["16", "99", "7"], out
+        assert all(a == b for _, a, b in rows), out
+
+
+def test_a_perturbed_constant_shows_as_mismatches(tmp_path):
+    shutil.copytree(SRC / "gha", tmp_path / "gha",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    hartree = tmp_path / "gha" / "hartree.py"
+    text = hartree.read_text()
+    assert text.count("return n + 0.5\n") == 1
+    hartree.write_text(text.replace("return n + 0.5\n", "return n + 0.5000001\n"))
+    code, total, out = compare(SRC, tmp_path)
+    assert code == 1 and total > 0, out

@@ -18,11 +18,8 @@ from gha.hartree import (
     gap_residual_scale,
     general_gap_residuals,
     moment,
-    solve_gap,
     solve_level,
-    ssb_sigma_squared,
     xi_p,
-    zeroth_energy,
 )
 from gha.hipt import potential_polynomial, second_order
 
@@ -31,15 +28,25 @@ from ladder_reference import hamiltonian_polynomial
 QUARTIC = OscillatorModel(power=4, g=1.0, lam=1.0)
 
 
+def level_branch(model, n, phase):
+    """The branch of level n in the given phase, as the level solve keeps it:
+    the level itself, or one of its two double-well branches."""
+    sol = solve_level(model, n)
+    (found,) = [b for b in sol.branches or (sol,) if b.phase is phase]
+    return found
+
+
 def test_quartic_unit_coupling_frequency_is_two():
-    w = solve_gap(QUARTIC, 0, Phase.AHO)
+    w = solve_level(QUARTIC, 0).omega
     assert abs(w - 2.0) < 1e-13
     assert abs(w**3 - w - 6.0) < 1e-12
 
 
 def test_symmetry_restored_frequency():
     m = OscillatorModel(power=4, g=-1.0, lam=1.0)
-    w = solve_gap(m, 0, Phase.DWO_SR)
+    sol = solve_level(m, 0)
+    assert sol.phase is Phase.DWO_SR and sol.branches is None
+    w = sol.omega
     # positive root of w^3 + w - 6 = 0
     assert abs(w**3 + w - 6.0) < 1e-11
     assert abs(w - 1.63437) < 1e-5
@@ -47,14 +54,14 @@ def test_symmetry_restored_frequency():
 
 def test_sextic_frequency_closed_form():
     m = OscillatorModel(power=6, g=1.0, lam=1.0)
-    w = solve_gap(m, 0, Phase.AHO)
+    w = solve_level(m, 0).omega
     # w^4 - w^2 - 22.5 = 0  ->  w^2 = (1 + sqrt(91))/2
     assert abs(w * w - 0.5 * (1.0 + math.sqrt(91.0))) < 1e-12
 
 
 def test_octic_frequency_against_polynomial_roots():
     m = OscillatorModel(power=8, g=1.0, lam=0.5)
-    w = solve_gap(m, 0, Phase.AHO)
+    w = solve_level(m, 0).omega
     # w^5 - w^3 - 52.5 = 0, h(1/2) = 3
     roots = np.roots([1.0, 0.0, -1.0, 0.0, 0.0, -52.5])
     positive = [z.real for z in roots if abs(z.imag) < 1e-9 and z.real > 0.0]
@@ -87,6 +94,10 @@ def test_critical_coupling_domain():
         critical_coupling(0.5, 1.0)
     with pytest.raises(DomainError):
         critical_coupling(0.25, -1.0)
+    # these returned nan, 0.0 for ξ = inf and inf for g = −inf
+    for xi, g in ((math.nan, -1.0), (math.inf, -1.0), (0.5, math.nan), (0.5, -math.inf)):
+        with pytest.raises(DomainError):
+            critical_coupling(xi, g)
 
 
 def test_hartree_coefficients_symmetric():
@@ -122,7 +133,8 @@ def test_hartree_condition_defines_c():
 
 
 def test_level_energies():
-    assert zeroth_energy(QUARTIC, 0, 2.0, Phase.AHO) == pytest.approx(0.8125, abs=1e-14)
+    # ω = 2 is the exact root, and E₀ = ξ(3ω + g/ω)/4 = 13/16 there
+    assert solve_level(QUARTIC, 0).energy == pytest.approx(0.8125, abs=1e-14)
     m = OscillatorModel(power=4, g=1.0, lam=0.1)
     assert solve_level(m, 0).energy == pytest.approx(0.56031, abs=5e-6)
     m6 = OscillatorModel(power=6, g=1.0, lam=1.0)
@@ -201,7 +213,7 @@ def test_gap_root_is_unique_on_log_grid():
             signs = np.sign([general_gap_residuals(m, n, w, 0.0)[0] for w in grid])
             assert np.count_nonzero(np.diff(signs)) == 1
             phase = Phase.AHO if m.g > 0 else Phase.DWO_SR
-            w = solve_gap(m, n, phase)
+            w = level_branch(m, n, phase).omega
             assert grid[0] < w < grid[-1]
 
 
@@ -213,10 +225,12 @@ def test_broken_branch_closed_form_satisfies_cubic():
         lam_c = critical_coupling(n + 0.5, g)
         lam = lam_c * float(rng.uniform(0.05, 0.999))
         m = OscillatorModel(power=4, g=g, lam=lam)
-        w = solve_gap(m, n, Phase.DWO_SSB)
+        b = level_branch(m, n, Phase.DWO_SSB)
+        w = b.omega
         c0 = 6.0 * lam * xi_p(n + 0.5)
         assert abs(w**3 + 2.0 * g * w + c0) < 1e-10 * max(1.0, abs(c0))
-        assert ssb_sigma_squared(m, n, w) > 0.0
+        sigma_squared = -(g + 12.0 * lam * (n + 0.5) / w) / (4.0 * lam)
+        assert sigma_squared > 0.0 and b.sigma == math.sqrt(sigma_squared)
 
 
 def test_broken_branch_satisfies_full_system():
@@ -275,7 +289,7 @@ def test_weak_coupling_expansion():
 def test_residuals_scale_with_constant_term():
     m = OscillatorModel(power=4, g=1.0, lam=1000.0)
     for n in (0, 40):
-        w = solve_gap(m, n, Phase.AHO)
+        w = solve_level(m, n).omega
         gap, _ = general_gap_residuals(m, n, w, 0.0)
         assert abs(gap) <= 1e-12 * gap_residual_scale(m, n, Phase.AHO)
     assert gap_residual_scale(QUARTIC, 0, Phase.AHO) == 6.0
@@ -299,14 +313,9 @@ def test_gap_tolerance_scales_with_largest_term(power):
 
 
 def test_phase_errors():
-    with pytest.raises(PhaseUnavailable):
-        solve_gap(QUARTIC, 0, Phase.DWO_SR)
-    with pytest.raises(PhaseUnavailable):
-        solve_gap(OscillatorModel(power=4, g=-1.0, lam=1.0), 0, Phase.DWO_SSB)
-    with pytest.raises(PhaseUnavailable):
-        solve_level(OscillatorModel(power=6, g=-1.0, lam=1.0), 0)
-    with pytest.raises(PhaseUnavailable):
-        solve_gap(OscillatorModel(power=8, g=-1.0, lam=1.0), 0, Phase.DWO_SSB)
+    for power in (6, 8):
+        with pytest.raises(PhaseUnavailable):
+            solve_level(OscillatorModel(power=power, g=-1.0, lam=1.0), 0)
 
 
 def test_model_validation():
@@ -318,6 +327,12 @@ def test_model_validation():
         OscillatorModel(power=4, g=1.0, lam=-2.0)
     with pytest.raises(DomainError):
         OscillatorModel(power=4, g=0.0, lam=1.0)
+    # a float power is not integral; it used to fail later, in math.comb
+    with pytest.raises(DomainError, match="integer 4, 6 or 8"):
+        OscillatorModel(power=4.0, g=1.0, lam=1.0)
+    # an integer type other than int is integral
+    assert solve_level(OscillatorModel(power=np.int64(6), g=1.0, lam=1.0), 0) == solve_level(
+        OscillatorModel(power=6, g=1.0, lam=1.0), 0)
     with pytest.raises(DomainError):
         solve_level(QUARTIC, -1)
     with pytest.raises(DomainError):
@@ -359,10 +374,9 @@ def test_overflowing_energy_reports_the_coefficients_error():
     (-1.4710131100118016e-212, 1.556e-321, 35),
 ])
 def test_gap_root_below_normal_range_is_non_finite(g, lam, n):
+    # the symmetry-restored branch is solved first, so its error is the level's
     model = OscillatorModel(power=4, g=g, lam=lam)
-    with pytest.raises(NonFiniteValue, match="leaves floating-point range"):
-        solve_gap(model, n, Phase.DWO_SR)
-    with pytest.raises(NonFiniteValue):
+    with pytest.raises(NonFiniteValue, match=r"gap (start|root) of level \d+ of Osc"):
         solve_level(model, n)
 
 
@@ -376,16 +390,23 @@ def test_gap_root_below_normal_range_is_non_finite(g, lam, n):
     (4, -1e308, 1e-300, 0, Phase.DWO_SSB),
 ])
 def test_gap_start_out_of_range_is_non_finite(power, g, lam, n, phase):
+    # no level reaches these branches: the sextic and octic double wells are
+    # PhaseUnavailable, and the quartic's symmetry-restored branch fails first
+    model = OscillatorModel(power=power, g=g, lam=lam)
+    lam_c = critical_coupling(n + 0.5, g) if phase is Phase.DWO_SSB else None
     with pytest.raises(NonFiniteValue, match="gap start"):
-        solve_gap(OscillatorModel(power=power, g=g, lam=lam), n, phase)
+        hartree._root(model, n, phase, lam_c)
+    with pytest.raises((NonFiniteValue, PhaseUnavailable)):
+        solve_level(model, n)
 
 
 def test_broken_branch_residual_overflow_is_non_finite():
     # c₀′ = −6λp(ξ) overflows: the residual was nan against a tolerance inf
+    # the level fails first on its symmetry-restored branch's start
     model = OscillatorModel(power=4, g=-3.3612749348220363e+205, lam=1.7679416060938297e+307)
     with pytest.raises(NonFiniteValue, match="gap root"):
-        solve_gap(model, 0, Phase.DWO_SSB)
-    with pytest.raises(NonFiniteValue):
+        hartree._root(model, 0, Phase.DWO_SSB, critical_coupling(0.5, model.g))
+    with pytest.raises(NonFiniteValue, match="gap start"):
         solve_level(model, 0)
 
 
@@ -399,41 +420,17 @@ def test_gap_check_rejects_an_unmoved_start(monkeypatch):
         (-1.0, 0.01, Phase.DWO_SSB, 1.3832),
     ]
     for g, lam, phase, root in cases:
-        assert solve_gap(OscillatorModel(4, g, lam), 0, phase) == pytest.approx(root, rel=0.01)
+        model = OscillatorModel(4, g, lam)
+        assert level_branch(model, 0, phase).omega == pytest.approx(root, rel=0.01)
     monkeypatch.setattr(hartree, "_newton", lambda k, g, c0, w, floor:
                         (w, w ** (k + 1) - g * w ** (k - 1) - c0))
     for g, lam, phase, _ in cases:
+        # each branch's own check; the level stops at the symmetry-restored
+        # branch, which it solves first
         with pytest.raises(NonConvergence, match="gap residual"):
-            solve_gap(OscillatorModel(4, g, lam), 0, phase)
-        # the winner step reaches the same descent past the public checks
+            hartree._root(OscillatorModel(4, g, lam), 0, phase, critical_coupling(0.5, g))
         with pytest.raises(NonConvergence, match="gap residual"):
             solve_level(OscillatorModel(4, g, lam), 0)
-
-
-def test_public_gap_and_energy_validate_at_the_door():
-    aho, dwo = OscillatorModel(4, 1.0, 1.0), OscillatorModel(4, -1.0, 0.01)
-    # a phase name works as its member does
-    for model, phase in ((aho, Phase.AHO), (dwo, Phase.DWO_SR), (dwo, Phase.DWO_SSB)):
-        w = solve_gap(model, 3, phase)
-        assert solve_gap(model, 3, phase.value) == w
-        assert zeroth_energy(model, 3, w, phase.value) == zeroth_energy(model, 3, w, phase)
-    with pytest.raises(ValueError):
-        solve_gap(aho, 0, "SSB")
-    with pytest.raises(PhaseUnavailable, match="AHO phase requires g > 0"):
-        solve_gap(dwo, 0, "AHO")
-    for phase in (Phase.DWO_SR, "DWO_SSB"):
-        with pytest.raises(PhaseUnavailable, match="DWO phases require g < 0"):
-            solve_gap(aho, 0, phase)
-    for power in (6, 8):
-        well = OscillatorModel(power, -1.0, 0.01)
-        with pytest.raises(PhaseUnavailable, match="broken-symmetry branch is quartic-only"):
-            solve_gap(well, 0, Phase.DWO_SSB)
-        with pytest.raises(PhaseUnavailable, match="broken-symmetry energies are quartic-only"):
-            zeroth_energy(well, 0, 1.0, "DWO_SSB")
-    with pytest.raises(DomainError, match="level index"):
-        solve_gap(aho, -1, Phase.AHO)
-    with pytest.raises(DomainError, match="level index"):
-        zeroth_energy(aho, -1, 1.0, Phase.AHO)
 
 
 @settings(max_examples=80, deadline=None)
@@ -442,10 +439,9 @@ def test_public_gap_and_energy_validate_at_the_door():
        st.integers(min_value=0, max_value=40))
 @example((4, -1.0), 0.0, -1.5, 2)  # both branches, the broken one lower
 @example((4, -1.0), 0.0, -0.01, 2)  # both branches, the restored one lower
-def test_winner_step_is_the_public_gap_and_energy(shape, log_g, log_lam, n):
-    # the winner step calls the private root and energy; every branch it
-    # keeps must be the very (ω, σ, E₀) the public functions give.  On the
-    # double well λ = λ_c(n)·10^log_lam, so both branches exist where log_lam ≤ 0
+def test_winner_step_is_one_of_its_branches(shape, log_g, log_lam, n):
+    # the winner is one of the branches the step solved; on the double well
+    # λ = λ_c(n)·10^log_lam, so both branches exist where log_lam ≤ 0
     power, sign = shape
     g = sign * 10.0**log_g
     lam = (critical_coupling(n + 0.5, g) if g < 0.0 else 1.0) * 10.0**log_lam
@@ -453,13 +449,6 @@ def test_winner_step_is_the_public_gap_and_energy(shape, log_g, log_lam, n):
     *won, branches = hartree._winner(model, n)
     if branches is not None:
         assert tuple(won) in branches
-    for omega, sigma, phase, energy in branches or [won]:
-        assert omega == solve_gap(model, n, phase)
-        if phase is Phase.DWO_SSB:
-            assert sigma == math.sqrt(ssb_sigma_squared(model, n, omega))
-        else:
-            assert sigma == 0.0
-        assert energy == zeroth_energy(model, n, omega, phase)
 
 
 # Hand-expanded per-power formulas, kept as the reference for the moment
@@ -589,8 +578,6 @@ def test_moment_core_reproduces_closed_forms(power):
                              reference_gap(power, g, lam, xi, w, 0.0))
         assert_matches_terms((k + 1) * w**k - (k - 1) * g_gap * w ** (k - 2),
                              reference_gap_derivative(power, g, w))
-        energy = zeroth_energy(m, n, w, phase)
-        assert_matches_terms(energy, reference_energy(power, g, xi, w))
         if power == 4 and g < 0:
             # the broken branch's cubic ω³ + 2gω + 6λp(ξ) and its energy,
             # measured from the bottom of the wells
@@ -599,9 +586,21 @@ def test_moment_core_reproduces_closed_forms(power):
             assert_matches_terms(w**3 - g_gap * w - c0,
                                  [w**3, 2.0 * g * w, 6.0 * lam * xi_p(xi)])
             assert_matches_terms(3 * w**2 - g_gap, [3.0 * w * w, 2.0 * g])
-            energy = zeroth_energy(m, n, w, Phase.DWO_SSB)
-            assert_matches_terms(energy, [0.75 * xi * w, -0.5 * xi * g / w,
-                                          -g * g / (16.0 * lam)])
+        # E₀ of each branch at its own root, through the level where it
+        # reaches the branch; the sextic and octic double wells have no level
+        if g < 0 and power != 4:
+            w0, _, _, energy = hartree._branch(m, n, xi, Phase.DWO_SR)
+            found = [(Phase.DWO_SR, w0, energy)]
+        else:
+            level = solve_level(m, n)
+            found = [(b.phase, b.omega, b.energy) for b in level.branches or (level,)]
+        for branch_phase, w0, energy in found:
+            if branch_phase is Phase.DWO_SSB:
+                # the cubic's energy, measured from the bottom of the wells
+                assert_matches_terms(energy, [0.75 * xi * w0, -0.5 * xi * g / w0,
+                                              -g * g / (16.0 * lam)])
+            else:
+                assert_matches_terms(energy, reference_energy(power, g, xi, w0))
 
 
 def test_moments_match_ladder_algebra():
@@ -618,7 +617,7 @@ def test_symmetry_restored_root_below_old_bracket():
     # the symmetry-restored root 6 lambda f / |g| ~ 6e-12 lies far below any
     # fixed positive lower bracket; the broken branch wins by energy
     m = OscillatorModel(power=4, g=-1e6, lam=1e-6)
-    w_sr = solve_gap(m, 0, Phase.DWO_SR)
+    w_sr = level_branch(m, 0, Phase.DWO_SR).omega
     assert w_sr == pytest.approx(6e-12, rel=1e-9)
     sol = solve_level(m, 0)
     assert sol.phase is Phase.DWO_SSB
@@ -633,6 +632,18 @@ def calls(monkeypatch):
     monkeypatch.setattr(hartree, "_solve_level",
                         lambda model, n: seen.append(n) or real(model, n))
     return seen
+
+
+def test_double_well_level_computes_lambda_c_once(monkeypatch):
+    # the level decides the broken branch by λ ≤ λ_c and hands that λ_c to
+    # the branch's closed-form start
+    seen = []
+    real = hartree.critical_coupling
+    monkeypatch.setattr(hartree, "critical_coupling",
+                        lambda xi, g: seen.append((xi, g)) or real(xi, g))
+    sol = solve_level(OscillatorModel(power=4, g=-1.0, lam=0.05), 0)
+    assert sol.phase is Phase.DWO_SSB and len(sol.branches) == 2
+    assert seen == [(0.5, -1.0)]
 
 
 def test_levels_are_solved_once_per_model(calls):
@@ -700,7 +711,7 @@ def test_broken_branch_at_the_double_root():
         g = -(10.0 ** float(rng.uniform(-2, 4)))
         n = int(rng.integers(0, 11))
         m = OscillatorModel(power=4, g=g, lam=critical_coupling(n + 0.5, g))
-        w = solve_gap(m, n, Phase.DWO_SSB)
+        w = level_branch(m, n, Phase.DWO_SSB).omega
         assert w == pytest.approx(math.sqrt(-2.0 * g / 3.0), rel=1e-7)
 
 

@@ -30,8 +30,7 @@ with level energy E = ξ[(k+1)ω + (k−1)g/ω]/(2k).  Worked instances:
 
 For the quartic double well a broken-symmetry branch with σ² =
 −(g + 12λξ/ω)/(4λ) exists for λ ≤ λ_c(ξ, g); its frequency satisfies the
-cubic ω³ + 2gω + 6λ p(ξ) = 0 with p(ξ) = 5ξ − 1/(4ξ) and is given in closed
-form by ω = 2√(−2g/3) cos[π/6 + ⅓ arcsin(λ/λ_c)].  There σ solves the
+cubic ω³ + 2gω + 6λ p(ξ) = 0 with p(ξ) = 5ξ − 1/(4ξ), and σ solves the
 configuration equation gσ + λ∂_σ⟨φ⁴⟩ = 0.  The cubic is the σ = 0 gap
 polynomial below with k = 2 at g′ = −2g and c₀′ = −6λp(ξ), and its level
 energy is the same formula at g′, less the well depth g²/(16λ).  Its σ² is
@@ -45,27 +44,27 @@ On every branch the level's coefficients follow from completing the square
 in H₀: ω² = g + 2λA and σ = λB/ω², so B = σω²/λ, and C makes ⟨V⟩ = ⟨φ^{2k}⟩
 with ⟨φ²⟩ = σ² + ξ/ω.
 
-Every branch solves f(ω) = ω^{k+1} − gω^{k−1} − c₀ by one Newton descent
-onto its largest root, from a start where f is nonnegative, increasing and
-convex.  At σ = 0, c₀ = 2kλc_k(n)/ξ > 0 and the start is ω₀ =
-max(√(2·max(g, 0)), (2c₀)^{1/(k+1)}).  There f(ω₀) ≥ 0: ω₀² ≥ 2g gives
-ω₀^{k−1}(ω₀² − g) ≥ ω₀^{k+1}/2 ≥ c₀.  Since c₀ > 0 the root has ω² > g, and
-on [root, ∞) both f′ = ω^{k−2}[(k+1)ω² − (k−1)g] and f″ = ω^{k−3}[k(k+1)ω² −
-(k−1)(k−2)g] are positive.  On an increasing convex function every Newton
-step from above lands between the root and the current point, so the iterates
-fall monotonically onto the root and stop when rounding no longer lets a step
-decrease ω.  For g < 0 the descent starts at min(ω₀, (2c₀/|g|)^{1/(k−1)}):
-there f ≥ ω^{k−1}|g| − c₀ = c₀ > 0 as well, f is increasing and convex on all
-of ω > 0, and where |g| dominates this start lies within a factor 2^{1/(k−1)}
-of the root, whereas from ω₀ the first step can round to ω ≤ 0.  The broken
-branch starts just above its closed form, and its descent stays above
-√(g′/3), where f′ = 3ω² − g′ vanishes and below which its largest root never
-lies.  One range rule holds at the root: ω^{k−1} and the largest gap term
-max(ω^{k+1}, |g|ω^{k−1}, |c₀|) must both be finite normal floats, or the solve
-raises `NonFiniteValue`, as it does for a start that is not finite or whose
-ω^{k−1} is below the smallest normal float, and for a residual that
-overflows.  The root's residual must then be at most 1e-12 times that
-largest term, with no absolute floor and no subnormal one.
+Every branch, the broken one included, solves f(ω) = ω^{k+1} − gω^{k−1} − c₀
+by one Newton descent onto its largest root, from one start and above one
+floor.  The floor √((k−1)·max(g, 0)/(k+1)) is where f′ = ω^{k−2}[(k+1)ω² −
+(k−1)g] vanishes for g > 0; above it f′ and f″ = ω^{k−3}[k(k+1)ω² −
+(k−1)(k−2)g] are positive.  The start ω₀ = max(√(2·max(g, 0)), (2·max(c₀,
+0))^{1/(k+1)}) has f(ω₀) ≥ 0, since ω₀² ≥ 2g gives ω₀^{k−1}(ω₀² − g) ≥
+ω₀^{k+1}/2 ≥ c₀.  At σ = 0, c₀ = 2kλc_k(n)/ξ > 0, so the root has ω² > g,
+above the floor.  For g < 0 the descent starts at min(ω₀,
+(2c₀/|g|)^{1/(k−1)}): there f ≥ ω^{k−1}|g| − c₀ = c₀ > 0 as well, and where
+|g| dominates this start lies within a factor 2^{1/(k−1)} of the root, whereas
+from ω₀ the first step can round to ω ≤ 0.  The broken cubic has g′ > 0 > c₀′,
+so it starts at √(2g′), above the floor √(g′/3) = √(−2g/3), where f ≤ 0
+exactly when λ ≤ λ_c.  On an increasing convex function every Newton step from
+above lands between the root and the current point, so the iterates fall
+monotonically onto the root and stop when rounding no longer lets a step
+decrease ω and keep it above the floor.  One range rule holds at the root:
+ω^{k−1} and the largest gap term max(ω^{k+1}, |g|ω^{k−1}, |c₀|) must both be
+finite normal floats, or the solve raises `NonFiniteValue`, as it does for a
+start that is not finite or whose ω^{k−1} is below the smallest normal float,
+and for a residual that overflows.  The root's residual must then be at most
+1e-12 times that largest term, with no absolute floor and no subnormal one.
 
 A level is solved in two memoized steps on the model instance.  The winner
 step solves the gap of each branch and keeps the lowest branch's (ω, σ,
@@ -76,12 +75,12 @@ sums, the table columns and the oracle's basis frequency share one solve
 per (model, level); a failed step stores nothing and fails again.  The
 moments c_j(n) of the 4096 pairs (j, n) used last are cached per process.
 
-A level is the one way into its branches.  The winner step checks the
-level index once, picks only the phases that the model's sign of g and power
-admit, and computes λ_c once; it solves the broken branch only at λ ≤ λ_c
-and hands that λ_c to its closed-form start.  Each branch's ω, σ and E₀
-stay readable on the level: its own fields for the winner, and `branches`
-for both double-well branches below λ_c.
+A level is the one way into its branches.  The level index must be a
+nonnegative integer, checked before the level's memo.  The winner step picks
+only the phases that the model's sign of g and power admit, and computes λ_c
+once, only to decide that the broken branch exists: it is solved at λ ≤ λ_c.
+Each branch's ω, σ and E₀ stay readable on the level: its own fields for the
+winner, and `branches` for both double-well branches below λ_c.
 """
 
 from __future__ import annotations
@@ -95,8 +94,9 @@ from typing import Optional, Tuple
 
 from .errors import DomainError, NonConvergence, NonFiniteValue, PhaseUnavailable
 
-# Newton descends monotonically from its start and settles in under ten
-# steps on the σ = 0 gap; near λ_c the broken branch's double root slows it
+# Newton descends monotonically from its start.  Over whole-range draws it
+# took at most 9 steps at σ = 0 and 31 on the broken branch, whose root nears
+# the floor, where f′ vanishes, as λ → λ_c
 _NEWTON_STEPS = 100
 
 # the smallest normal float
@@ -166,8 +166,9 @@ def xi_p(xi: float) -> float:
 
 
 def _xi(n: int) -> float:
-    if n < 0:
-        raise DomainError(f"level index must be nonnegative, got {n}")
+    # a float level passes the sign test but fails in math.comb
+    if not hasattr(n, "__index__") or n < 0:
+        raise DomainError(f"level index must be nonnegative and integral, got {n!r}")
     return n + 0.5
 
 
@@ -223,9 +224,13 @@ def critical_coupling(xi: float, g: float) -> float:
     if not 0.5 <= xi < math.inf:
         raise DomainError(f"xi must be finite and at least 1/2, got {xi}")
     try:
-        return (-2.0 * g / 3.0) ** 1.5 / (3.0 * xi_p(xi))
-    except OverflowError as exc:
-        raise NonFiniteValue(f"lambda_c at g={g} leaves floating-point range") from exc
+        # below g ≈ −9e307 it is −2g that overflows, to inf and without raising
+        lam_c = (-2.0 * g / 3.0) ** 1.5 / (3.0 * xi_p(xi))
+        if lam_c < math.inf:
+            return lam_c
+    except OverflowError:
+        pass
+    raise NonFiniteValue(f"lambda_c at g={g} leaves floating-point range")
 
 
 def _gap_poly(model: OscillatorModel, n: int, phase: Phase) -> Tuple[int, float, float]:
@@ -262,26 +267,20 @@ def _newton(k: int, g: float, c0: float, w: float, floor: float) -> Tuple[float,
     raise NonConvergence(f"gap Newton descent did not settle in {_NEWTON_STEPS} steps")
 
 
-def _root(model: OscillatorModel, n: int, phase: Phase,
-          lam_c: Optional[float] = None) -> float:
-    """Positive root ω of the phase's gap equation at level n ≥ 0, for a
-    phase that the model admits; the broken branch needs the level's λ_c ≥ λ."""
-    k, g, c0 = _gap_poly(model, n, phase)
-    if phase is Phase.DWO_SSB:
-        # closed form, exact up to rounding; the descent starts just above
-        # it, whichever side of the root rounding put it on, and stays above
-        # the cubic's minimum at √(g′/3) = √(−2g/3), where the root merges
-        # with the next one at λ = λ_c
-        floor = math.sqrt(g / 3.0)
-        w = 2.0 * floor * math.cos(
-            math.pi / 6.0 + math.asin(min(1.0, model.lam / lam_c)) / 3.0) * (1.0 + 1e-6)
+def _root(model: OscillatorModel, n: int, k: int, g: float, c0: float) -> float:
+    """Largest root ω of level n's gap f(ω) = ω^{k+1} − gω^{k−1} − c₀, the
+    tuple of `_gap_poly`; one start and one floor serve every branch (see the
+    module docstring)."""
+    # f(w₀) ≥ 0: w₀² ≥ 2g halves ω^{k+1} at worst, and w₀^{k+1} ≥ 2c₀
+    w = (2.0 * max(c0, 0.0)) ** (1.0 / (k + 1))
+    if g > 0.0:
+        w = max(math.sqrt(2.0 * g), w)
+        # f′ vanishes here; dividing g first keeps (k − 1)g from overflowing
+        floor = math.sqrt(g / (k + 1) * (k - 1))
     else:
-        # f(w₀) ≥ 0: w₀² ≥ 2g halves ω^{k+1} at worst, and w₀^{k+1} ≥ 2c₀
+        # f ≥ |g|ω^{k−1} − c₀ = c₀ there, near the root where |g| dominates
+        w = min(w, (2.0 * c0 / -g) ** (1.0 / (k - 1)))
         floor = 0.0
-        w = max(math.sqrt(2.0 * max(g, 0.0)), (2.0 * c0) ** (1.0 / (k + 1)))
-        if g < 0.0:
-            # f ≥ |g|ω^{k−1} − c₀ = c₀ there, near the root where |g| dominates
-            w = min(w, (2.0 * c0 / -g) ** (1.0 / (k - 1)))
     try:
         # a level whose ω^{k−1} is below the smallest normal float keeps too
         # few digits in gω^{k−1}; the descent only lowers ω, so a start down
@@ -348,6 +347,8 @@ def solve_level(model: OscillatorModel, n: int) -> HartreeSolution:
     instance, and later calls return the stored solution.  A failed solve
     stores nothing and fails again.
     """
+    # checked before the memo, which would take a float equal to a solved level
+    _xi(n)
     sol = model._levels.get(n)
     if sol is None:
         try:
@@ -363,24 +364,24 @@ def solve_level(model: OscillatorModel, n: int) -> HartreeSolution:
     return sol
 
 
-def _branch(model: OscillatorModel, n: int, xi: float, phase: Phase,
-            lam_c: Optional[float] = None) -> Tuple[float, float, Phase, float]:
+def _branch(model: OscillatorModel, n: int, xi: float,
+            phase: Phase) -> Tuple[float, float, Phase, float]:
     """(ω, σ, phase, E₀) of one branch of level n ≥ 0 with ξ = n + ½, in
     `_finish`'s order; the phase is one that the model admits, and the
-    broken branch needs the level's λ_c ≥ λ.
+    broken branch needs λ ≤ λ_c.
 
-    E₀ = ξ[(k+1)ω + (k−1)g/ω]/(2k), on the broken branch at the cubic's
-    (k, g) = (2, −2g) and measured from the bottom of the wells.  That branch
-    takes σ = +√σ² with σ² = −(g + 12λξ/ω)/(4λ), which is positive wherever
-    its gap solves (see the module docstring); the two wells are degenerate,
-    so the sign is not physical.
+    E₀ = ξ[(k+1)ω + (k−1)g/ω]/(2k) at the (k, g) of the branch's gap, on the
+    broken branch measured from the bottom of the wells.  That branch takes
+    σ = +√σ² with σ² = −(g + 12λξ/ω)/(4λ), which is positive wherever its
+    gap solves (see the module docstring); the two wells are degenerate, so
+    the sign is not physical.
     """
-    omega = _root(model, n, phase, lam_c)
-    k, g, lam = model.k, model.g, model.lam
+    k, g, c0 = _gap_poly(model, n, phase)
+    omega = _root(model, n, k, g, c0)
     sigma = depth = 0.0
     if phase is Phase.DWO_SSB:
-        sigma = math.sqrt(-(g + 12.0 * lam * xi / omega) / (4.0 * lam))
-        g, depth = -2.0 * g, classical_well_depth(model)
+        sigma = math.sqrt(-(model.g + 12.0 * model.lam * xi / omega) / (4.0 * model.lam))
+        depth = classical_well_depth(model)
     return omega, sigma, phase, xi * ((k + 1) * omega + (k - 1) * g / omega) / (2 * k) - depth
 
 
@@ -398,7 +399,7 @@ def _solve_level(model: OscillatorModel, n: int):
     sr = _branch(model, n, xi, Phase.DWO_SR)
     if model.lam > lam_c:
         return (*sr, None)
-    ssb = _branch(model, n, xi, Phase.DWO_SSB, lam_c)
+    ssb = _branch(model, n, xi, Phase.DWO_SSB)
     # the lower branch is the physical one; on an exact tie, or a NaN, keep
     # the symmetry-restored branch
     return (*(ssb if ssb[3] < sr[3] else sr), (sr, ssb))

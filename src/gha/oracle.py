@@ -189,8 +189,8 @@ def converged_levels(
     """
     import numpy as np
 
-    if n_max < 0:
-        raise DomainError(f"n_max must be nonnegative, got {n_max}")
+    if not hasattr(n_max, "__index__") or n_max < 0:
+        raise DomainError(f"n_max must be nonnegative and integral, got {n_max!r}")
     if not 1e-10 <= tol < math.inf:
         raise DomainError(f"tolerance must lie in [1e-10, inf), got {tol}")
     budget = f"levels 0..{n_max} not certified to {tol} within dimension {_MAX_DIMENSION}"

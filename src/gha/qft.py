@@ -146,7 +146,7 @@ def stevenson(n: int, M2: float, cutoff: float) -> float:
 
 
 def _gap_source(lam: float, M2: float, cutoff: float, i0: float) -> float:
-    """12λI₀(M²), given I₀ = stevenson(0, M², Λ), without a subnormal factor.
+    """12λI₀(M²), given a subnormal I₀ = stevenson(0, M², Λ), without its subnormal factor.
 
     Where Λ³/M or Λ² falls below about 1e-306, I₀ is subnormal and keeps only
     a few digits, although 12λI₀ in the gap equation can be a normal number.
@@ -156,8 +156,6 @@ def _gap_source(lam: float, M2: float, cutoff: float, i0: float) -> float:
     digit while Λ/M > 1e-160; below Λ/M ≈ 2e-414 the cutoff itself would
     underflow, and 12λI₀ < 1e-930·M² is left as it is.
     """
-    if i0 >= _NORMAL_MIN:
-        return 12.0 * lam * i0
     s = (math.frexp(M2)[1] - 600) // 2
     length = math.ldexp(cutoff, -s)
     if length == 0.0:

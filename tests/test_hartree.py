@@ -36,6 +36,11 @@ def level_branch(model, n, phase):
     return found
 
 
+def gap_root(model, n, phase):
+    """The private gap solve of one branch, which no level may reach."""
+    return hartree._root(model, n, *_gap_poly(model, n, phase))
+
+
 def test_quartic_unit_coupling_frequency_is_two():
     w = solve_level(QUARTIC, 0).omega
     assert abs(w - 2.0) < 1e-13
@@ -98,6 +103,11 @@ def test_critical_coupling_domain():
     for xi, g in ((math.nan, -1.0), (math.inf, -1.0), (0.5, math.nan), (0.5, -math.inf)):
         with pytest.raises(DomainError):
             critical_coupling(xi, g)
+    # −2g overflows to inf before the power, and λ_c came back inf; the
+    # power itself overflows from g ≈ −4.8e205 on
+    for g in (-1e308, -1e206):
+        with pytest.raises(NonFiniteValue, match="lambda_c at g="):
+            critical_coupling(0.5, g)
 
 
 def test_hartree_coefficients_symmetric():
@@ -335,6 +345,20 @@ def test_model_validation():
         OscillatorModel(power=6, g=1.0, lam=1.0), 0)
     with pytest.raises(DomainError):
         solve_level(QUARTIC, -1)
+    # a float level is not integral; it used to fail in math.comb with a
+    # bare TypeError, or to hit the memo of level 2 once that was solved
+    for model in (OscillatorModel(power=4, g=-1.0, lam=0.05),
+                  OscillatorModel(power=6, g=1.0, lam=1.0)):
+        for warm in (False, True):
+            if warm:
+                second_order(model, 2)
+            with pytest.raises(DomainError, match="nonnegative and integral, got 2.0"):
+                solve_level(model, 2.0)
+            with pytest.raises(DomainError, match="nonnegative and integral, got 2.0"):
+                second_order(model, 2.0)
+    # an integer type other than int is a level
+    assert second_order(OscillatorModel(power=4, g=-1.0, lam=0.05), np.int64(2)) == second_order(
+        OscillatorModel(power=4, g=-1.0, lam=0.05), 2)
     with pytest.raises(DomainError):
         moment(1, -1)
     # the moment cache keys on the argument types: a float level fails in
@@ -391,21 +415,21 @@ def test_gap_root_below_normal_range_is_non_finite(g, lam, n):
 ])
 def test_gap_start_out_of_range_is_non_finite(power, g, lam, n, phase):
     # no level reaches these branches: the sextic and octic double wells are
-    # PhaseUnavailable, and the quartic's symmetry-restored branch fails first
+    # PhaseUnavailable, and the quartic's λ_c overflows first
     model = OscillatorModel(power=power, g=g, lam=lam)
-    lam_c = critical_coupling(n + 0.5, g) if phase is Phase.DWO_SSB else None
     with pytest.raises(NonFiniteValue, match="gap start"):
-        hartree._root(model, n, phase, lam_c)
+        gap_root(model, n, phase)
     with pytest.raises((NonFiniteValue, PhaseUnavailable)):
         solve_level(model, n)
 
 
 def test_broken_branch_residual_overflow_is_non_finite():
-    # c₀′ = −6λp(ξ) overflows: the residual was nan against a tolerance inf
-    # the level fails first on its symmetry-restored branch's start
+    # c₀′ = −6λp(ξ) overflows: the residual was nan against a tolerance inf.
+    # ω³ overflows first, at the start √(2g′) of the descent; the level
+    # fails first on its symmetry-restored branch's start
     model = OscillatorModel(power=4, g=-3.3612749348220363e+205, lam=1.7679416060938297e+307)
-    with pytest.raises(NonFiniteValue, match="gap root"):
-        hartree._root(model, 0, Phase.DWO_SSB, critical_coupling(0.5, model.g))
+    with pytest.raises(NonFiniteValue, match="gap residual"):
+        gap_root(model, 0, Phase.DWO_SSB)
     with pytest.raises(NonFiniteValue, match="gap start"):
         solve_level(model, 0)
 
@@ -416,7 +440,7 @@ def test_gap_check_rejects_an_unmoved_start(monkeypatch):
         # the root 4.5e-27, and its residual c₀ ≈ 9.6e-30 is wrong at the
         # scale of the terms, though below an absolute 1e-12
         (-2.110974189309853e-3, 1.5963222272433442e-30, Phase.DWO_SR, 4.5e-27),
-        # the broken branch starts 1e-6 above its closed form, far from λ_c
+        # the broken branch starts at √(2g′) = 2, far from its root
         (-1.0, 0.01, Phase.DWO_SSB, 1.3832),
     ]
     for g, lam, phase, root in cases:
@@ -428,7 +452,7 @@ def test_gap_check_rejects_an_unmoved_start(monkeypatch):
         # each branch's own check; the level stops at the symmetry-restored
         # branch, which it solves first
         with pytest.raises(NonConvergence, match="gap residual"):
-            hartree._root(OscillatorModel(4, g, lam), 0, phase, critical_coupling(0.5, g))
+            gap_root(OscillatorModel(4, g, lam), 0, phase)
         with pytest.raises(NonConvergence, match="gap residual"):
             solve_level(OscillatorModel(4, g, lam), 0)
 
@@ -635,8 +659,8 @@ def calls(monkeypatch):
 
 
 def test_double_well_level_computes_lambda_c_once(monkeypatch):
-    # the level decides the broken branch by λ ≤ λ_c and hands that λ_c to
-    # the branch's closed-form start
+    # the level decides the broken branch by λ ≤ λ_c; the branch's own
+    # start and floor need no λ_c
     seen = []
     real = hartree.critical_coupling
     monkeypatch.setattr(hartree, "critical_coupling",
@@ -713,6 +737,20 @@ def test_broken_branch_at_the_double_root():
         m = OscillatorModel(power=4, g=g, lam=critical_coupling(n + 0.5, g))
         w = level_branch(m, n, Phase.DWO_SSB).omega
         assert w == pytest.approx(math.sqrt(-2.0 * g / 3.0), rel=1e-7)
+
+
+def test_broken_branch_solves_well_within_its_steps(monkeypatch):
+    # near λ_c the root nears the floor √(g′/3), where f′ vanishes, and the
+    # descent from √(2g′) about halves its distance per step; over the whole
+    # range it took at most 31 steps, so 40 must still solve every level
+    monkeypatch.setattr(hartree, "_NEWTON_STEPS", 40)
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        g = -(10.0 ** float(rng.uniform(-3, 4)))
+        n = int(rng.integers(0, 41))
+        lam = critical_coupling(n + 0.5, g) * (1.0 - 10.0 ** float(rng.uniform(-16, -1)))
+        w = level_branch(OscillatorModel(power=4, g=g, lam=lam), n, Phase.DWO_SSB).omega
+        assert w > math.sqrt(-2.0 * g / 3.0)
 
 
 def test_broken_branch_b_keeps_its_digits():

@@ -72,6 +72,10 @@ def test_band_structure_and_symmetry():
 def test_basis_validation():
     with pytest.raises(DomainError):
         converged_levels(QUARTIC, -1, 1e-7)
+    # a float n_max used to fail in math.comb with a bare TypeError
+    with pytest.raises(DomainError, match="nonnegative and integral, got 2.0"):
+        converged_levels(QUARTIC, 2.0, 1e-7)
+    assert converged_levels(QUARTIC, np.int64(2), 1e-7) == converged_levels(QUARTIC, 2, 1e-7)
     for tol in (1e-11, float("nan"), float("inf")):
         with pytest.raises(DomainError):
             converged_levels(QUARTIC, 2, tol)

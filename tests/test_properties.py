@@ -203,7 +203,8 @@ def test_broken_branch_shift_is_real(lg, n, near_critical, t):
     # the broken branch alone: over the whole range the level would often
     # stop first at its symmetry-restored branch or its coefficients
     try:
-        w = hartree._root(OscillatorModel(power=4, g=g, lam=lam), n, Phase.DWO_SSB, lam_c)
+        model = OscillatorModel(power=4, g=g, lam=lam)
+        w = hartree._root(model, n, *hartree._gap_poly(model, n, Phase.DWO_SSB))
     except (NonFiniteValue, NonConvergence):
         return
     assert -(g + 12.0 * lam * xi / w) >= 0.3 * -g

@@ -53,30 +53,12 @@ def _outcome(fn, *args) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
-def _gap_roots(gha, model, n):
-    return [gha.hartree.solve_gap(model(), n, phase) for phase in gha.hartree.Phase]
-
-
-def _zeroth_energies(gha, model, n):
-    # each phase's energy at its own gap root, where that root solves
-    out = []
-    for phase in gha.hartree.Phase:
-        try:
-            w = gha.hartree.solve_gap(model(), n, phase)
-        except Exception:
-            continue
-        out.append(gha.hartree.zeroth_energy(model(), n, w, phase))
-    return out
-
-
 # qualified name -> outcome of one draw; the tree, a model factory and n
 PROBES = {
     "hartree.solve_level": lambda gha, model, n: gha.hartree.solve_level(model(), n),
     "hipt.second_order": lambda gha, model, n: gha.hipt.second_order(model(), n),
     "hartree.critical_coupling":
         lambda gha, model, n: gha.hartree.critical_coupling(n + 0.5, model().g),
-    "hartree.solve_gap": _gap_roots,
-    "hartree.zeroth_energy": _zeroth_energies,
 }
 
 

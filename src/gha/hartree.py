@@ -34,11 +34,11 @@ cubic ω³ + 2gω + 6λ p(ξ) = 0 with p(ξ) = 5ξ − 1/(4ξ), and σ solves th
 configuration equation gσ + λ∂_σ⟨φ⁴⟩ = 0.  The cubic is the σ = 0 gap
 polynomial below with k = 2 at g′ = −2g and c₀′ = −6λp(ξ), and its level
 energy is the same formula at g′, less the well depth g²/(16λ).  Its σ² is
-always positive: the root has ω² ≥ −2g/3 and λ ≤ λ_c, so g + 12λξ/ω ≤
-g(1 − 8ξ/(3p(ξ))) ≤ g/3 < 0, and once the root's residual is finite so are
-g′ω, 12λ and 12λξ.  Below λ_c a level has both branches, and the lower
-energy is the physical one; on an exact tie, or a NaN, the
-symmetry-restored branch is kept.
+always positive: the root has ω² ≥ −2g/3, and there 6λp(ξ) = ω(−2g − ω²) ≤
+−4gω/3, so g + 12λξ/ω ≤ g(1 − 8ξ/(3p(ξ))) ≤ g/3 < 0, and once the root's
+residual is finite so are g′ω, 12λ and 12λξ.  Where the cubic has that root
+a level has both branches, and the lower energy is the physical one; on an
+exact tie, or a NaN, the symmetry-restored branch is kept.
 
 On every branch the level's coefficients follow from completing the square
 in H₀: ω² = g + 2λA and σ = λB/ω², so B = σω²/λ, and C makes ⟨V⟩ = ⟨φ^{2k}⟩
@@ -55,11 +55,15 @@ above the floor.  For g < 0 the descent starts at min(ω₀,
 (2c₀/|g|)^{1/(k−1)}): there f ≥ ω^{k−1}|g| − c₀ = c₀ > 0 as well, and where
 |g| dominates this start lies within a factor 2^{1/(k−1)} of the root, whereas
 from ω₀ the first step can round to ω ≤ 0.  The broken cubic has g′ > 0 > c₀′,
-so it starts at √(2g′), above the floor √(g′/3) = √(−2g/3), where f ≤ 0
-exactly when λ ≤ λ_c.  On an increasing convex function every Newton step from
-above lands between the root and the current point, so the iterates fall
-monotonically onto the root and stop when rounding no longer lets a step
-decrease ω and keep it above the floor.  One range rule holds at the root:
+so it starts at √(2g′), above the floor √(g′/3) = √(−2g/3).  There f =
+6λp(ξ) − 2(−2g/3)^{3/2}, which in exact arithmetic is ≤ 0 exactly when λ ≤
+λ_c.  The cubic decides from f at its floor, as computed, whether it has a
+root: it has none where that f is positive.  This test and λ ≤ fl(λ_c) round
+differently, so they can disagree where f at the floor lies within a few ε
+of its largest term 3(−2g/3)^{3/2}.  On an increasing convex function every
+Newton step from above lands between the root and the current point, so the
+iterates fall monotonically onto the root and stop when rounding no longer
+lets a step decrease ω and keep it above the floor.  One range rule holds at the root:
 ω^{k−1} and the largest gap term max(ω^{k+1}, |g|ω^{k−1}, |c₀|) must both be
 finite normal floats, or the solve raises `NonFiniteValue`, as it does for a
 start that is not finite or whose ω^{k−1} is below the smallest normal float,
@@ -76,11 +80,13 @@ per (model, level); a failed step stores nothing and fails again.  The
 moments c_j(n) of the 4096 pairs (j, n) used last are cached per process.
 
 A level is the one way into its branches.  The level index must be a
-nonnegative integer, checked before the level's memo.  The winner step picks
-only the phases that the model's sign of g and power admit, and computes λ_c
-once, only to decide that the broken branch exists: it is solved at λ ≤ λ_c.
-Each branch's ω, σ and E₀ stay readable on the level: its own fields for the
-winner, and `branches` for both double-well branches below λ_c.
+nonnegative integer, checked before the level's memo.  The winner step solves
+only the phases that the model's sign of g and power admit; on the double
+well it solves both, and the broken branch exists where its cubic has a root
+above its floor.  No level solve computes λ_c: `critical_coupling` is a
+reported number.  Each branch's ω, σ and E₀ stay readable on the level: its
+own fields for the winner, and `branches` for both double-well branches
+where both exist.
 """
 
 from __future__ import annotations
@@ -218,7 +224,8 @@ def _field_averages(k: int, n: int, omega: float, sigma: float):
 def critical_coupling(xi: float, g: float) -> float:
     """λ_c(ξ, g) = (−2g/3)^{3/2} / (3 p(ξ)), the largest coupling with a
     broken-symmetry branch of the quartic double well; for finite ξ ≥ ½ and
-    finite g < 0 only."""
+    finite g < 0 only.  Reported, not consulted: a level decides that branch
+    from its cubic, which can disagree with λ ≤ λ_c within rounding."""
     if not -math.inf < g < 0.0:
         raise DomainError(f"critical coupling is defined for g < 0, got g={g}")
     if not 0.5 <= xi < math.inf:
@@ -267,19 +274,23 @@ def _newton(k: int, g: float, c0: float, w: float, floor: float) -> Tuple[float,
     raise NonConvergence(f"gap Newton descent did not settle in {_NEWTON_STEPS} steps")
 
 
-def _root(model: OscillatorModel, n: int, k: int, g: float, c0: float) -> float:
+def _root(model: OscillatorModel, n: int, k: int, g: float,
+          c0: float) -> Optional[float]:
     """Largest root ω of level n's gap f(ω) = ω^{k+1} − gω^{k−1} − c₀, the
-    tuple of `_gap_poly`; one start and one floor serve every branch (see the
-    module docstring)."""
-    # f(w₀) ≥ 0: w₀² ≥ 2g halves ω^{k+1} at worst, and w₀^{k+1} ≥ 2c₀
-    w = (2.0 * max(c0, 0.0)) ** (1.0 / (k + 1))
+    tuple of `_gap_poly`, or None where f has no root above its floor; one
+    start and one floor serve every branch (see the module docstring)."""
     if g > 0.0:
-        w = max(math.sqrt(2.0 * g), w)
         # f′ vanishes here; dividing g first keeps (k − 1)g from overflowing
         floor = math.sqrt(g / (k + 1) * (k - 1))
+        # f(floor) = floor^{k−1}(floor² − g) − c₀ is negative unless c₀ < 0,
+        # as on the broken cubic; where it is positive f has no root above
+        if c0 < 0.0 and floor ** (k - 1) * (floor * floor - g) > c0:
+            return None
+        # f(w₀) ≥ 0: w₀² ≥ 2g halves ω^{k+1} at worst, and w₀^{k+1} ≥ 2c₀
+        w = max(math.sqrt(2.0 * g), (2.0 * max(c0, 0.0)) ** (1.0 / (k + 1)))
     else:
         # f ≥ |g|ω^{k−1} − c₀ = c₀ there, near the root where |g| dominates
-        w = min(w, (2.0 * c0 / -g) ** (1.0 / (k - 1)))
+        w = min((2.0 * c0) ** (1.0 / (k + 1)), (2.0 * c0 / -g) ** (1.0 / (k - 1)))
         floor = 0.0
     try:
         # a level whose ω^{k−1} is below the smallest normal float keeps too
@@ -365,10 +376,10 @@ def solve_level(model: OscillatorModel, n: int) -> HartreeSolution:
 
 
 def _branch(model: OscillatorModel, n: int, xi: float,
-            phase: Phase) -> Tuple[float, float, Phase, float]:
+            phase: Phase) -> Optional[Tuple[float, float, Phase, float]]:
     """(ω, σ, phase, E₀) of one branch of level n ≥ 0 with ξ = n + ½, in
-    `_finish`'s order; the phase is one that the model admits, and the
-    broken branch needs λ ≤ λ_c.
+    `_finish`'s order, or None where its gap has no root; the phase is one
+    that the model admits, and only the broken branch can lack a root.
 
     E₀ = ξ[(k+1)ω + (k−1)g/ω]/(2k) at the (k, g) of the branch's gap, on the
     broken branch measured from the bottom of the wells.  That branch takes
@@ -378,6 +389,8 @@ def _branch(model: OscillatorModel, n: int, xi: float,
     """
     k, g, c0 = _gap_poly(model, n, phase)
     omega = _root(model, n, k, g, c0)
+    if omega is None:
+        return None
     sigma = depth = 0.0
     if phase is Phase.DWO_SSB:
         sigma = math.sqrt(-(model.g + 12.0 * model.lam * xi / omega) / (4.0 * model.lam))
@@ -387,7 +400,8 @@ def _branch(model: OscillatorModel, n: int, xi: float,
 
 def _solve_level(model: OscillatorModel, n: int):
     """The unmemoized winner step: the lowest branch's (ω, σ, phase, E₀),
-    and both branches of a double-well level below λ_c, else None."""
+    and both branches of a double-well level whose broken cubic has a root,
+    else None."""
     if model.g > 0.0:
         return (*_branch(model, n, _xi(n), Phase.AHO), None)
     if model.power != 4:
@@ -395,11 +409,10 @@ def _solve_level(model: OscillatorModel, n: int):
             "negative-g spectra are provided for the quartic well only"
         )
     xi = _xi(n)
-    lam_c = critical_coupling(xi, model.g)
     sr = _branch(model, n, xi, Phase.DWO_SR)
-    if model.lam > lam_c:
-        return (*sr, None)
     ssb = _branch(model, n, xi, Phase.DWO_SSB)
+    if ssb is None:
+        return (*sr, None)
     # the lower branch is the physical one; on an exact tie, or a NaN, keep
     # the symmetry-restored branch
     return (*(ssb if ssb[3] < sr[3] else sr), (sr, ssb))

@@ -18,3 +18,14 @@ def radial_sine_potential(r, a):
         zeros=lambda m: m * mp.pi / r,
     )
     return float((1.0 / r + tail) / (4 * mp.pi ** 2 * r))
+
+
+def broken_cubic_at_floor(g, lam, n):
+    """The broken branch's cubic ω³ + 2gω + 6λp(ξ) at its floor √(−2g/3),
+    6λp(ξ) − 2(−2g/3)^{3/2}, and its largest term there, 3(−2g/3)^{3/2}:
+    both in 60-digit arithmetic at the float inputs, as mpmath numbers,
+    since either can lie outside the float range."""
+    with mp.workdps(60):
+        g, lam, xi = mp.mpf(g), mp.mpf(lam), mp.mpf(n) + mp.mpf(1) / 2
+        cube = (-2 * g / 3) ** mp.mpf(1.5)
+        return 6 * lam * (5 * xi - 1 / (4 * xi)) - 2 * cube, 3 * cube

@@ -25,7 +25,8 @@ def test_a_tree_against_itself_has_no_mismatch():
     # every probe names a function that the tree has
     assert "skipped" not in out, out
     for name in ("hartree.solve_level", "hipt.second_order"):
-        rows = re.findall(rf"^{re.escape(name)} +(\d+) +90 +0 +(\w+) +(\w+)$", out, re.M)
+        rows = re.findall(rf"^{re.escape(name)} +(\d+) +90 +0 +0 +0 +0 +(\w+) +(\w+)$",
+                          out, re.M)
         assert [seed for seed, _, _ in rows] == ["16", "99", "7"], out
         assert all(a == b for _, a, b in rows), out
 
@@ -39,3 +40,11 @@ def test_a_perturbed_constant_shows_as_mismatches(tmp_path):
     hartree.write_text(text.replace("return n + 0.5\n", "return n + 0.5000001\n"))
     code, total, out = compare(SRC, tmp_path)
     assert code == 1 and total > 0, out
+    # each mismatch changes the class, only the message or only the value
+    rows = re.findall(r"^[\w.]+ +\d+ +90 +(\d+) +(\d+) +(\d+) +(\d+) +\w+ +\w+$", out, re.M)
+    assert len(rows) == 9, out
+    split = [[int(count) for count in row] for row in rows]
+    assert all(bad == sum(kinds) for bad, *kinds in split), out
+    assert sum(bad for bad, *_ in split) == total, out
+    # ξ moves every solved value
+    assert sum(value for *_, value in split) > 0, out

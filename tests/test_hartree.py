@@ -1,6 +1,7 @@
 """Gap equations, Hartree coefficients, level energies and phase selection."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,9 +24,11 @@ from gha.hartree import (
 )
 from gha.hipt import potential_polynomial, second_order
 
+from conftest import broken_cubic_at_floor
 from ladder_reference import hamiltonian_polynomial
 
 QUARTIC = OscillatorModel(power=4, g=1.0, lam=1.0)
+EPS = sys.float_info.epsilon
 
 
 def level_branch(model, n, phase):
@@ -658,16 +661,37 @@ def calls(monkeypatch):
     return seen
 
 
-def test_double_well_level_computes_lambda_c_once(monkeypatch):
-    # the level decides the broken branch by λ ≤ λ_c; the branch's own
-    # start and floor need no λ_c
-    seen = []
-    real = hartree.critical_coupling
-    monkeypatch.setattr(hartree, "critical_coupling",
-                        lambda xi, g: seen.append((xi, g)) or real(xi, g))
-    sol = solve_level(OscillatorModel(power=4, g=-1.0, lam=0.05), 0)
-    assert sol.phase is Phase.DWO_SSB and len(sol.branches) == 2
-    assert seen == [(0.5, -1.0)]
+def test_double_well_level_computes_no_lambda_c(monkeypatch):
+    # the broken cubic decides from its value at the floor whether it has a
+    # root; λ_c is only reported
+    def refuse(xi, g):
+        raise AssertionError(f"critical_coupling({xi}, {g}) called by a level")
+
+    monkeypatch.setattr(hartree, "critical_coupling", refuse)
+    # below λ_c(½, −1) ≈ 0.0907 both branches, above it the restored one alone
+    below = solve_level(OscillatorModel(power=4, g=-1.0, lam=0.05), 0)
+    assert below.phase is Phase.DWO_SSB and len(below.branches) == 2
+    above = solve_level(OscillatorModel(power=4, g=-1.0, lam=0.1), 0)
+    assert above.phase is Phase.DWO_SR and above.branches is None
+
+
+def test_recorded_double_well_levels():
+    # λ equals fl(λ_c) but lies above the exact λ_c, so the broken cubic has
+    # no root above its floor; the level used to raise NonConvergence there
+    sol = solve_level(OscillatorModel(4, -4.006705135200882e-205, 1.411688802e-314), 651949)
+    assert sol.phase is Phase.DWO_SR and sol.branches is None
+    assert sol.omega == 1.3207177664343732e-103
+    # the broken branch solves, but the symmetric root 3.2e-151 has |g|ω and
+    # c₀ subnormal, and its range rule fails the level; letting that branch
+    # lose instead could pick the higher branch where the broken one overflows
+    with pytest.raises(NonFiniteValue, match="gap root of level 17"):
+        solve_level(OscillatorModel(4, -4.165636187898341e-162, 1.2732862223e-314), 17)
+    # deep wells: E_n and E_m both round to −g²/(16λ) before they are
+    # subtracted.  These flip once the denominators are taken from the
+    # difference of the two gap equations
+    for g, lam, m in ((-1e10, 1e-3, 4), (-5.7626184661591784e+94, 1.8745925611625049e+81, 2)):
+        with pytest.raises(NonConvergence, match=f"degenerate denominator between levels 5 and {m}"):
+            second_order(OscillatorModel(4, g, lam), 5)
 
 
 def test_levels_are_solved_once_per_model(calls):
@@ -729,14 +753,25 @@ def test_memo_leaves_equality_hash_and_repr_alone():
 def test_broken_branch_at_the_double_root():
     # at λ = λ_c the cubic's two largest roots merge at √(−2g/3), which
     # float64 fixes only to about √ε; there f′ is rounding noise, and a
-    # Newton step that leaves the region above the minimum lands far off
+    # Newton step that leaves the region above the minimum lands far off.
+    # The cubic at that floor is rounding noise too, so at λ = fl(λ_c) a
+    # level may drop the broken branch, but only where the exact cubic
+    # there is not below the rounding of its largest term
     rng = np.random.default_rng(5)
+    lost = 0
     for _ in range(200):
         g = -(10.0 ** float(rng.uniform(-2, 4)))
         n = int(rng.integers(0, 11))
         m = OscillatorModel(power=4, g=g, lam=critical_coupling(n + 0.5, g))
+        if solve_level(m, n).branches is None:
+            lost += 1
+            value, top = broken_cubic_at_floor(g, m.lam, n)
+            assert value >= -4 * EPS * top, (g, n, value / top)
+            continue
         w = level_branch(m, n, Phase.DWO_SSB).omega
         assert w == pytest.approx(math.sqrt(-2.0 * g / 3.0), rel=1e-7)
+    # rounding goes both ways here: 55 of these 200 draws drop the branch
+    assert 0 < lost < 200
 
 
 def test_broken_branch_solves_well_within_its_steps(monkeypatch):

@@ -13,7 +13,7 @@ _SUBMODULES = ("cli", "errors", "hartree", "hipt", "ladder", "oracle", "qft",
 
 
 def test_every_public_name_is_the_object_in_its_home_module():
-    assert len(gha.__all__) == len(set(gha.__all__)) == 48
+    assert len(gha.__all__) == len(set(gha.__all__)) == 38
     for name in gha.__all__:
         obj = getattr(gha, name)
         home = obj.__module__

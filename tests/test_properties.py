@@ -26,12 +26,14 @@ from gha.hipt import second_order
 from gha.ladder import ModeParameters, expectation
 from gha.vacuum import vacuum_structure
 
+from conftest import broken_cubic_at_floor
 from ladder_reference import hamiltonian_polynomial
 
 powers = st.sampled_from([4, 6, 8])
 log_couplings = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 log_stiffness = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 levels = st.integers(min_value=0, max_value=25)
+EPS = sys.float_info.epsilon
 
 
 @settings(max_examples=60, deadline=None)
@@ -169,10 +171,17 @@ def test_double_well_branches_at_tiny_coupling(lg, ll, n):
        st.floats(min_value=-16.0, max_value=-1.0, allow_nan=False), levels)
 def test_broken_branch_near_the_critical_coupling(lg, lu, n):
     # λ = λ_c(1 − 10^u): as u falls the cubic's two largest roots merge at
-    # √(−2g/3), where f′ vanishes and float64 fixes the root to about √ε
+    # √(−2g/3), where f′ vanishes and float64 fixes the root to about √ε.
+    # There the cubic at that floor is rounding noise, and a level that
+    # drops the branch must have an exact cubic there not below that noise
     g, xi = -(10.0**lg), n + 0.5
     model = OscillatorModel(power=4, g=g, lam=critical_coupling(xi, g) * (1.0 - 10.0**lu))
-    (w,) = [b.omega for b in solve_level(model, n).branches if b.phase is Phase.DWO_SSB]
+    branches = solve_level(model, n).branches
+    if branches is None:
+        value, top = broken_cubic_at_floor(g, model.lam, n)
+        assert value >= -4 * EPS * top, (value / top)
+        return
+    (w,) = [b.omega for b in branches if b.phase is Phase.DWO_SSB]
     c0 = 6.0 * model.lam * xi_p(xi)
     scale = max(w**3, -2.0 * g * w, c0)
     assert abs(w**3 + 2.0 * g * w + c0) <= 1e-12 * scale
@@ -207,7 +216,39 @@ def test_broken_branch_shift_is_real(lg, n, near_critical, t):
         w = hartree._root(model, n, *hartree._gap_poly(model, n, Phase.DWO_SSB))
     except (NonFiniteValue, NonConvergence):
         return
+    if w is None:
+        # no root above the floor, so no branch
+        return
     assert -(g + 12.0 * lam * xi / w) >= 0.3 * -g
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=-300.0, max_value=300.0, allow_nan=False),
+       st.integers(min_value=0, max_value=10**6),
+       st.sampled_from(["fl", "ulp above", "ulp below", "below"]),
+       st.floats(min_value=-16.0, max_value=-1.0, allow_nan=False))
+# λ = fl(λ_c) lies 5.7e-11 above the exact λ_c: the cubic has no root
+@example(math.log10(4.006705135200882e-205), 651949, "fl", -1.0)
+def test_broken_cubic_decides_its_root_at_its_floor(lg, n, where, lu):
+    # λ at fl(λ_c), one ulp either side of it, or λ_c(1 − 10^u).  Wherever
+    # the exact cubic at the floor √(−2g/3) lies beyond the rounding of its
+    # largest term, the branch has a root exactly when that value is ≤ 0
+    g, xi = -(10.0**lg), n + 0.5
+    try:
+        lam_c = critical_coupling(xi, g)
+    except NonFiniteValue:
+        return
+    lam = {"fl": lam_c, "ulp above": math.nextafter(lam_c, math.inf),
+           "ulp below": math.nextafter(lam_c, 0.0), "below": lam_c * (1.0 - 10.0**lu)}[where]
+    assume(lam > 0.0)
+    model = OscillatorModel(power=4, g=g, lam=lam)
+    try:
+        w = hartree._root(model, n, *hartree._gap_poly(model, n, Phase.DWO_SSB))
+    except NonFiniteValue:
+        return
+    value, top = broken_cubic_at_floor(g, lam, n)
+    if abs(value) > 4 * EPS * top:
+        assert (w is None) == (value > 0), (w, value / top)
 
 
 @settings(max_examples=200, deadline=None)

@@ -12,9 +12,11 @@ and 7 there are N whole-range draws (power 4, 6 or 8, g = ±10^U(−320, 300),
 Each probed function is called on a fresh model for every draw, and its
 outcome is the repr of its result, or its error class and message.  The
 script prints, per function and seed, the number of draws whose outcomes
-differ and a SHA-256 of each tree's outcomes in draw order.  It names every
-probed function that is missing from either tree and skips it, and exits 1
-on any mismatch.
+differ and a SHA-256 of each tree's outcomes in draw order.  It splits those
+mismatches into draws whose outcome changes class (a value against an error,
+or one error class against another), draws that change only an error
+message, and draws that change only a value.  It names every probed function
+that is missing from either tree and skips it, and exits 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -46,11 +48,23 @@ def draws(seed: int, count: int):
             yield power, g, 10.0 ** rng.uniform(l_lo, l_hi), rng.randint(0, MAX_LEVEL)
 
 
-def _outcome(fn, *args) -> str:
+def _outcome(fn, *args):
+    """(class, text) of one call: "value" and the repr of its result, or the
+    error class and the class with its message."""
     try:
-        return repr(fn(*args))
+        return "value", repr(fn(*args))
     except Exception as exc:  # every error class is an outcome to compare
-        return f"{type(exc).__name__}: {exc}"
+        name = type(exc).__name__
+        return name, f"{name}: {exc}"
+
+
+def _digest(text: str, size: int) -> str:
+    return hashlib.blake2b(text.encode(), digest_size=size).hexdigest()
+
+
+# per-draw digest widths in hex characters: the outcome and its class
+OUTCOME_HEX, CLASS_HEX = 16, 8
+VALUE_CLASS = _digest("value", CLASS_HEX // 2)
 
 
 # qualified name -> outcome of one draw; the tree, a model factory and n
@@ -80,7 +94,8 @@ def _import_tree(src: str):
 
 
 def worker(src: str, names, count: int) -> dict:
-    """{name: {seed: [SHA-256 of the outcomes, per-draw digests in hex]}}."""
+    """{name: {seed: [SHA-256 of the outcomes, per-draw digests of the
+    outcomes and of their classes, in hex]}}."""
     gha = _import_tree(src)
     if names is None:
         return {"present": [name for name in PROBES if _present(gha, name)]}
@@ -89,14 +104,15 @@ def worker(src: str, names, count: int) -> dict:
         probe = PROBES[name]
         per_seed = {}
         for seed in SEEDS:
-            whole, digests = hashlib.sha256(), []
+            whole, digests, classes = hashlib.sha256(), [], []
             for power, g, lam, n in draws(seed, count):
                 def model(power=power, g=g, lam=lam):
                     return gha.hartree.OscillatorModel(power, g, lam)
-                text = _outcome(probe, gha, model, n).encode()
-                whole.update(text + b"\n")
-                digests.append(hashlib.blake2b(text, digest_size=8).hexdigest())
-            per_seed[str(seed)] = [whole.hexdigest(), "".join(digests)]
+                kind, text = _outcome(probe, gha, model, n)
+                whole.update(text.encode() + b"\n")
+                digests.append(_digest(text, OUTCOME_HEX // 2))
+                classes.append(_digest(kind, CLASS_HEX // 2))
+            per_seed[str(seed)] = [whole.hexdigest(), "".join(digests), "".join(classes)]
         results[name] = per_seed
     return results
 
@@ -116,6 +132,10 @@ def _collect(procs):
     return outs
 
 
+def _chunks(text: str, width: int):
+    return [text[i:i + width] for i in range(0, len(text), width)]
+
+
 def compare(parent: str, change: str, count: int) -> int:
     """Print the comparison table; the total number of mismatching draws."""
     found = _collect([_spawn(src, ["--list"]) for src in (parent, change)])
@@ -124,16 +144,26 @@ def compare(parent: str, change: str, count: int) -> int:
     skipped = [name for name in PROBES if name not in names]
     args = ["--draws", str(count), "--names", *names]
     left, right = _collect([_spawn(src, args) for src in (parent, change)])
-    print(f"{'function':28} {'seed':>4} {'draws':>7} {'mismatches':>10}  "
-          f"{'parent sha256':16}  {'change sha256':16}")
+    print(f"{'function':28} {'seed':>4} {'draws':>7} {'mismatches':>10} {'class':>6} "
+          f"{'message':>7} {'value':>6}  {'parent sha256':16}  {'change sha256':16}")
     total = 0
     for name in names:
         for seed in SEEDS:
-            (hash_a, dig_a), (hash_b, dig_b) = left[name][str(seed)], right[name][str(seed)]
-            n_draws = len(dig_a) // 16
-            bad = sum(dig_a[i:i + 16] != dig_b[i:i + 16] for i in range(0, len(dig_a), 16))
+            (hash_a, dig_a, cls_a), (hash_b, dig_b, cls_b) = (left[name][str(seed)],
+                                                              right[name][str(seed)])
+            n_draws = len(dig_a) // OUTCOME_HEX
+            counts = {"class": 0, "message": 0, "value": 0}
+            for out_a, out_b, kind_a, kind_b in zip(
+                    _chunks(dig_a, OUTCOME_HEX), _chunks(dig_b, OUTCOME_HEX),
+                    _chunks(cls_a, CLASS_HEX), _chunks(cls_b, CLASS_HEX)):
+                if out_a != out_b:
+                    counts["class" if kind_a != kind_b
+                           else "value" if kind_a == VALUE_CLASS else "message"] += 1
+            bad = sum(counts.values())
             total += bad
-            print(f"{name:28} {seed:>4} {n_draws:>7} {bad:>10}  {hash_a[:16]}  {hash_b[:16]}")
+            print(f"{name:28} {seed:>4} {n_draws:>7} {bad:>10} "
+                  f"{counts['class']:>6} {counts['message']:>7} {counts['value']:>6}  "
+                  f"{hash_a[:16]}  {hash_b[:16]}")
     for name in skipped:
         where = [tree for tree, p in zip(("parent", "change"), present) if name not in p]
         print(f"skipped {name}: not in the {' and '.join(where)} tree")

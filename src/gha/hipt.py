@@ -18,13 +18,17 @@ Only |m − n| ≤ 2k can contribute, and for σ = 0 only even m − n survive
 parity.  On the broken-symmetry branch (σ ≠ 0) the odd offsets contribute
 as well; pass even_only=True to drop them for comparison purposes.
 
-The column ⟨m|H′|n⟩ is summed as Σ_p h_p χ^p|n⟩ in χ = φ − σ = c(b + b†),
-c = 1/√(2ω).  Applying χ 2k times to the unit vector |n⟩ on the window
-max(0, n−2k)…n+2k, (χv)[j] = c√(j+1) v[j+1] + c√j v[j−1], yields every
-χ^p|n⟩; no path of 2k unit steps from n leaves the window before its last
-step, so cutting the basis there drops nothing.  χ^p|n⟩ is nonzero only at
-n−p, n−p+2, …, n+p, so each application fills only that band, clipped at 0
-with its parity kept; the entries it skips are exact zeros.
+The column ⟨m|H′|n⟩ is summed as Σ_p h_p c^p X̂^p|n⟩ in χ = φ − σ = cX̂,
+c = 1/√(2ω) and X̂ = b + b†, from p = 2k down to 1.  Applying X̂ 2k times to
+the unit vector |n⟩ on the window max(0, n−2k)…n+2k, (X̂v)[j] = √(j+1) v[j+1]
++ √j v[j−1], yields every X̂^p|n⟩; no path of 2k unit steps from n leaves the
+window before its last step, so cutting the basis there drops nothing.
+X̂^p|n⟩ is nonzero only at n−p, n−p+2, …, n+p, so each application fills
+only that band, clipped at 0 with its parity kept; the entries it skips are
+exact zeros.  These unit columns depend on (2k, n) alone, not on ω, and the
+1024 used last are cached per process as tuples, so a level pays only for
+its own h_p c^p.  `gha.oracle` builds its own X̂ powers; neither module
+imports the other.
 h_p = C(2k,p)σ^{2k−p} for p ≥ 3, and h₂ = C(2k,2)σ^{2k−2} − A and
 h₁ = 2kσ^{2k−1} − 2Aσ + B (−12σξ/ω for the quartic, by the configuration
 equation) come from the moment loop of `gha.hartree` without the terms that
@@ -43,6 +47,7 @@ the tests compare the column with, and are the only library code that uses
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -98,6 +103,27 @@ def build_h_prime(model: OscillatorModel, sol: HartreeSolution):
     return h_int - v
 
 
+@functools.lru_cache(maxsize=1024)
+def _unit_column(power: int, n: int) -> Tuple[Tuple[float, ...], ...]:
+    """X̂^p|n⟩ on the window max(0, n−2k)…n+2k for p = 0…2k, X̂ = b + b†."""
+    lo = max(0, n - power)
+    size = n + power + 3 - lo
+    # index i holds level lo+i−1, with a zero at each end of the window;
+    # hop[i] = ⟨lo+i−1|X̂|lo+i−2⟩ = √(lo+i−1)
+    hop = [0.0] + [math.sqrt(lo + i) for i in range(size - 1)]
+    v = [0.0] * size
+    v[n - lo + 1] = 1.0
+    powers = [tuple(v[1:-1])]
+    for p in range(1, power + 1):
+        w = [0.0] * size
+        # X̂^p|n⟩ is nonzero only at n−p, n−p+2, …, n+p, none of them below 0
+        for i in range(max(n - p, (n - p) % 2) - lo + 1, n + p - lo + 2, 2):
+            w[i] = hop[i] * v[i - 1] + hop[i + 1] * v[i + 1]
+        v = w
+        powers.append(tuple(v[1:-1]))
+    return tuple(powers)
+
+
 def h_prime_column(model: OscillatorModel, sol: HartreeSolution, n: int) -> dict:
     """⟨m|H′|n⟩ in the mode of sol for m = max(0, n−2k)…n+2k, keyed by m."""
     power, s = model.power, sol.sigma
@@ -106,30 +132,18 @@ def h_prime_column(model: OscillatorModel, sol: HartreeSolution, n: int) -> dict
     h = [0.0] * power + [1.0]
     if s:
         h[3:power] = [math.comb(power, p) * s ** (power - p) for p in range(3, power)]
-        h[1], h[2] = _field_averages(model.k, n, sol.omega, s)[3:]
+        h[1], h[2] = _field_averages(model.k, n, n + 0.5, sol.omega, s)[3:]
     else:
         h[2] = -sol.A
-    lo = max(0, n - power)
-    size = n + power + 3 - lo
+    unit = _unit_column(power, n)
     c = 1.0 / math.sqrt(2.0 * sol.omega)
-    # index i holds level lo+i−1, with a zero at each end of the window;
-    # hop[i] = ⟨lo+i−1|χ|lo+i−2⟩ = c√(lo+i−1)
-    hop = [0.0] + [c * math.sqrt(lo + i) for i in range(size - 1)]
-    v = [0.0] * size
-    v[n - lo + 1] = 1.0
-    powers = [v]  # χ^p|n⟩ for p = 0…2k
-    for p in range(1, power + 1):
-        w = [0.0] * size
-        # χ^p|n⟩ is nonzero only at n−p, n−p+2, …, n+p, none of them below 0
-        for i in range(max(n - p, (n - p) % 2) - lo + 1, n + p - lo + 2, 2):
-            w[i] = hop[i] * v[i - 1] + hop[i + 1] * v[i + 1]
-        v = w
-        powers.append(v)
-    column = v
+    scale = c**power
+    column = [scale * x for x in unit[power]]
     for p in range(power - 1, 0, -1):
         if h[p]:
-            column = [x + h[p] * y for x, y in zip(column, powers[p])]
-    column = dict(enumerate(column[1:-1], lo))
+            scale = h[p] * c**p
+            column = [x + scale * y for x, y in zip(column, unit[p])]
+    column = dict(enumerate(column, max(0, n - power)))
     column[n] += s**power - sol.A * s * s + sol.B * s - sol.C
     return column
 
@@ -168,7 +182,8 @@ def second_order(
     for m, num in raw:
         if abs(num) <= cutoff:
             continue
-        den = sol.energy - _winner(model, m)[3]
+        # m is a level of the column, an int ≥ 0
+        den = sol.energy - _winner(model, m, m + 0.5)[3]
         if den == 0.0:
             raise NonConvergence(f"degenerate denominator between levels {n} and {m}")
         contributions.append(Contribution(m=m, numerator=num, denominator=den))

@@ -3,6 +3,7 @@
 import math
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -41,7 +42,7 @@ def level_branch(model, n, phase):
 
 def gap_root(model, n, phase):
     """The private gap solve of one branch, which no level may reach."""
-    return hartree._root(model, n, *_gap_poly(model, n, phase))
+    return hartree._root(model, n, *_gap_poly(model, n, n + 0.5, phase))
 
 
 def test_quartic_unit_coupling_frequency_is_two():
@@ -114,7 +115,7 @@ def test_critical_coupling_domain():
 
 
 def test_hartree_coefficients_symmetric():
-    sol = hartree._finish(QUARTIC, 0, 2.0, 0.0, Phase.AHO, 0.8125)
+    sol = hartree._finish(QUARTIC, 0, 0.5, 2.0, 0.0, Phase.AHO, 0.8125)
     assert abs(sol.A - 1.5) < 1e-14
     assert sol.B == 0.0
     # <phi^4> = A <phi^2> + C at omega=2: 3/16 = 1.5/4 + C
@@ -132,7 +133,7 @@ def test_hartree_condition_defines_c():
             w = float(rng.uniform(0.3, 4.0))
             s = float(rng.uniform(-1.5, 1.5))
             n = int(rng.integers(0, 6))
-            cases.append((m, hartree._finish(m, n, w, s, Phase.AHO, 0.0)))
+            cases.append((m, hartree._finish(m, n, n + 0.5, w, s, Phase.AHO, 0.0)))
     for lam in (0.7, 0.05, 0.01):
         m = OscillatorModel(power=4, g=-1.0, lam=lam)
         cases += [(m, solve_level(m, n)) for n in range(3)]
@@ -388,7 +389,7 @@ def test_overflowing_energy_reports_the_coefficients_error():
         solve_level(model, 11)
     fresh = OscillatorModel(power=4, g=-1.011159896108892e+138, lam=9.030102062832079e-104)
     with pytest.raises(NonFiniteValue, match="range: float division by zero"):
-        hartree._winner(fresh, 11)
+        hartree._winner(fresh, 11, 11.5)
 
 
 @pytest.mark.parametrize("g, lam, n", [
@@ -428,13 +429,59 @@ def test_gap_start_out_of_range_is_non_finite(power, g, lam, n, phase):
 
 def test_broken_branch_residual_overflow_is_non_finite():
     # c₀′ = −6λp(ξ) overflows: the residual was nan against a tolerance inf.
-    # ω³ overflows first, at the start √(2g′) of the descent; the level
-    # fails first on its symmetry-restored branch's start
+    # ω³ overflows first, at the start √g′ of the descent; the level fails
+    # first on its symmetry-restored branch's start
     model = OscillatorModel(power=4, g=-3.3612749348220363e+205, lam=1.7679416060938297e+307)
     with pytest.raises(NonFiniteValue, match="gap residual"):
         gap_root(model, 0, Phase.DWO_SSB)
     with pytest.raises(NonFiniteValue, match="gap start"):
         solve_level(model, 0)
+
+
+def test_broken_branch_start_keeps_a_representable_root():
+    # the start √g′ = √(−2g) lies above the root, and its cube is finite
+    # for g down to about −1.59e205; the cube of √(2g′) = √(−4g) overflows
+    # below about −7.95e204, a start from which this branch raised
+    # NonFiniteValue although its root is a normal float
+    model = OscillatorModel(power=4, g=-1e205, lam=1.0)
+    with mp.workdps(60):
+        # ω³ + 2gω + 6λp(½) at λ = 1, p(½) = 2
+        roots = mp.polyroots([1, 0, 2 * mp.mpf(model.g), 12], maxsteps=200, extraprec=400)
+        root = max(mp.re(r) for r in roots)
+    w = gap_root(model, 0, Phase.DWO_SSB)
+    assert w == 4.4721359549995794e102
+    assert abs(w - root) <= 4 * EPS * root
+    # here the root's own ω³ overflows
+    with pytest.raises(NonFiniteValue, match="gap residual"):
+        gap_root(OscillatorModel(power=4, g=-2e205, lam=1.0), 0, Phase.DWO_SSB)
+
+
+@pytest.mark.parametrize("power, g, lam, n", [
+    (6, 6.979364091694545e+153, 2.045428646696486e+292, 27),
+    (8, 1.9874511174897914e+123, 6.870625526609761e-64, 24),
+    (4, 2.8221902846125436e+205, 1.945912810192572e+67, 11),
+])
+def test_levels_in_range_where_sqrt_2g_overflows(power, g, lam, n):
+    # ω^{k+1} overflows at √(2g), above these roots near √g, although the
+    # terms at each root are finite: from that start the levels raised
+    # NonFiniteValue ("gap residual").  From √(g + c₀^{2/(k+1)}) the descent
+    # stays in range down to the root
+    model = OscillatorModel(power=power, g=g, lam=lam)
+    sol = solve_level(model, n)
+    assert sol.phase is Phase.AHO
+    k = model.k
+    with mp.workdps(60):
+        moment_k = mp.mpf(math.prod(range(1, 2 * k, 2)) * sum(
+            math.comb(k, i) * math.comb(n, i) * 2**i for i in range(k + 1))) / 2**k
+        c0 = 2 * k * mp.mpf(lam) * moment_k / (mp.mpf(n) + mp.mpf(1) / 2)
+        # Newton from above the root, on the gap polynomial at 60 digits
+        root = mp.sqrt(mp.mpf(g) + c0 ** (mp.mpf(2) / (k + 1)))
+        for _ in range(20):
+            root -= ((root**(k + 1) - g * root**(k - 1) - c0)
+                     / ((k + 1) * root**k - (k - 1) * g * root**(k - 2)))
+    assert abs(sol.omega - root) <= 4 * EPS * root, (sol.omega, root)
+    if power == 6:
+        assert sol.omega == 8.354258849070841e76
 
 
 def test_gap_check_rejects_an_unmoved_start(monkeypatch):
@@ -443,7 +490,8 @@ def test_gap_check_rejects_an_unmoved_start(monkeypatch):
         # the root 4.5e-27, and its residual c₀ ≈ 9.6e-30 is wrong at the
         # scale of the terms, though below an absolute 1e-12
         (-2.110974189309853e-3, 1.5963222272433442e-30, Phase.DWO_SR, 4.5e-27),
-        # the broken branch starts at √(2g′) = 2, far from its root
+        # the broken branch starts at √g′ = √2, 2% above its root, where the
+        # residual is c₀′ = −0.12 against terms of about 2.8
         (-1.0, 0.01, Phase.DWO_SSB, 1.3832),
     ]
     for g, lam, phase, root in cases:
@@ -473,7 +521,7 @@ def test_winner_step_is_one_of_its_branches(shape, log_g, log_lam, n):
     g = sign * 10.0**log_g
     lam = (critical_coupling(n + 0.5, g) if g < 0.0 else 1.0) * 10.0**log_lam
     model = OscillatorModel(power=power, g=g, lam=lam)
-    *won, branches = hartree._winner(model, n)
+    *won, branches = hartree._winner(model, n, n + 0.5)
     if branches is not None:
         assert tuple(won) in branches
 
@@ -584,7 +632,7 @@ def test_moment_core_reproduces_closed_forms(power):
         xi = n + 0.5
         m = OscillatorModel(power=power, g=g, lam=lam)
         phase = Phase.AHO if g > 0 else Phase.DWO_SR
-        sol = hartree._finish(m, n, w, s, phase, 0.0)
+        sol = hartree._finish(m, n, xi, w, s, phase, 0.0)
         a_terms = reference_a(power, xi, w, s)
         assert_matches_terms(sol.A, a_terms)
         # B = σω²/λ, from completing the square in H₀
@@ -599,7 +647,7 @@ def test_moment_core_reproduces_closed_forms(power):
         assert_matches_terms(gap, reference_gap(power, g, lam, xi, w, s))
         assert_matches_terms(config, reference_bracket(power, g, lam, xi, w, s))
 
-        k, g_gap, c0 = _gap_poly(m, n, phase)
+        k, g_gap, c0 = _gap_poly(m, n, xi, phase)
         assert (k, g_gap) == (power // 2, g)
         assert_matches_terms(w ** (k + 1) - g_gap * w ** (k - 1) - c0,
                              reference_gap(power, g, lam, xi, w, 0.0))
@@ -608,7 +656,7 @@ def test_moment_core_reproduces_closed_forms(power):
         if power == 4 and g < 0:
             # the broken branch's cubic ω³ + 2gω + 6λp(ξ) and its energy,
             # measured from the bottom of the wells
-            k, g_gap, c0 = _gap_poly(m, n, Phase.DWO_SSB)
+            k, g_gap, c0 = _gap_poly(m, n, xi, Phase.DWO_SSB)
             assert (k, g_gap, c0) == (2, -2.0 * g, -6.0 * lam * xi_p(xi))
             assert_matches_terms(w**3 - g_gap * w - c0,
                                  [w**3, 2.0 * g * w, 6.0 * lam * xi_p(xi)])
@@ -657,7 +705,7 @@ def calls(monkeypatch):
     seen = []
     real = hartree._solve_level
     monkeypatch.setattr(hartree, "_solve_level",
-                        lambda model, n: seen.append(n) or real(model, n))
+                        lambda model, n, xi: seen.append(n) or real(model, n, xi))
     return seen
 
 
@@ -776,8 +824,8 @@ def test_broken_branch_at_the_double_root():
 
 def test_broken_branch_solves_well_within_its_steps(monkeypatch):
     # near λ_c the root nears the floor √(g′/3), where f′ vanishes, and the
-    # descent from √(2g′) about halves its distance per step; over the whole
-    # range it took at most 31 steps, so 40 must still solve every level
+    # descent from √g′ about halves its distance per step; over the whole
+    # range it took at most 29 steps, so 40 must still solve every level
     monkeypatch.setattr(hartree, "_NEWTON_STEPS", 40)
     rng = np.random.default_rng(23)
     for _ in range(300):
@@ -797,6 +845,6 @@ def test_broken_branch_b_keeps_its_digits():
     sol = solve_level(m, n)
     assert sol.phase is Phase.DWO_SSB
     for direction in (math.inf, -math.inf):
-        moved = hartree._finish(m, n, math.nextafter(sol.omega, direction),
+        moved = hartree._finish(m, n, n + 0.5, math.nextafter(sol.omega, direction),
                                 sol.sigma, sol.phase, sol.energy)
         assert abs(moved.B - sol.B) <= 1e-14 * abs(sol.B)

@@ -77,9 +77,15 @@ def _column_draws(count, seed):
 
 
 def _check_column(model, sol, n):
-    """h_prime_column against the ladder algebra of build_h_prime."""
+    """h_prime_column against the ladder algebra of build_h_prime, from a
+    cold and from a warm cache of unit columns alike."""
     power = model.power
+    hipt._unit_column.cache_clear()
     column = h_prime_column(model, sol, n)
+    assert h_prime_column(model, sol, n) == column
+    unit = hipt._unit_column(power, n)
+    assert hipt._unit_column.cache_info().hits >= 2
+    assert isinstance(unit, tuple) and all(isinstance(v, tuple) for v in unit)
     assert list(column) == list(range(max(0, n - power), n + power + 1))
     reference = build_h_prime(model, sol)
     scale = max(abs(v) for v in column.values())
@@ -121,7 +127,8 @@ def test_column_where_the_band_clips_at_zero(power):
             sol = solve_level(model, n)
             assert {b.phase for b in sol.branches} == {Phase.DWO_SR, Phase.DWO_SSB}
             for b in sol.branches:
-                branch = hartree._finish(model, n, b.omega, b.sigma, b.phase, b.energy)
+                branch = hartree._finish(model, n, n + 0.5, b.omega, b.sigma, b.phase,
+                                          b.energy)
                 _check_column(model, branch, n)
 
 

@@ -359,8 +359,9 @@ def test_matrix_agrees_with_ladder_algebra(model):
 def test_only_the_h_prime_reference_imports_ladder():
     # the oracle shares no code with the ladder algebra it is checked
     # against, and only `gha.hipt`, for the `build_h_prime` reference,
-    # uses it at all
-    importers = set()
+    # uses it at all.  Nor does it share the H′ column's cached X̂ powers:
+    # neither of `gha.oracle` and `gha.hipt` imports the other
+    imports = {}
     for path in sorted(pathlib.Path(gha.__file__).parent.glob("*.py")):
         imported = set()
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -369,8 +370,11 @@ def test_only_the_h_prime_reference_imports_ladder():
             elif isinstance(node, ast.ImportFrom):
                 imported.add(node.module or "")
                 imported.update(alias.name for alias in node.names)
-        if any("ladder" in name for name in imported):
-            importers.add(path.stem)
+        imports[path.stem] = imported
+    importers = {stem for stem, names in imports.items()
+                 if any("ladder" in name for name in names)}
     assert importers == {"hipt"}, importers
+    assert not any("hipt" in name for name in imports["oracle"]), imports["oracle"]
+    assert not any("oracle" in name for name in imports["hipt"]), imports["hipt"]
     assert not hasattr(gha.oracle, "ladder")
     assert not hasattr(gha.oracle, "hamiltonian_polynomial")

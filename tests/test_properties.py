@@ -213,7 +213,7 @@ def test_broken_branch_shift_is_real(lg, n, near_critical, t):
     # stop first at its symmetry-restored branch or its coefficients
     try:
         model = OscillatorModel(power=4, g=g, lam=lam)
-        w = hartree._root(model, n, *hartree._gap_poly(model, n, Phase.DWO_SSB))
+        w = hartree._root(model, n, *hartree._gap_poly(model, n, n + 0.5, Phase.DWO_SSB))
     except (NonFiniteValue, NonConvergence):
         return
     if w is None:
@@ -243,12 +243,56 @@ def test_broken_cubic_decides_its_root_at_its_floor(lg, n, where, lu):
     assume(lam > 0.0)
     model = OscillatorModel(power=4, g=g, lam=lam)
     try:
-        w = hartree._root(model, n, *hartree._gap_poly(model, n, Phase.DWO_SSB))
+        w = hartree._root(model, n, *hartree._gap_poly(model, n, n + 0.5, Phase.DWO_SSB))
     except NonFiniteValue:
         return
     value, top = broken_cubic_at_floor(g, lam, n)
     if abs(value) > 4 * EPS * top:
         assert (w is None) == (value > 0), (w, value / top)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([4, 6, 8, "broken"]),
+       st.floats(min_value=-320.0, max_value=300.0, allow_nan=False),
+       st.floats(min_value=-323.0, max_value=300.0, allow_nan=False),
+       st.floats(min_value=0.0, max_value=12.0, allow_nan=False))
+# c₀ ≈ 1e304: the rounded exponent 2/3 alone would put the start 175ε low
+@example(4, math.log10(6.922670635903861e-210), math.log10(3.071683194560411e+299),
+         math.log10(5745))
+def test_gap_start_is_not_below_the_root(shape, lg, ll, ln):
+    # every gap with g > 0 starts at w₀ = √(g + max(c₀, 0)^{2/(k+1)}), where
+    # f(w₀) ≥ 0 but for rounding: the AHO gap over the whole float range, and
+    # the broken cubic at g′ = −2g with c₀′ < 0, λ = λ_c·10^{−|ll|/2} ≤ λ_c
+    n = int(10.0**ln) - 1
+    if shape == "broken":
+        g = -(10.0**lg)
+        try:
+            lam = critical_coupling(n + 0.5, g) * 10.0 ** -abs(ll / 2)
+        except NonFiniteValue:
+            return
+        assume(lam > 0.0)
+        model, phase = OscillatorModel(power=4, g=g, lam=lam), Phase.DWO_SSB
+    else:
+        model, phase = OscillatorModel(power=shape, g=10.0**lg, lam=10.0**ll), Phase.AHO
+    k, g, c0 = hartree._gap_poly(model, n, n + 0.5, phase)
+    assert g > 0.0
+    starts = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hartree, "_newton",
+                      lambda k, g, c0, w, floor: starts.append(w) or (w, 0.0))
+        try:
+            hartree._root(model, n, k, g, c0)
+        except (NonFiniteValue, OverflowError):
+            # a start out of range, or the range rule at the unmoved start
+            pass
+    if not starts:
+        return
+    with mp.workdps(80):
+        w, g, c0 = mp.mpf(starts[0]), mp.mpf(g), mp.mpf(c0)
+        top = max(w ** (k + 1), g * w ** (k - 1), abs(c0))
+        if top < sys.float_info.max:
+            value = w ** (k + 1) - g * w ** (k - 1) - c0
+            assert value >= -4 * EPS * top, (starts[0], value / top)
 
 
 @settings(max_examples=200, deadline=None)
@@ -310,6 +354,6 @@ def test_levels_are_finite_or_a_typed_error():
         solve_level(OscillatorModel(power=4, g=1.0, lam=1e308), 0)
     with pytest.raises(NonFiniteValue, match="gap start"):
         solve_level(OscillatorModel(power=4, g=-4e-119, lam=2.9e307), 0)
-    # ω⁵ overflows at the start √(2g) ≈ 1.4e150
+    # ω⁵ overflows at the start √(g + c₀^{2/5}) ≈ 1e150
     with pytest.raises(NonFiniteValue, match="gap residual"):
         solve_level(OscillatorModel(power=8, g=1e300, lam=1.0), 0)

@@ -209,7 +209,8 @@ def test_each_column_solves_each_level_once(monkeypatch):
     solved, spectra = Counter(), Counter()
     real_solve, real_spectrum = hartree._solve_level, tables.converged_levels
     monkeypatch.setattr(hartree, "_solve_level",
-                        lambda model, n: solved.update([(model.lam, n)]) or real_solve(model, n))
+                        lambda model, n, xi: solved.update([(model.lam, n)])
+                        or real_solve(model, n, xi))
     monkeypatch.setattr(tables, "converged_levels",
                         lambda model, n_max, tol: spectra.update([(model.lam, n_max)])
                         or real_spectrum(model, n_max, tol))

@@ -35,10 +35,13 @@ configuration equation gσ + λ∂_σ⟨φ⁴⟩ = 0.  The cubic is the σ = 0 g
 polynomial below with k = 2 at g′ = −2g and c₀′ = −6λp(ξ), and its level
 energy is the same formula at g′, less the well depth g²/(16λ).  Its σ² is
 always positive: the root has ω² ≥ −2g/3, and there 6λp(ξ) = ω(−2g − ω²) ≤
-−4gω/3, so g + 12λξ/ω ≤ g(1 − 8ξ/(3p(ξ))) ≤ g/3 < 0, and once the root's
-residual is finite so are g′ω, 12λ and 12λξ.  Where the cubic has that root
-a level has both branches, and the lower energy is the physical one; on an
-exact tie, or a NaN, the symmetry-restored branch is kept.
+−4gω/3, so g + 12λξ/ω ≤ g(1 − 8ξ/(3p(ξ))) ≤ g/3 < 0 wherever 12λξ/ω is
+finite.  Where the cubic has that root a level has both branches, and the
+lower energy is the physical one; on an exact tie the symmetry-restored
+branch is kept.  The root is solved at its own scale (below), but σ and E₀
+are formed in the model's units, where 12λ and g² can overflow; a level
+whose broken branch has a σ or E₀ that is not finite raises
+`NonFiniteValue`, since the comparison then decided nothing.
 
 On every branch the level's coefficients follow from completing the square
 in H₀: ω² = g + 2λA and σ = λB/ω², so B = σω²/λ, and C makes ⟨V⟩ = ⟨φ^{2k}⟩
@@ -46,36 +49,49 @@ with ⟨φ²⟩ = σ² + ξ/ω.
 
 Every branch, the broken one included, solves f(ω) = ω^{k+1} − gω^{k−1} − c₀
 by one Newton descent onto its largest root, from one start and above one
-floor.  The floor √((k−1)·max(g, 0)/(k+1)) is where f′ = ω^{k−2}[(k+1)ω² −
+floor, at its own power-of-two scale.  f is homogeneous: f(2^jω) = 2^{(k+1)j}
+f₁(ω) with f₁(ω) = ω^{k+1} − g₁ω^{k−1} − c₁, g₁ = g/4^j and c₁ = c₀/2^{(k+1)j}.
+The even j comes from the exponents of g, of λ and of c₀ formed at λ's
+mantissa, so that c₁ ∈ [½, 2^{2k+1}) and, for g > 0, g₁ < 16: the gap's
+largest term near its root, ω^{k+1} for g > 0 and c₀ for g < 0, is then near
+1.  c₁ is formed from λ/2^{(k+1)j} in the order that forms c₀, so it is c₀
+scaled exactly wherever c₀ is a normal float, and keeps its digits where c₀
+would be subnormal or overflow.  For g > 0 it may underflow, far below the
+rounding of g₁, and g₁ may underflow where c₀ dominates; so the sign of g,
+not of g₁, picks the start.  The root of f is 2^j times that of f₁.  g₁
+overflows only for g < 0 so large that the root's ω^{k−1} ≈ c₀/|g| lies below
+the float range, and ω must be a normal float: those are the gap's range
+checks, each a `NonFiniteValue`.  Scaling a model by s = 4^i, g → s²g and
+λ → s^{k+1}λ, moves j by 2i and leaves f₁ and every step of its descent alone,
+so ω scales by s exactly, and with it σ by s^{−1/2} and E₀ by s, away from
+under- and overflow.  A, B, C and h₀ are formed in the model's units, with
+libm powers, and need not scale exactly.
+
+The floor √((k−1)·max(g, 0)/(k+1)) is where f′ = ω^{k−2}[(k+1)ω² −
 (k−1)g] vanishes for g > 0; above it f′ and f″ = ω^{k−3}[k(k+1)ω² −
 (k−1)(k−2)g] are positive.  For g > 0 the descent starts at
 ω₀ = √(g + max(c₀, 0)^{2/(k+1)}), a function of the branch's (k, g, c₀)
 alone, never of another level's root.  There f(ω₀) = ω₀^{k−1}(ω₀² − g) − c₀
 ≥ c₀^{(k−1)/(k+1)}c₀^{2/(k+1)} − c₀ = 0 for c₀ > 0, and f(ω₀) = −c₀ > 0 for
-c₀ < 0.  With c₀ = m·2^e and 2e = (k+1)q + r, the power is taken of
-m²·2^r ∈ [¼, 2^k) and scaled by 2^q, so the rounding of the exponent 2/(k+1)
-costs no digits, and f(ω₀) ≥ 0 holds but for a few ε of f's largest term; a
-start that rounds below the root stops there at once, within rounding of the
-root.  At σ = 0, c₀ = 2kλc_k(n)/ξ > 0, so the root has ω² > g, above the
-floor.  For g < 0 the descent starts at the smaller of (2c₀)^{1/(k+1)} and
-(2c₀/|g|)^{1/(k−1)}.  f exceeds both ω^{k+1} − c₀ and |g|ω^{k−1} − c₀, so f ≥
-c₀ > 0 there.  Where |g| dominates, this start lies within a factor
-2^{1/(k−1)} of the root, whereas from (2c₀)^{1/(k+1)} the first step can round
-to ω ≤ 0.  The broken cubic has g′ > 0 > c₀′, so it starts at √g′, above the
-floor √(g′/3) = √(−2g/3).  There f = 6λp(ξ) − 2(−2g/3)^{3/2}, which in exact
-arithmetic is ≤ 0 exactly when λ ≤ λ_c.  The cubic decides from f at its
-floor, as computed, whether it has a root: it has none where that f is
-positive.  This test and λ ≤ fl(λ_c) round differently, so they can disagree
-where f at the floor lies within a few ε of its largest term 3(−2g/3)^{3/2}.
-On an increasing convex function every Newton step from above lands between
-the root and the current point, so the iterates fall monotonically onto the
-root and stop when rounding no longer lets a step decrease ω and keep it above
-the floor.  One range rule holds at the root: ω^{k−1} and the largest gap term
-max(ω^{k+1}, |g|ω^{k−1}, |c₀|) must both be finite normal floats, or the solve
-raises `NonFiniteValue`, as it does for a start that is not finite or whose
-ω^{k−1} is below the smallest normal float, and for a residual that overflows.
-The root's residual must then be at most 1e-12 times that largest term, with
-no absolute floor and no subnormal one.
+c₀ < 0.  Computed at unit scale, that start is above ω₀(1 − 4.5u),
+u = 2⁻⁵³, and it is raised by the factor 1 + 4ε = 1 + 8u, so f₁ ≥ 0 holds
+there for the float g₁ and c₁ (`_root` derives the bound).  At σ = 0,
+c₀ = 2kλc_k(n)/ξ > 0, so the root has ω² > g, above the floor.  For g < 0
+the descent starts at the smaller of (2c₀)^{1/(k+1)} and (2c₀/|g|)^{1/(k−1)}.
+f exceeds both ω^{k+1} − c₀ and |g|ω^{k−1} − c₀, so f ≥ c₀ > 0 there.  Where
+|g| dominates, this start lies within a factor 2^{1/(k−1)} of the root,
+whereas from (2c₀)^{1/(k+1)} the first step can round to ω ≤ 0.  The broken
+cubic has g′ > 0 > c₀′, so it starts at √g′, above the floor √(g′/3) =
+√(−2g/3).  There f = 6λp(ξ) − 2(−2g/3)^{3/2}, which in exact arithmetic is ≤ 0
+exactly when λ ≤ λ_c.  The cubic decides from f at its floor, as computed,
+whether it has a root: it has none where that f is positive.  This test and
+λ ≤ fl(λ_c) round differently, so they can disagree where f at the floor lies
+within a few ε of its largest term 3(−2g/3)^{3/2}.  On an increasing convex
+function every Newton step from above lands between the root and the current
+point, so the iterates fall monotonically onto the root and stop when
+rounding no longer lets a step decrease ω and keep it above the floor.  The
+root's residual must then be at most 1e-12 times the largest term of f₁,
+max(ω^{k+1}, |g₁|ω^{k−1}, |c₁|), which is near 1.
 
 A level is solved in two memoized steps on the model instance.  The winner
 step solves the gap of each branch and keeps the lowest branch's (ω, σ,
@@ -116,6 +132,9 @@ _NEWTON_STEPS = 100
 # the smallest normal float
 _TINY = sys.float_info.min
 
+# 1 + 4ε: raises a g > 0 gap's start above its root (see `_root`)
+_START_RAISE = 1.0 + 4.0 * sys.float_info.epsilon
+
 
 class Phase(str, Enum):
     AHO = "AHO"
@@ -134,6 +153,8 @@ class OscillatorModel:
     _winners: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # level n -> HartreeSolution, filled by solve_level
     _levels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (m, e) of λ = m·2^e and the exponent of g, from which `_root` scales each gap
+    _frexp: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # a float power passes the membership test but fails in math.comb
@@ -144,6 +165,7 @@ class OscillatorModel:
             raise DomainError(f"coupling must be positive, got {self.lam}")
         if self.g == 0.0 or not math.isfinite(self.g):
             raise DomainError(f"quadratic coefficient must be nonzero, got {self.g}")
+        object.__setattr__(self, "_frexp", (*math.frexp(self.lam), math.frexp(self.g)[1]))
 
     @property
     def k(self) -> int:
@@ -248,15 +270,15 @@ def critical_coupling(xi: float, g: float) -> float:
     raise NonFiniteValue(f"lambda_c at g={g} leaves floating-point range")
 
 
-def _gap_poly(model: OscillatorModel, n: int, xi: float,
-              phase: Phase) -> Tuple[int, float, float]:
+def _gap_poly(model: OscillatorModel, n: int, xi: float, phase: Phase,
+              lam: float) -> Tuple[int, float, float]:
     """(k, g, c₀) of the phase's gap residual f(ω) = ω^{k+1} − gω^{k−1} − c₀
-    at level n with ξ = n + ½.
+    at level n with ξ = n + ½ and coupling lam: the model's λ, or a
+    power-of-two multiple of it, by which c₀ is then scaled exactly.
 
     The broken branch's cubic ω³ + 2gω + 6λp(ξ) is the k = 2 case at
     (−2g, −6λp(ξ)).
     """
-    lam = model.lam
     if phase is Phase.DWO_SSB:
         return 2, -2.0 * model.g, -6.0 * lam * xi_p(xi)
     k = model.k
@@ -284,52 +306,57 @@ def _newton(k: int, g: float, c0: float, w: float, floor: float) -> Tuple[float,
     raise NonConvergence(f"gap Newton descent did not settle in {_NEWTON_STEPS} steps")
 
 
-def _root(model: OscillatorModel, n: int, k: int, g: float,
-          c0: float) -> Optional[float]:
-    """Largest root ω of level n's gap f(ω) = ω^{k+1} − gω^{k−1} − c₀, the
-    tuple of `_gap_poly`, or None where f has no root above its floor; one
-    start and one floor serve every branch (see the module docstring)."""
+def _root(model: OscillatorModel, n: int, xi: float,
+          phase: Phase) -> Tuple[int, float, Optional[float]]:
+    """(k, g, ω): the k and g of the phase's gap f(ω) = ω^{k+1} − gω^{k−1} − c₀
+    at level n, ξ = n + ½, as `_gap_poly` forms them, and f's largest root ω,
+    or None where f has no root above its floor.  The root is found as 2^j
+    times that of f₁(ω) = ω^{k+1} − g₁ω^{k−1} − c₁ (see the module docstring);
+    g and ω are in the model's units."""
+    m_lam, e_lam, e_g = model._frexp
+    # c₀ = c·2^{e_λ}: c, formed at λ's mantissa, is a normal float at any λ
+    k, g, c = _gap_poly(model, n, xi, phase, m_lam)
+    # j = 2i puts c₁ = c₀/2^{(k+1)j} in [½, 2^{2k+1}), and for g > 0 also
+    # g₁ = g/4^j below 16, with c₁ ≥ ½ or g₁ ≥ ½
+    i = (e_lam + math.frexp(c)[1]) // (2 * k + 2)
+    if g > 0.0 and i < e_g // 4:
+        i = e_g // 4
+    j = 2 * i
+    # g₁ overflows only for g < 0 so far above c₀ that the root's
+    # ω^{k−1} ≈ c₀/|g| lies below the float range; ldexp then raises
+    # OverflowError, which the winner step reports as NonFiniteValue
+    g1, c1 = math.ldexp(g, -2 * j), math.ldexp(c, e_lam - (k + 1) * j)
     if g > 0.0:
-        # f′ vanishes here; dividing g first keeps (k − 1)g from overflowing
-        floor = math.sqrt(g / (k + 1) * (k - 1))
-        # f(floor) = floor^{k−1}(floor² − g) − c₀ is negative unless c₀ < 0,
-        # as on the broken cubic; where it is positive f has no root above
-        if c0 < 0.0 and floor ** (k - 1) * (floor * floor - g) > c0:
-            return None
-        # w₀ = √(g + c₀^{2/(k+1)}) has f(w₀) = w₀^{k−1}(w₀² − g) − c₀ ≥ 0:
-        # w₀^{k−1} ≥ c₀^{(k−1)/(k+1)} for c₀ > 0, and f(w₀) = −c₀ > 0 otherwise.
-        # The power is taken of m²·2^r ∈ [¼, 2^k), c₀ = m·2^e, 2e = (k+1)q + r;
-        # taken of c₀ itself, the rounding of the exponent 2/(k+1), about
-        # 4e-17, times |ln c₀| ≤ 745 puts w₀ up to 185ε of f below the root
-        m, e = math.frexp(max(c0, 0.0))
-        q, r = divmod(2 * e, k + 1)
-        w = math.sqrt(g + math.ldexp((m * m * 2**r) ** (1.0 / (k + 1)), q))
+        # f₁′ vanishes here
+        floor = math.sqrt(g1 / (k + 1) * (k - 1))
+        # f₁(floor) = floor^{k−1}(floor² − g₁) − c₁ is negative unless c₁ < 0,
+        # as on the broken cubic; where it is positive f₁ has no root above
+        if c1 < 0.0 and floor ** (k - 1) * (floor * floor - g1) > c1:
+            return k, g, None
+        # ω* = √(g₁ + c̃), c̃ = max(c₁, 0)^{2/(k+1)}, has f₁(ω*) ≥ 0.  The
+        # rounded exponent moves c̃ by u|ln c̃|, u = 2⁻⁵³, and pow by up to 2u;
+        # as ω*² ∈ [½, 32), the share c̃/ω*² of that is below u(2 + 1/e +
+        # ln 32) < 5.9u.  With u each for the sum and the root, the float
+        # start is above ω*(1 − 4.5u), and its product with 1 + 8u, rounded,
+        # above ω*(1 + 2.5u): f₁ ≥ 0 there for the float g₁ and c₁
+        w = math.sqrt(g1 + (c1 if c1 > 0.0 else 0.0) ** (2.0 / (k + 1))) * _START_RAISE
     else:
-        # f ≥ |g|ω^{k−1} − c₀ = c₀ there, near the root where |g| dominates
-        w = min((2.0 * c0) ** (1.0 / (k + 1)), (2.0 * c0 / -g) ** (1.0 / (k - 1)))
+        # f₁ ≥ |g₁|ω^{k−1} − c₁ = c₁ there, near the root where |g₁|
+        # dominates; where g₁ underflows to −0 the first start is the smaller
+        w = min((2.0 * c1) ** (1.0 / (k + 1)), (2.0 * c1 / (-g1 or _TINY)) ** (1.0 / (k - 1)))
         floor = 0.0
-    try:
-        # a level whose ω^{k−1} is below the smallest normal float keeps too
-        # few digits in gω^{k−1}; the descent only lowers ω, so a start down
-        # there means a root down there.  ω^{k−1} itself can overflow here
-        if not (w < math.inf and w ** (k - 1) >= _TINY):
-            raise NonFiniteValue(
-                f"gap start of level {n} of {model} leaves floating-point range")
-        w, residual = _newton(k, g, c0, w, floor)
-    except OverflowError as exc:
-        raise NonFiniteValue(
-            f"gap residual of level {n} of {model} leaves floating-point range") from exc
-    # the residual is a sum of ω^{k+1}, gω^{k−1} and c₀, and rounding in the
-    # largest of them bounds how small it can get; that term must be a
-    # finite normal float, or its rounding is no longer relative
-    w_down = w ** (k - 1)
-    scale = max(w ** (k + 1), abs(g) * w_down, abs(c0))
-    if not (w_down >= _TINY and _TINY <= scale < math.inf):
+    w, residual = _newton(k, g1, c1, w, floor)
+    # checked before the residual, since below the normal range the descent
+    # loses digits; ω is not finite where −2g overflowed on the broken cubic
+    omega = math.ldexp(w, j)
+    if not _TINY <= omega < math.inf:
         raise NonFiniteValue(f"gap root of level {n} of {model} leaves floating-point range")
-    tol = 1e-12 * scale
+    # the residual is a sum of the terms of f₁, and rounding in the largest
+    # of them, near 1, bounds how small it can get
+    tol = 1e-12 * max(w ** (k + 1), abs(g1) * w ** (k - 1), abs(c1))
     if not abs(residual) <= tol:
         raise NonConvergence(f"gap residual {residual:.3e} above tolerance {tol:.3e}")
-    return w
+    return k, g, omega
 
 
 def _finish(model, n, xi, omega, sigma, phase, energy, branches=None) -> HartreeSolution:
@@ -353,12 +380,17 @@ def _winner(model: OscillatorModel, n: int, xi: float):
     if won is None:
         try:
             won = _solve_level(model, n, xi)
-            # an energy that overflows is inf or nan without raising; a
-            # branch that loses has a finite energy, as the broken branch's
-            # cannot be +inf or nan.  Where the coefficients overflow too,
-            # their error is the one reported, as in a one-step solve
+            # an energy that overflows is inf or nan without raising.  Where
+            # the coefficients overflow too, their error is the one reported,
+            # as in a one-step solve
             if not math.isfinite(won[3]):
                 _finish(model, n, xi, *won)
+                raise NonFiniteValue(f"level {n} of {model} leaves floating-point range")
+            # the broken branch's σ and E₀, formed in the model's units, can
+            # overflow (12λ, g²) where its root does not, and then a branch
+            # that loses decided nothing.  σ ≥ 0 and σ² ≤ the largest float,
+            # so σ + E₀ is finite exactly where both are
+            if won[4] and not math.isfinite(won[4][1][1] + won[4][1][3]):
                 raise NonFiniteValue(f"level {n} of {model} leaves floating-point range")
         except (OverflowError, ZeroDivisionError) as exc:
             raise NonFiniteValue(
@@ -404,13 +436,14 @@ def _branch(model: OscillatorModel, n: int, xi: float,
     gap solves (see the module docstring); the two wells are degenerate, so
     the sign is not physical.
     """
-    k, g, c0 = _gap_poly(model, n, xi, phase)
-    omega = _root(model, n, k, g, c0)
+    k, g, omega = _root(model, n, xi, phase)
     if omega is None:
         return None
     sigma = depth = 0.0
     if phase is Phase.DWO_SSB:
-        sigma = math.sqrt(-(model.g + 12.0 * model.lam * xi / omega) / (4.0 * model.lam))
+        # σ² > 0 wherever 12λξ/ω is finite; where that overflows, σ² is −∞ or
+        # nan, and the σ = ∞ or nan taken from |σ²| fails the level
+        sigma = math.sqrt(abs((model.g + 12.0 * model.lam * xi / omega) / (4.0 * model.lam)))
         depth = classical_well_depth(model)
     return omega, sigma, phase, xi * ((k + 1) * omega + (k - 1) * g / omega) / (2 * k) - depth
 
@@ -422,15 +455,13 @@ def _solve_level(model: OscillatorModel, n: int, xi: float):
     if model.g > 0.0:
         return (*_branch(model, n, xi, Phase.AHO), None)
     if model.power != 4:
-        raise PhaseUnavailable(
-            "negative-g spectra are provided for the quartic well only"
-        )
+        raise PhaseUnavailable("negative-g spectra are provided for the quartic well only")
     sr = _branch(model, n, xi, Phase.DWO_SR)
     ssb = _branch(model, n, xi, Phase.DWO_SSB)
     if ssb is None:
         return (*sr, None)
     # the lower branch is the physical one; on an exact tie, or a NaN, keep
-    # the symmetry-restored branch
+    # the symmetry-restored branch (a NaN fails the winner step)
     return (*(ssb if ssb[3] < sr[3] else sr), (sr, ssb))
 
 
@@ -451,7 +482,7 @@ def gap_residual_scale(model: OscillatorModel, n: int, phase: Phase) -> float:
     """Natural magnitude of the gap polynomial's constant term, used to judge
     residual smallness without pretending float64 can do better than eps."""
     phase = Phase(phase)
-    return max(1.0, abs(_gap_poly(model, n, _xi(n), phase)[2]))
+    return max(1.0, abs(_gap_poly(model, n, _xi(n), phase, model.lam)[2]))
 
 
 def classical_well_depth(model: OscillatorModel) -> float:

@@ -22,6 +22,8 @@ from gha.cli import main
 from gha.hartree import OscillatorModel, solve_level
 from gha.qft import FieldTheory, solve_mass_gap, stevenson
 
+from conftest import sigma0_gap_root
+
 
 def run_json(capsys, argv):
     code = main(argv + ["--no-meta"])
@@ -375,16 +377,30 @@ def test_overflow_exits_one_without_traceback(argv):
 
 
 @pytest.mark.parametrize("argv", [
-    # c₀ and so the gap's start overflow
-    ["vacuum", "--g", "1", "--lambda", "1e308"],
-    ["dwo", "--g=-4e-119", "--lambda", "2.9e307"],
+    # the symmetry-restored root 7e-361 underflows, and 8e-317 is subnormal
+    ["vacuum", "--g=-1.7426264624882977e55", "--lambda", "1.9574360759863343e-306"],
+    ["dwo", "--g=-4.750424056133419e162", "--lambda", "1.1754133192628986e-155"],
 ])
 def test_gap_overflow_is_a_non_finite_value(capsys, argv):
     assert main(argv + ["--no-meta"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: gap start of level 0 of OscillatorModel(")
+    assert captured.err.startswith("error: gap root of level 0 of OscillatorModel(")
     assert captured.err.rstrip().endswith("leaves floating-point range")
+
+
+@pytest.mark.parametrize("argv, g, lam", [
+    # c₀ overflows in the model's units, where the gap's start did and these
+    # exited 1; each gap is solved at its own scale
+    (["vacuum", "--g", "1", "--lambda", "1e308"], 1.0, 1e308),
+    (["dwo", "--g=-4e-119", "--lambda", "2.9e307"], -4e-119, 2.9e307),
+])
+def test_gap_overflow_in_model_units_solves(capsys, argv, g, lam):
+    assert main(argv + ["--no-meta"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    omega = out["omega"] if argv[0] == "vacuum" else out["levels"][0]["omega"]
+    root = sigma0_gap_root(4, g, lam, 0)
+    assert abs(omega - root) <= 4 * sys.float_info.epsilon * root, (omega, root)
 
 
 def test_internal_overflow_is_not_blamed_on_input(capsys):

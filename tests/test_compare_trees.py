@@ -22,6 +22,7 @@ def compare(parent, change):
 def test_a_tree_against_itself_has_no_mismatch():
     code, total, out = compare(SRC, SRC)
     assert (code, total) == (0, 0), out
+    assert "examples of" not in out, out
     # every probe names a function that the tree has
     assert "skipped" not in out, out
     for name in ("hartree.solve_level", "hipt.second_order"):
@@ -48,3 +49,19 @@ def test_a_perturbed_constant_shows_as_mismatches(tmp_path):
     assert sum(bad for bad, *_ in split) == total, out
     # ξ moves every solved value
     assert sum(value for *_, value in split) > 0, out
+    # up to three example draws per function and kind of mismatch, each with
+    # its (power, g, λ, n) and both trees' outcomes
+    names = re.findall(r"^([\w.]+) +\d+ +90 ", out, re.M)
+    blocks = re.findall(r"^examples of ([\w.]+), (\w+) mismatches:\n((?:  .*\n)+)", out, re.M)
+    shown = {(name, kind): body for name, kind, body in blocks}
+    assert len(shown) == len(blocks), out
+    for row, name in enumerate(names[::3]):
+        counts = [sum(split[3 * row + seed][1 + kind] for seed in range(3)) for kind in range(3)]
+        for kind, count in zip(("class", "message", "value"), counts):
+            body = shown.get((name, kind), "")
+            draws = re.findall(r"^  seed (\d+) draw (\d+): \(([468]), (\S+), (\S+), (\d+)\)\n"
+                               r"    parent: (.+)\n    change: (.+)$", body, re.M)
+            assert len(draws) == min(count, 3), (name, kind, out)
+            assert body.count("\n") == 3 * len(draws), (name, kind, out)
+            assert all(parent != change for *_, parent, change in draws), out
+    assert ("hartree.solve_level", "value") in shown, out

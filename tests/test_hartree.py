@@ -25,7 +25,7 @@ from gha.hartree import (
 )
 from gha.hipt import potential_polynomial, second_order
 
-from conftest import broken_cubic_at_floor
+from conftest import broken_cubic_at_floor, broken_cubic_root, sigma0_gap_root
 from ladder_reference import hamiltonian_polynomial
 
 QUARTIC = OscillatorModel(power=4, g=1.0, lam=1.0)
@@ -42,7 +42,7 @@ def level_branch(model, n, phase):
 
 def gap_root(model, n, phase):
     """The private gap solve of one branch, which no level may reach."""
-    return hartree._root(model, n, *_gap_poly(model, n, n + 0.5, phase))
+    return hartree._root(model, n, n + 0.5, phase)[2]
 
 
 def test_quartic_unit_coupling_frequency_is_two():
@@ -397,52 +397,99 @@ def test_overflowing_energy_reports_the_coefficients_error():
     (-1.7426264624882977e55, 1.9574360759863343e-306, 2),
     # the root is the subnormal 8.23e-317, its residual 1.4e-8 of its terms
     (-4.750424056133419e162, 1.1754133192628986e-155, 5),
-    # ω = 2.18e-107 is normal, but c₀, |g|ω and ω³ are all subnormal, and
-    # the root came back 1.1e-5 off the root for the exact λ
-    (-1.4710131100118016e-212, 1.556e-321, 35),
 ])
 def test_gap_root_below_normal_range_is_non_finite(g, lam, n):
     # the symmetry-restored branch is solved first, so its error is the level's
     model = OscillatorModel(power=4, g=g, lam=lam)
-    with pytest.raises(NonFiniteValue, match=r"gap (start|root) of level \d+ of Osc"):
+    with pytest.raises(NonFiniteValue, match=r"gap root of level \d+ of Osc"):
         solve_level(model, n)
 
 
 @pytest.mark.parametrize("power, g, lam, n, phase", [
-    # ω² ≈ 7.0e-314 at the start 2.6e-157: the residual check failed on a
-    # root that had lost its digits
-    (6, -1.9131896110902806e34, 2.1050516422410636e-283, 14, Phase.DWO_SR),
-    # ω³ ≈ 4.2e-318 at the start 1.6e-106: the descent spent all its steps
-    (8, -5.233714652376457e246, 2.9074180988384645e-75, 4, Phase.DWO_SR),
     # −2g overflows, and the broken branch returned ω = inf unchecked
     (4, -1e308, 1e-300, 0, Phase.DWO_SSB),
 ])
 def test_gap_start_out_of_range_is_non_finite(power, g, lam, n, phase):
-    # no level reaches these branches: the sextic and octic double wells are
-    # PhaseUnavailable, and the quartic's λ_c overflows first
+    # the start, √(−2g) raised by 1 + 4ε, is not finite, nor is the root
+    # the descent stops at; the level's symmetry-restored branch fails first,
+    # where g₁ = g/4^j overflows
     model = OscillatorModel(power=power, g=g, lam=lam)
-    with pytest.raises(NonFiniteValue, match="gap start"):
+    with pytest.raises(NonFiniteValue, match="gap root of level 0 of Osc"):
         gap_root(model, n, phase)
-    with pytest.raises((NonFiniteValue, PhaseUnavailable)):
+    with pytest.raises(NonFiniteValue, match="range: math range error"):
         solve_level(model, n)
 
 
+@pytest.mark.parametrize("power, g, lam, n", [
+    # ω² ≈ 3.5e-314 is subnormal; in the model's units the start 2.6e-157 had
+    # ω² ≈ 7.0e-314, and the residual check failed on a root that had lost
+    # its digits
+    (6, -1.9131896110902806e34, 2.1050516422410636e-283, 14),
+    # ω³ ≈ 2.1e-318 is subnormal; in the model's units the descent from the
+    # start 1.6e-106 spent all its steps
+    (8, -5.233714652376457e246, 2.9074180988384645e-75, 4),
+    # ω = 2.18e-107, with c₀, |g|ω and ω³ all subnormal in the model's units,
+    # where the root came back 1.1e-5 off the root for the exact λ
+    (4, -1.4710131100118016e-212, 1.556e-321, 35),
+])
+def test_gaps_below_normal_range_in_model_units_solve(power, g, lam, n):
+    # each gap was NonFiniteValue ("gap start" or "gap root") while it was
+    # solved in the model's units; at its own scale its terms are near 1
+    model = OscillatorModel(power=power, g=g, lam=lam)
+    w = gap_root(model, n, Phase.DWO_SR)
+    root = sigma0_gap_root(power, g, lam, n)
+    assert abs(w - root) <= 4 * EPS * root, (w, root)
+    if power != 4:
+        # no level reaches the sextic and octic double wells
+        with pytest.raises(PhaseUnavailable):
+            solve_level(model, n)
+        return
+    # both branches solve, and the restored one wins
+    sol = solve_level(model, n)
+    assert sol.phase is Phase.DWO_SR and sol.omega == w
+    (broken,) = [b.omega for b in sol.branches if b.phase is Phase.DWO_SSB]
+    root = broken_cubic_root(g, lam, n)
+    assert abs(broken - root) <= 4 * EPS * root, (broken, root)
+
+
 def test_broken_branch_residual_overflow_is_non_finite():
-    # c₀′ = −6λp(ξ) overflows: the residual was nan against a tolerance inf.
-    # ω³ overflows first, at the start √g′ of the descent; the level fails
-    # first on its symmetry-restored branch's start
+    # c₀′ = −6λp(ξ) overflows in the model's units, where the residual was
+    # nan against a tolerance inf.  At its own scale the root solves, but σ²
+    # needs 12λ, which overflows, so the level fails.  λ lies 1.6e-12 below
+    # λ_c, so the root lies 1e-6 above the floor, where f′ is 6e-6 of the
+    # cubic's terms: their rounding moves it by up to about 1e-10
     model = OscillatorModel(power=4, g=-3.3612749348220363e+205, lam=1.7679416060938297e+307)
-    with pytest.raises(NonFiniteValue, match="gap residual"):
-        gap_root(model, 0, Phase.DWO_SSB)
-    with pytest.raises(NonFiniteValue, match="gap start"):
+    w = gap_root(model, 0, Phase.DWO_SSB)
+    root = broken_cubic_root(model.g, model.lam, 0)
+    assert abs(w - root) <= 1e-10 * root, (w, root)
+    with pytest.raises(NonFiniteValue, match="level 0 of Osc.* leaves floating-point range$"):
         solve_level(model, 0)
 
 
+@pytest.mark.parametrize("g, lam, n", [
+    # 12λξ overflows, and σ² = −(g + 12λξ/ω)/(4λ) is −∞, whose square root
+    # raised ValueError
+    (-1e250, 2e307, 1),
+    # 12λ and 16λ overflow, σ and E₀ are nan, and the restored branch won
+    # the comparison with that nan
+    (-2.523205182059445e226, 1.736061847941676e308, 10),
+])
+def test_broken_branch_that_overflows_in_model_units_fails_the_level(g, lam, n):
+    # the broken root is in range at its own scale, where the parent's gap
+    # overflowed; its σ and E₀ are formed in the model's units and are not
+    model = OscillatorModel(power=4, g=g, lam=lam)
+    assert gap_root(model, n, Phase.DWO_SSB) < math.inf
+    with pytest.raises(NonFiniteValue, match=rf"^level {n} of Osc.* floating-point range$"):
+        solve_level(model, n)
+    with pytest.raises(NonFiniteValue, match=rf"^level {n} of Osc"):
+        second_order(OscillatorModel(power=4, g=g, lam=lam), n)
+
+
 def test_broken_branch_start_keeps_a_representable_root():
-    # the start √g′ = √(−2g) lies above the root, and its cube is finite
-    # for g down to about −1.59e205; the cube of √(2g′) = √(−4g) overflows
-    # below about −7.95e204, a start from which this branch raised
-    # NonFiniteValue although its root is a normal float
+    # the start √g′ = √(−2g) lies above the root; in the model's units its
+    # cube is finite for g down to about −1.59e205, and the cube of
+    # √(2g′) = √(−4g) overflows below about −7.95e204, a start from which
+    # this branch raised NonFiniteValue although its root is a normal float
     model = OscillatorModel(power=4, g=-1e205, lam=1.0)
     with mp.workdps(60):
         # ω³ + 2gω + 6λp(½) at λ = 1, p(½) = 2
@@ -451,9 +498,12 @@ def test_broken_branch_start_keeps_a_representable_root():
     w = gap_root(model, 0, Phase.DWO_SSB)
     assert w == 4.4721359549995794e102
     assert abs(w - root) <= 4 * EPS * root
-    # here the root's own ω³ overflows
-    with pytest.raises(NonFiniteValue, match="gap residual"):
-        gap_root(OscillatorModel(power=4, g=-2e205, lam=1.0), 0, Phase.DWO_SSB)
+    # here the root's own ω³ overflows in the model's units, where the
+    # branch raised NonFiniteValue ("gap residual"); at its own scale it solves
+    w = gap_root(OscillatorModel(power=4, g=-2e205, lam=1.0), 0, Phase.DWO_SSB)
+    root = broken_cubic_root(-2e205, 1.0, 0)
+    assert w == 6.324555320336758e102
+    assert abs(w - root) <= 4 * EPS * root
 
 
 @pytest.mark.parametrize("power, g, lam, n", [
@@ -469,16 +519,7 @@ def test_levels_in_range_where_sqrt_2g_overflows(power, g, lam, n):
     model = OscillatorModel(power=power, g=g, lam=lam)
     sol = solve_level(model, n)
     assert sol.phase is Phase.AHO
-    k = model.k
-    with mp.workdps(60):
-        moment_k = mp.mpf(math.prod(range(1, 2 * k, 2)) * sum(
-            math.comb(k, i) * math.comb(n, i) * 2**i for i in range(k + 1))) / 2**k
-        c0 = 2 * k * mp.mpf(lam) * moment_k / (mp.mpf(n) + mp.mpf(1) / 2)
-        # Newton from above the root, on the gap polynomial at 60 digits
-        root = mp.sqrt(mp.mpf(g) + c0 ** (mp.mpf(2) / (k + 1)))
-        for _ in range(20):
-            root -= ((root**(k + 1) - g * root**(k - 1) - c0)
-                     / ((k + 1) * root**k - (k - 1) * g * root**(k - 2)))
+    root = sigma0_gap_root(power, g, lam, n)
     assert abs(sol.omega - root) <= 4 * EPS * root, (sol.omega, root)
     if power == 6:
         assert sol.omega == 8.354258849070841e76
@@ -647,7 +688,7 @@ def test_moment_core_reproduces_closed_forms(power):
         assert_matches_terms(gap, reference_gap(power, g, lam, xi, w, s))
         assert_matches_terms(config, reference_bracket(power, g, lam, xi, w, s))
 
-        k, g_gap, c0 = _gap_poly(m, n, xi, phase)
+        k, g_gap, c0 = _gap_poly(m, n, xi, phase, lam)
         assert (k, g_gap) == (power // 2, g)
         assert_matches_terms(w ** (k + 1) - g_gap * w ** (k - 1) - c0,
                              reference_gap(power, g, lam, xi, w, 0.0))
@@ -656,7 +697,7 @@ def test_moment_core_reproduces_closed_forms(power):
         if power == 4 and g < 0:
             # the broken branch's cubic ω³ + 2gω + 6λp(ξ) and its energy,
             # measured from the bottom of the wells
-            k, g_gap, c0 = _gap_poly(m, n, xi, Phase.DWO_SSB)
+            k, g_gap, c0 = _gap_poly(m, n, xi, Phase.DWO_SSB, lam)
             assert (k, g_gap, c0) == (2, -2.0 * g, -6.0 * lam * xi_p(xi))
             assert_matches_terms(w**3 - g_gap * w - c0,
                                  [w**3, 2.0 * g * w, 6.0 * lam * xi_p(xi)])
@@ -729,11 +770,18 @@ def test_recorded_double_well_levels():
     sol = solve_level(OscillatorModel(4, -4.006705135200882e-205, 1.411688802e-314), 651949)
     assert sol.phase is Phase.DWO_SR and sol.branches is None
     assert sol.omega == 1.3207177664343732e-103
-    # the broken branch solves, but the symmetric root 3.2e-151 has |g|ω and
-    # c₀ subnormal, and its range rule fails the level; letting that branch
-    # lose instead could pick the higher branch where the broken one overflows
-    with pytest.raises(NonFiniteValue, match="gap root of level 17"):
-        solve_level(OscillatorModel(4, -4.165636187898341e-162, 1.2732862223e-314), 17)
+    # the symmetric root 3.2e-151 has |g|ω and c₀ subnormal in the model's
+    # units, where its range rule failed the level; at its own scale it
+    # solves, and the broken branch, which won before its range rule, wins
+    g, lam = -4.165636187898341e-162, 1.2732862223e-314
+    sol = solve_level(OscillatorModel(4, g, lam), 17)
+    assert sol.phase is Phase.DWO_SSB
+    assert (sol.omega, sol.energy) == (2.886394355557931e-81, -9.70060064237261e-11)
+    (sr,) = [b.omega for b in sol.branches if b.phase is Phase.DWO_SR]
+    assert sr == 3.212095010840359e-151
+    for w, root in ((sol.omega, broken_cubic_root(g, lam, 17)),
+                    (sr, sigma0_gap_root(4, g, lam, 17))):
+        assert abs(w - root) <= 4 * EPS * root, (w, root)
     # deep wells: E_n and E_m both round to −g²/(16λ) before they are
     # subtracted.  These flip once the denominators are taken from the
     # difference of the two gap equations
@@ -758,11 +806,18 @@ def test_failed_solves_are_not_memoized(calls):
         with pytest.raises(PhaseUnavailable):
             solve_level(m, 0)
     assert calls == [0, 0]
-    overflowing = OscillatorModel(power=4, g=1e300, lam=1e300)
+    # the start √(g + c₀^{2/3}) of this level overflowed in the model's
+    # units; at its own scale it solves, once
+    wide = OscillatorModel(power=4, g=1e300, lam=1e300)
+    assert solve_level(wide, 40) is solve_level(wide, 40)
+    root = sigma0_gap_root(4, 1e300, 1e300, 40)
+    assert abs(wide._levels[40].omega - root) <= 4 * EPS * root
+    # the symmetry-restored root 7e-361 lies below the float range
+    overflowing = OscillatorModel(power=4, g=-1.7426264624882977e55, lam=1.9574360759863343e-306)
     for _ in range(2):
-        with pytest.raises(NonFiniteValue):
+        with pytest.raises(NonFiniteValue, match="gap root"):
             solve_level(overflowing, 40)
-    assert calls == [0, 0, 40, 40]
+    assert calls == [0, 0, 40, 40, 40]
     # the winner step holds (E₀ ≈ −6.25e258) but σ⁴ ≈ 6e318 overflows in
     # the coefficients: the winner is kept, the solution never is
     deep = OscillatorModel(power=4, g=-1e100, lam=1e-60)
@@ -771,7 +826,7 @@ def test_failed_solves_are_not_memoized(calls):
             solve_level(deep, 0)
         with pytest.raises(NonFiniteValue, match="level 0 of"):
             second_order(deep, 0)
-    assert calls == [0, 0, 40, 40, 0]
+    assert calls == [0, 0, 40, 40, 40, 0]
     assert deep._winners[0][2] is Phase.DWO_SSB and 0 not in deep._levels
 
 

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gha import hartree
-from gha.errors import NonConvergence, NonFiniteValue, PhaseUnavailable
+from gha.errors import GhaError, NonConvergence, NonFiniteValue, PhaseUnavailable
 from gha.hartree import (
     HartreeSolution,
     OscillatorModel,
@@ -26,7 +26,7 @@ from gha.hipt import second_order
 from gha.ladder import ModeParameters, expectation
 from gha.vacuum import vacuum_structure
 
-from conftest import broken_cubic_at_floor
+from conftest import broken_cubic_at_floor, sigma0_gap_root
 from ladder_reference import hamiltonian_polynomial
 
 powers = st.sampled_from([4, 6, 8])
@@ -213,7 +213,7 @@ def test_broken_branch_shift_is_real(lg, n, near_critical, t):
     # stop first at its symmetry-restored branch or its coefficients
     try:
         model = OscillatorModel(power=4, g=g, lam=lam)
-        w = hartree._root(model, n, *hartree._gap_poly(model, n, n + 0.5, Phase.DWO_SSB))
+        w = hartree._root(model, n, n + 0.5, Phase.DWO_SSB)[2]
     except (NonFiniteValue, NonConvergence):
         return
     if w is None:
@@ -243,7 +243,7 @@ def test_broken_cubic_decides_its_root_at_its_floor(lg, n, where, lu):
     assume(lam > 0.0)
     model = OscillatorModel(power=4, g=g, lam=lam)
     try:
-        w = hartree._root(model, n, *hartree._gap_poly(model, n, n + 0.5, Phase.DWO_SSB))
+        w = hartree._root(model, n, n + 0.5, Phase.DWO_SSB)[2]
     except NonFiniteValue:
         return
     value, top = broken_cubic_at_floor(g, lam, n)
@@ -259,10 +259,14 @@ def test_broken_cubic_decides_its_root_at_its_floor(lg, n, where, lu):
 # c₀ ≈ 1e304: the rounded exponent 2/3 alone would put the start 175ε low
 @example(4, math.log10(6.922670635903861e-210), math.log10(3.071683194560411e+299),
          math.log10(5745))
+# the unraised start is 3.5ε of f₁'s largest term below the root
+@example(8, -294.5056129980772, 138.90895490736733, 1.3793666604583419)
 def test_gap_start_is_not_below_the_root(shape, lg, ll, ln):
-    # every gap with g > 0 starts at w₀ = √(g + max(c₀, 0)^{2/(k+1)}), where
-    # f(w₀) ≥ 0 but for rounding: the AHO gap over the whole float range, and
-    # the broken cubic at g′ = −2g with c₀′ < 0, λ = λ_c·10^{−|ll|/2} ≤ λ_c
+    # every gap with g > 0 is solved at its own scale, from √(g₁ +
+    # max(c₁, 0)^{2/(k+1)}) raised by 1 + 4ε, where f₁ ≥ 0 exactly for the
+    # float g₁ and c₁ that the descent receives: the AHO gap over the whole
+    # float range, and the broken cubic at g′ = −2g with c₀′ < 0,
+    # λ = λ_c·10^{−|ll|/2} ≤ λ_c
     n = int(10.0**ln) - 1
     if shape == "broken":
         g = -(10.0**lg)
@@ -274,25 +278,49 @@ def test_gap_start_is_not_below_the_root(shape, lg, ll, ln):
         model, phase = OscillatorModel(power=4, g=g, lam=lam), Phase.DWO_SSB
     else:
         model, phase = OscillatorModel(power=shape, g=10.0**lg, lam=10.0**ll), Phase.AHO
-    k, g, c0 = hartree._gap_poly(model, n, n + 0.5, phase)
-    assert g > 0.0
     starts = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(hartree, "_newton",
-                      lambda k, g, c0, w, floor: starts.append(w) or (w, 0.0))
+                      lambda k, g, c0, w, floor: starts.append((k, g, c0, w)) or (w, 0.0))
         try:
-            hartree._root(model, n, k, g, c0)
-        except (NonFiniteValue, OverflowError):
-            # a start out of range, or the range rule at the unmoved start
+            hartree._root(model, n, n + 0.5, phase)
+        except NonFiniteValue:
+            # the unmoved start, scaled back, is not a normal float
             pass
     if not starts:
+        # the broken cubic has no root above its floor
         return
+    ((k, g, c0, w),) = starts
+    assert g >= 0.0
     with mp.workdps(80):
-        w, g, c0 = mp.mpf(starts[0]), mp.mpf(g), mp.mpf(c0)
-        top = max(w ** (k + 1), g * w ** (k - 1), abs(c0))
-        if top < sys.float_info.max:
-            value = w ** (k + 1) - g * w ** (k - 1) - c0
-            assert value >= -4 * EPS * top, (starts[0], value / top)
+        w, g, c0 = mp.mpf(w), mp.mpf(g), mp.mpf(c0)
+        assert w ** (k + 1) - g * w ** (k - 1) - c0 >= 0, (starts, shape, lg, ll, ln)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(4, 1.0), (4, -1.0), (6, 1.0), (8, 1.0)]),
+       st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+       st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+       st.integers(min_value=0, max_value=40), st.integers(min_value=-20, max_value=20))
+# in the model's units this ω came out one ulp off its scaled value
+@example((4, 1.0), math.log10(187.22857298500253), math.log10(1.408890208214099), 104, -8)
+def test_levels_scale_exactly_by_powers_of_four(shape, lg, ll, n, i):
+    # φ → φ/√s with s = 4^i maps (g, λ) to (s²g, s^{k+1}λ), ω to sω, σ to
+    # σ/√s and E₀ to sE₀; each branch's gap is solved at a scale that moves
+    # by s with the model, so these hold bit for bit away from under- and
+    # overflow.  A, B, C and h₀ are formed with libm powers in the model's
+    # units and are left out
+    power, sign = shape
+    g, lam, s = sign * 10.0**lg, 10.0**ll, 4.0**i
+    base = solve_level(OscillatorModel(power, g, lam), n)
+    scaled = solve_level(OscillatorModel(power, g * s * s, lam * s ** (power // 2 + 1)), n)
+    assert scaled.phase is base.phase
+    pairs = list(zip(base.branches or (), scaled.branches or ())) + [(base, scaled)]
+    assert len(pairs) == len(base.branches or ()) + 1
+    for b0, b1 in pairs:
+        assert b1.phase is b0.phase
+        assert (b1.omega, b1.sigma, b1.energy) == (b0.omega * s, b0.sigma / 2.0**i,
+                                                   b0.energy * s), (b0, b1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -329,7 +357,8 @@ def test_zeroth_order_at_high_levels(power, double_well, lg, ll, ln):
 
 
 def test_levels_are_finite_or_a_typed_error():
-    # |g| and λ log-uniform over the whole float range, both signs of g
+    # |g| and λ log-uniform over the whole float range, both signs of g; each
+    # draw through solve_level and through second_order, each on a fresh model
     rng = random.Random(15)
     cases = [(4, -1.0, 1e-26, 0), (4, 1.0, 1e308, 0), (4, -4e-119, 2.9e307, 0),
              (4, -2.110974189309853e-3, 1.5963222272433442e-30, 0)]
@@ -343,17 +372,28 @@ def test_levels_are_finite_or_a_typed_error():
             sol = solve_level(OscillatorModel(power=power, g=g, lam=lam), n)
         except (NonFiniteValue, PhaseUnavailable) as exc:
             outcomes.add(type(exc))
+        else:
+            outcomes.add(HartreeSolution)
+            values = [sol.omega, sol.sigma, sol.A, sol.B, sol.C, sol.h0, sol.energy]
+            for b in sol.branches or ():
+                values += [b.omega, b.sigma, b.energy]
+            assert all(math.isfinite(v) for v in values), (power, g, lam, n, sol)
+        try:
+            rep = second_order(OscillatorModel(power=power, g=g, lam=lam), n)
+        except GhaError:
             continue
-        outcomes.add(HartreeSolution)
-        values = [sol.omega, sol.sigma, sol.A, sol.B, sol.C, sol.h0, sol.energy]
-        for b in sol.branches or ():
-            values += [b.omega, b.sigma, b.energy]
-        assert all(math.isfinite(v) for v in values), (power, g, lam, n, sol)
+        values = [rep.e0, rep.delta_e2, rep.e2]
+        values += [v for c in rep.contributions for v in (c.numerator, c.denominator)]
+        assert all(math.isfinite(v) for v in values), (power, g, lam, n, rep)
     assert {HartreeSolution, NonFiniteValue, PhaseUnavailable} <= outcomes
-    with pytest.raises(NonFiniteValue, match="gap start"):
-        solve_level(OscillatorModel(power=4, g=1.0, lam=1e308), 0)
-    with pytest.raises(NonFiniteValue, match="gap start"):
-        solve_level(OscillatorModel(power=4, g=-4e-119, lam=2.9e307), 0)
-    # ω⁵ overflows at the start √(g + c₀^{2/5}) ≈ 1e150
-    with pytest.raises(NonFiniteValue, match="gap residual"):
+    # c₀ overflows in the model's units, where the gap's start did; at its
+    # own scale each level solves
+    for g, lam, omega in ((1.0, 1e308, 8.434326653017493e102),
+                          (-4e-119, 2.9e307, 5.582770171658424e102)):
+        assert solve_level(OscillatorModel(power=4, g=g, lam=lam), 0).omega == omega
+        root = sigma0_gap_root(4, g, lam, 0)
+        assert abs(omega - root) <= 4 * EPS * root, (omega, root)
+    # ω⁵ overflowed at the start √(g + c₀^{2/5}) ≈ 1e150; at its own scale
+    # the gap solves, and ω⁴ overflows in the coefficients
+    with pytest.raises(NonFiniteValue, match="level 0 of .*Numerical result out of range"):
         solve_level(OscillatorModel(power=8, g=1e300, lam=1.0), 0)

@@ -15,14 +15,18 @@ script prints, per function and seed, the number of draws whose outcomes
 differ and a SHA-256 of each tree's outcomes in draw order.  It splits those
 mismatches into draws whose outcome changes class (a value against an error,
 or one error class against another), draws that change only an error
-message, and draws that change only a value.  It names every probed function
-that is missing from either tree and skips it, and exits 1 on any mismatch.
+message, and draws that change only a value.  For each function and each of
+those three kinds it then prints up to three example draws, (power, g, λ, n)
+with both trees' outcomes, the first in seed and draw order.  It names every
+probed function that is missing from either tree and skips it, and exits 1 on
+any mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import random
 import subprocess
@@ -76,6 +80,11 @@ PROBES = {
 }
 
 
+KINDS = ("class", "message", "value")
+# example draws printed per function and kind of mismatch
+EXAMPLES = 3
+
+
 def _present(gha, name: str) -> bool:
     module, attr = name.split(".")
     return hasattr(getattr(gha, module), attr)
@@ -93,22 +102,36 @@ def _import_tree(src: str):
     return gha
 
 
-def worker(src: str, names, count: int) -> dict:
-    """{name: {seed: [SHA-256 of the outcomes, per-draw digests of the
-    outcomes and of their classes, in hex]}}."""
+def _probe(gha, name: str, power: int, g: float, lam: float, n: int):
+    def model():
+        return gha.hartree.OscillatorModel(power, g, lam)
+    return _outcome(PROBES[name], gha, model, n)
+
+
+def _draw(seed: int, count: int, index: int):
+    return next(itertools.islice(draws(seed, count), index, None))
+
+
+def worker(src: str, job: dict) -> dict:
+    """The answer of the tree at src to a job read from stdin: the probed
+    names that it has, where the job names none; else, per name, the outcome
+    texts of the job's example draws, where it has them, or per seed [SHA-256
+    of the outcomes, per-draw digests of the outcomes and of their classes,
+    in hex] over all draws."""
     gha = _import_tree(src)
-    if names is None:
+    if job.get("names") is None:
         return {"present": [name for name in PROBES if _present(gha, name)]}
     results = {}
-    for name in names:
-        probe = PROBES[name]
+    for name in job["names"]:
+        if "examples" in job:
+            results[name] = [_probe(gha, name, *_draw(seed, job["draws"], index))[1]
+                             for seed, index in job["examples"][name]]
+            continue
         per_seed = {}
         for seed in SEEDS:
             whole, digests, classes = hashlib.sha256(), [], []
-            for power, g, lam, n in draws(seed, count):
-                def model(power=power, g=g, lam=lam):
-                    return gha.hartree.OscillatorModel(power, g, lam)
-                kind, text = _outcome(probe, gha, model, n)
+            for draw in draws(seed, job["draws"]):
+                kind, text = _probe(gha, name, *draw)
                 whole.update(text.encode() + b"\n")
                 digests.append(_digest(text, OUTCOME_HEX // 2))
                 classes.append(_digest(kind, CLASS_HEX // 2))
@@ -117,17 +140,20 @@ def worker(src: str, names, count: int) -> dict:
     return results
 
 
-def _spawn(src: str, args) -> subprocess.Popen:
-    command = [sys.executable, "-B", str(Path(__file__).resolve()), "--worker", src, *args]
-    return subprocess.Popen(command, stdout=subprocess.PIPE, text=True)
-
-
-def _collect(procs):
-    outs = []
+def _run_workers(trees, job: dict):
+    """Each tree's worker answer to the job, each tree in its own process."""
+    procs = [subprocess.Popen(
+        [sys.executable, "-B", str(Path(__file__).resolve()), "--worker", src],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True) for src in trees]
+    # the job fits in the pipe, so every worker starts before any is read
     for proc in procs:
-        out, _ = proc.communicate()
-        if proc.returncode:
-            raise SystemExit(f"worker {proc.args[4]} exited {proc.returncode}")
+        proc.stdin.write(json.dumps(job))
+        proc.stdin.close()
+    outs = []
+    for src, proc in zip(trees, procs):
+        out = proc.stdout.read()
+        if proc.wait():
+            raise SystemExit(f"worker {src} exited {proc.returncode}")
         outs.append(json.loads(out))
     return outs
 
@@ -136,29 +162,55 @@ def _chunks(text: str, width: int):
     return [text[i:i + width] for i in range(0, len(text), width)]
 
 
+def _print_examples(trees, count: int, picked) -> None:
+    """Print both outcomes of the picked draws, {name: {kind: [(seed,
+    index)]}}, for each function and kind of mismatch."""
+    names = [name for name in picked if any(picked[name].values())]
+    if not names:
+        return
+    examples = {name: [pick for kind in KINDS for pick in picked[name][kind]]
+                for name in names}
+    left, right = _run_workers(trees, {"draws": count, "names": names,
+                                       "examples": examples})
+    for name in names:
+        # the outcomes come back in the order of the job's examples
+        outcomes = iter(zip(left[name], right[name]))
+        for kind in KINDS:
+            if picked[name][kind]:
+                print(f"examples of {name}, {kind} mismatches:")
+            for seed, index in picked[name][kind]:
+                parent, change = next(outcomes)
+                print(f"  seed {seed} draw {index}: {_draw(seed, count, index)}\n"
+                      f"    parent: {parent}\n    change: {change}")
+
+
 def compare(parent: str, change: str, count: int) -> int:
-    """Print the comparison table; the total number of mismatching draws."""
-    found = _collect([_spawn(src, ["--list"]) for src in (parent, change)])
-    present = [set(f["present"]) for f in found]
+    """Print the comparison table and the example draws; the total number
+    of mismatching draws."""
+    trees = (parent, change)
+    present = [set(found["present"]) for found in _run_workers(trees, {})]
     names = [name for name in PROBES if name in present[0] & present[1]]
     skipped = [name for name in PROBES if name not in names]
-    args = ["--draws", str(count), "--names", *names]
-    left, right = _collect([_spawn(src, args) for src in (parent, change)])
+    left, right = _run_workers(trees, {"draws": count, "names": names})
     print(f"{'function':28} {'seed':>4} {'draws':>7} {'mismatches':>10} {'class':>6} "
           f"{'message':>7} {'value':>6}  {'parent sha256':16}  {'change sha256':16}")
     total = 0
+    picked = {name: {kind: [] for kind in KINDS} for name in names}
     for name in names:
         for seed in SEEDS:
             (hash_a, dig_a, cls_a), (hash_b, dig_b, cls_b) = (left[name][str(seed)],
                                                               right[name][str(seed)])
             n_draws = len(dig_a) // OUTCOME_HEX
-            counts = {"class": 0, "message": 0, "value": 0}
-            for out_a, out_b, kind_a, kind_b in zip(
+            counts = dict.fromkeys(KINDS, 0)
+            for index, (out_a, out_b, kind_a, kind_b) in enumerate(zip(
                     _chunks(dig_a, OUTCOME_HEX), _chunks(dig_b, OUTCOME_HEX),
-                    _chunks(cls_a, CLASS_HEX), _chunks(cls_b, CLASS_HEX)):
+                    _chunks(cls_a, CLASS_HEX), _chunks(cls_b, CLASS_HEX))):
                 if out_a != out_b:
-                    counts["class" if kind_a != kind_b
-                           else "value" if kind_a == VALUE_CLASS else "message"] += 1
+                    kind = ("class" if kind_a != kind_b
+                            else "value" if kind_a == VALUE_CLASS else "message")
+                    counts[kind] += 1
+                    if len(picked[name][kind]) < EXAMPLES:
+                        picked[name][kind].append((seed, index))
             bad = sum(counts.values())
             total += bad
             print(f"{name:28} {seed:>4} {n_draws:>7} {bad:>10} "
@@ -168,6 +220,7 @@ def compare(parent: str, change: str, count: int) -> int:
         where = [tree for tree, p in zip(("parent", "change"), present) if name not in p]
         print(f"skipped {name}: not in the {' and '.join(where)} tree")
     print(f"total mismatches: {total}")
+    _print_examples(trees, count, picked)
     return total
 
 
@@ -178,12 +231,9 @@ def main(argv=None) -> int:
     parser.add_argument("--draws", type=int, default=40_000,
                         help="whole-range draws per seed (default 40000)")
     parser.add_argument("--worker", help=argparse.SUPPRESS)
-    parser.add_argument("--list", action="store_true", help=argparse.SUPPRESS)
-    parser.add_argument("--names", nargs="*", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
-        json.dump(worker(args.worker, None if args.list else args.names, args.draws),
-                  sys.stdout)
+        json.dump(worker(args.worker, json.load(sys.stdin)), sys.stdout)
         return 0
     if len(args.trees) != 2 or not args.draws > 0:
         parser.error("give PARENT_SRC and CHANGE_SRC, and a positive --draws")

@@ -110,6 +110,45 @@ def _heavy_mass_series(n: int, length: float, mass: float) -> float:
     return scale * total / _FOUR_PI2
 
 
+def _cutoff_integrals(orders, M2: float, cutoff: float) -> list:
+    """[I_n(M²) for n in orders], n ∈ {−1, 0, 1}, for finite M² > 0 and
+    cutoff Λ > 0, from one √M² and, for the closed forms, one hypot and one
+    ln((Λ + s)/M).  Raises NonFiniteValue for the first I_n, in the order
+    given, that leaves float range.
+
+    Closed forms for Λ ≥ M/2.  Below that they cancel to a relative error of
+    about ε(M/Λ)³, and the heavy-mass series takes over.
+    """
+    length = float(cutoff)
+    mass = math.sqrt(M2)
+    heavy = length < _HEAVY_MASS * mass
+    if not heavy:
+        # none of these raises: hypot and log return inf where they overflow
+        s = math.hypot(length, mass)  # overflow-safe sqrt(L² + M²)
+        ratio = (length + s) / mass
+        # ln((Λ + s)/M) stays finite after Λ + s or the ratio overflows
+        lt = (math.log(ratio) if ratio < math.inf else
+              math.log(0.5 * length + 0.5 * s) - math.log(mass) + _LN2)
+    values = []
+    for n in orders:
+        try:
+            if heavy:
+                value = _heavy_mass_series(n, length, mass)
+            elif n == -1:
+                value = (lt - length / s) / _FOUR_PI2
+            elif n == 0:
+                value = (length * s - M2 * lt) / (2.0 * _FOUR_PI2)
+            else:
+                value = (length * s**3 / 4.0 - M2 * length * s / 8.0
+                         - M2 * M2 * lt / 8.0) / _FOUR_PI2
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise NonFiniteValue(f"I_{n}({M2}) at cutoff {cutoff} leaves floating-point range")
+        values.append(value)
+    return values
+
+
 def stevenson(n: int, M2: float, cutoff: float) -> float:
     """Cutoff integral I_n(M²) for n ∈ {−1, 0, 1}.
 
@@ -120,29 +159,7 @@ def stevenson(n: int, M2: float, cutoff: float) -> float:
         raise DomainError(f"only n in {{-1, 0, 1}} supported, got {n}")
     if not 0.0 < M2 < math.inf or not 0.0 < cutoff < math.inf:
         raise DomainError(f"need finite M2 > 0 and cutoff > 0, got {M2}, {cutoff}")
-    length = float(cutoff)
-    mass = math.sqrt(M2)
-    try:
-        if length < _HEAVY_MASS * mass:
-            value = _heavy_mass_series(n, length, mass)
-        else:
-            s = math.hypot(length, mass)  # overflow-safe sqrt(L² + M²)
-            ratio = (length + s) / mass
-            # ln((Λ + s)/M) stays finite after Λ + s or the ratio overflows
-            lt = (math.log(ratio) if ratio < math.inf else
-                  math.log(0.5 * length + 0.5 * s) - math.log(mass) + _LN2)
-            if n == -1:
-                value = (lt - length / s) / _FOUR_PI2
-            elif n == 0:
-                value = (length * s - M2 * lt) / (2.0 * _FOUR_PI2)
-            else:
-                value = (length * s**3 / 4.0 - M2 * length * s / 8.0
-                         - M2 * M2 * lt / 8.0) / _FOUR_PI2
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise NonFiniteValue(f"I_{n}({M2}) at cutoff {cutoff} leaves floating-point range")
-    return value
+    return _cutoff_integrals((n,), M2, cutoff)[0]
 
 
 def _gap_source(lam: float, M2: float, cutoff: float, i0: float) -> float:
@@ -174,8 +191,10 @@ def solve_mass_gap(theory: FieldTheory, sigma: float) -> GapState:
     concave F lies above F, so Newton started there climbs monotonically
     onto the root and never overshoots it.  The climb stops once rounding no
     longer lets a step increase M², and the residual already evaluated there
-    is the one checked and returned.  12λI₀ comes from `_gap_source`, which keeps its
-    digits where I₀ itself is subnormal.
+    is the one checked and returned.  Each step takes I₀ and I₋₁ from one
+    `_cutoff_integrals` call, which forms √M², the hypot and the logarithm
+    once for both and raises as `stevenson` does for I₀, then for I₋₁.  Where
+    I₀ is subnormal, 12λI₀ comes from `_gap_source`, which keeps its digits.
     """
     lam, cut = theory.lam, theory.cutoff
     base = theory.m2 + 12.0 * lam * sigma * sigma
@@ -183,7 +202,7 @@ def solve_mass_gap(theory: FieldTheory, sigma: float) -> GapState:
         raise DomainError(f"sigma must be finite with 12*lambda*sigma^2 finite, got {sigma}")
     m2 = base
     for _ in range(_GAP_STEPS):
-        i0, im1 = stevenson(0, m2, cut), stevenson(-1, m2, cut)
+        i0, im1 = _cutoff_integrals((0, -1), m2, cut)
         # the normal case inline: a call per step costs about 4% of a solve
         source = 12.0 * lam * i0 if i0 >= _NORMAL_MIN else _gap_source(lam, m2, cut, i0)
         f = m2 - base - source

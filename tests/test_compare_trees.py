@@ -19,31 +19,65 @@ def compare(parent, change):
     return proc.returncode, int(total.group(1)), proc.stdout
 
 
+HARTREE_PROBES = ("hartree.solve_level", "hipt.second_order", "hartree.critical_coupling")
+QFT_PROBES = ("qft.solve_mass_gap", "qft.renormalized")
+
+
+def perturbed_tree(tmp_path, module, old, new):
+    """A copy of the source tree with one line of one module replaced."""
+    shutil.copytree(SRC / "gha", tmp_path / "gha",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "gha" / module
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    return tmp_path
+
+
+def rows_of(out):
+    """Per probe, the (mismatches, class, message, value) counts of each seed."""
+    rows = {}
+    for name, *counts in re.findall(r"^([\w.]+) +\d+ +90 +(\d+) +(\d+) +(\d+) +(\d+) +\w+ +\w+$",
+                                    out, re.M):
+        rows.setdefault(name, []).append([int(count) for count in counts])
+    return rows
+
+
 def test_a_tree_against_itself_has_no_mismatch():
     code, total, out = compare(SRC, SRC)
     assert (code, total) == (0, 0), out
     assert "examples of" not in out, out
     # every probe names a function that the tree has
     assert "skipped" not in out, out
-    for name in ("hartree.solve_level", "hipt.second_order"):
+    assert sorted(rows_of(out)) == sorted(HARTREE_PROBES + QFT_PROBES), out
+    for name in HARTREE_PROBES + QFT_PROBES:
         rows = re.findall(rf"^{re.escape(name)} +(\d+) +90 +0 +0 +0 +0 +(\w+) +(\w+)$",
                           out, re.M)
         assert [seed for seed, _, _ in rows] == ["16", "99", "7"], out
         assert all(a == b for _, a, b in rows), out
 
 
+def test_a_perturbed_qft_constant_shows_in_the_qft_probes_alone(tmp_path):
+    change = perturbed_tree(tmp_path, "qft.py", "_FOUR_PI2 = 4.0 * math.pi * math.pi\n",
+                            "_FOUR_PI2 = 4.0000001 * math.pi * math.pi\n")
+    code, total, out = compare(SRC, change)
+    assert code == 1 and total > 0, out
+    rows = rows_of(out)
+    assert all(bad == 0 for name in HARTREE_PROBES for bad, *_ in rows[name]), out
+    # 1/(4π²) scales every cutoff integral, so both probes move values
+    for name in QFT_PROBES:
+        assert sum(value for *_, value in rows[name]) > 0, (name, out)
+        assert f"examples of {name}, value mismatches:" in out, out
+    assert "examples of hartree" not in out and "examples of hipt" not in out, out
+
+
 def test_a_perturbed_constant_shows_as_mismatches(tmp_path):
-    shutil.copytree(SRC / "gha", tmp_path / "gha",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    hartree = tmp_path / "gha" / "hartree.py"
-    text = hartree.read_text()
-    assert text.count("return n + 0.5\n") == 1
-    hartree.write_text(text.replace("return n + 0.5\n", "return n + 0.5000001\n"))
-    code, total, out = compare(SRC, tmp_path)
+    change = perturbed_tree(tmp_path, "hartree.py", "return n + 0.5\n", "return n + 0.5000001\n")
+    code, total, out = compare(SRC, change)
     assert code == 1 and total > 0, out
     # each mismatch changes the class, only the message or only the value
     rows = re.findall(r"^[\w.]+ +\d+ +90 +(\d+) +(\d+) +(\d+) +(\d+) +\w+ +\w+$", out, re.M)
-    assert len(rows) == 9, out
+    assert len(rows) == 15, out
     split = [[int(count) for count in row] for row in rows]
     assert all(bad == sum(kinds) for bad, *kinds in split), out
     assert sum(bad for bad, *_ in split) == total, out

@@ -41,8 +41,9 @@ def level_branch(model, n, phase):
 
 
 def gap_root(model, n, phase):
-    """The private gap solve of one branch, which no level may reach."""
-    return hartree._root(model, n, n + 0.5, phase)[2]
+    """ω of one branch alone, from its private solve, which no level may
+    reach; the branch must have a root."""
+    return hartree._branch(model, n, n + 0.5, phase)[0]
 
 
 def test_quartic_unit_coupling_frequency_is_two():
@@ -539,7 +540,7 @@ def test_gap_check_rejects_an_unmoved_start(monkeypatch):
         model = OscillatorModel(4, g, lam)
         assert level_branch(model, 0, phase).omega == pytest.approx(root, rel=0.01)
     monkeypatch.setattr(hartree, "_newton", lambda k, g, c0, w, floor:
-                        (w, w ** (k + 1) - g * w ** (k - 1) - c0))
+                        (w, w ** (k + 1) - g * w ** (k - 1) - c0, w ** (k + 1), g * w ** (k - 1)))
     for g, lam, phase, _ in cases:
         # each branch's own check; the level stops at the symmetry-restored
         # branch, which it solves first
@@ -851,6 +852,48 @@ def test_memo_leaves_equality_hash_and_repr_alone():
     assert repr(warm) == repr(cold) == "OscillatorModel(power=4, g=-1.0, lam=0.05)"
     assert {warm: 1}[cold] == 1
     assert warm != OscillatorModel(power=4, g=-1.0, lam=0.06)
+
+
+def test_model_keeps_the_contract_of_a_frozen_record():
+    # a plain __slots__ class with the repr, equality, hash, construction
+    # and validation of the frozen dataclass it replaced
+    model = OscillatorModel(4, 1.0, 1.0)
+    assert repr(model) == "OscillatorModel(power=4, g=1.0, lam=1.0)"
+    assert model == OscillatorModel(power=4, g=1.0, lam=1.0) == OscillatorModel(4, 1.0, lam=1.0)
+    assert hash(model) == hash((4, 1.0, 1.0))
+    # the memo dicts take no part in equality and hash
+    solve_level(model, 3)
+    assert model == OscillatorModel(4, 1.0, 1.0) and hash(model) == hash((4, 1.0, 1.0))
+    for other in (OscillatorModel(6, 1.0, 1.0), OscillatorModel(4, 2.0, 1.0),
+                  OscillatorModel(4, 1.0, 2.0), (4, 1.0, 1.0)):
+        assert model != other
+    # k is an int, whatever integer type power has
+    wide = OscillatorModel(np.int64(6), 1.0, 1.0)
+    assert type(wide.k) is int and wide.k == 3
+    assert repr(wide) == f"OscillatorModel(power={np.int64(6)!r}, g=1.0, lam=1.0)"
+    assert wide == OscillatorModel(6, 1.0, 1.0) and hash(wide) == hash(OscillatorModel(6, 1.0, 1.0))
+    # power is checked first, then λ, then g, each with its own message
+    for args, message in [
+        ((5, 0.0, -1.0), "anharmonic power must be the integer 4, 6 or 8, got 5"),
+        ((4.0, 1.0, 1.0), "anharmonic power must be the integer 4, 6 or 8, got 4.0"),
+        ((4, 0.0, -1.0), "coupling must be positive, got -1.0"),
+        ((4, math.nan, math.nan), "coupling must be positive, got nan"),
+        ((6, 1.0, math.inf), "coupling must be positive, got inf"),
+        ((4, 0.0, 1.0), "quadratic coefficient must be nonzero, got 0.0"),
+        ((8, -math.inf, 1.0), "quadratic coefficient must be nonzero, got -inf"),
+    ]:
+        with pytest.raises(DomainError) as err:
+            OscillatorModel(*args)
+        assert str(err.value) == message
+    # no field, memo or new attribute can be assigned or deleted
+    for name in ("power", "g", "lam", "k", "_frexp", "_winners", "_levels", "other"):
+        with pytest.raises(AttributeError):
+            setattr(model, name, 2)
+    for name in ("g", "_levels"):
+        with pytest.raises(AttributeError):
+            delattr(model, name)
+    assert (model.power, model.g, model.lam, model.k) == (4, 1.0, 1.0, 2)
+    assert solve_level(model, 3) is model._levels[3]
 
 
 def test_broken_branch_at_the_double_root():

@@ -213,12 +213,13 @@ def test_broken_branch_shift_is_real(lg, n, near_critical, t):
     # stop first at its symmetry-restored branch or its coefficients
     try:
         model = OscillatorModel(power=4, g=g, lam=lam)
-        w = hartree._root(model, n, n + 0.5, Phase.DWO_SSB)[2]
+        branch = hartree._branch(model, n, n + 0.5, Phase.DWO_SSB)
     except (NonFiniteValue, NonConvergence):
         return
-    if w is None:
+    if branch is None:
         # no root above the floor, so no branch
         return
+    w = branch[0]
     assert -(g + 12.0 * lam * xi / w) >= 0.3 * -g
 
 
@@ -243,12 +244,12 @@ def test_broken_cubic_decides_its_root_at_its_floor(lg, n, where, lu):
     assume(lam > 0.0)
     model = OscillatorModel(power=4, g=g, lam=lam)
     try:
-        w = hartree._root(model, n, n + 0.5, Phase.DWO_SSB)[2]
+        branch = hartree._branch(model, n, n + 0.5, Phase.DWO_SSB)
     except NonFiniteValue:
         return
     value, top = broken_cubic_at_floor(g, lam, n)
     if abs(value) > 4 * EPS * top:
-        assert (w is None) == (value > 0), (w, value / top)
+        assert (branch is None) == (value > 0), (branch, value / top)
 
 
 @settings(max_examples=300, deadline=None)
@@ -280,10 +281,11 @@ def test_gap_start_is_not_below_the_root(shape, lg, ll, ln):
         model, phase = OscillatorModel(power=shape, g=10.0**lg, lam=10.0**ll), Phase.AHO
     starts = []
     with pytest.MonkeyPatch.context() as patch:
+        # the descent returns its start unmoved, with a zero residual
         patch.setattr(hartree, "_newton",
-                      lambda k, g, c0, w, floor: starts.append((k, g, c0, w)) or (w, 0.0))
+                      lambda k, g, c0, w, floor: starts.append((k, g, c0, w)) or (w, 0.0, 0.0, 0.0))
         try:
-            hartree._root(model, n, n + 0.5, phase)
+            hartree._branch(model, n, n + 0.5, phase)
         except NonFiniteValue:
             # the unmoved start, scaled back, is not a normal float
             pass

@@ -1,6 +1,7 @@
 """Gaussian effective potential of the λφ⁴ field theory in 3+1 dimensions."""
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -15,6 +16,7 @@ from gha.qft import (
     FieldTheory,
     GapState,
     RenormalizedParams,
+    _cutoff_integrals,
     _k1_scaled,
     effective_potential,
     renormalized,
@@ -413,3 +415,37 @@ def test_log_term_survives_overflow_of_the_cutoff_ratio():
     for n in (0, 1):
         with pytest.raises(NonFiniteValue, match=f"I_{n}"):
             stevenson(n, 1e-300, 1e300)
+
+
+# (M², Λ) with a subnormal I₀: two heavy masses, then a light one
+SUBNORMAL_I0 = ((1e-200, 1e-140), (1.0, 1e-103), (1e-312, 1e-155))
+
+
+def _integrals_or_error(integrals):
+    """The hex of each value, or the error class and message."""
+    try:
+        return [value.hex() for value in integrals()]
+    except NonFiniteValue as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("M2, cutoff", [
+    # light mass: the closed forms
+    (1.0, 10.0), (0.25, 5.0), (30.0, 200.0),
+    # heavy mass, Λ < M/2: the series
+    (1.2e20, 10.0), (1e8, 10.0), (4.0, 0.999),
+    # the inputs of test_log_term_survives_overflow_of_the_cutoff_ratio;
+    # I₀ leaves float range at the first, where I₋₁ does not
+    (1e-300, 1e300), (1.0, 1e308), (1e300, 1.7e308),
+    # I₀ is subnormal, as where the mass gap takes `_gap_source`
+    *SUBNORMAL_I0,
+])
+def test_paired_integrals_are_the_single_ones(M2, cutoff):
+    # the mass-gap step takes I₀ and I₋₁ from one call; they are
+    # stevenson's, bit for bit, and where one leaves float range the pair
+    # raises what the calls in the order I₀, I₋₁ raise
+    pair = _integrals_or_error(lambda: _cutoff_integrals((0, -1), M2, cutoff))
+    single = _integrals_or_error(lambda: [stevenson(0, M2, cutoff), stevenson(-1, M2, cutoff)])
+    assert pair == single
+    if (M2, cutoff) in SUBNORMAL_I0:
+        assert 0.0 < stevenson(0, M2, cutoff) < sys.float_info.min

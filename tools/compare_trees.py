@@ -9,8 +9,16 @@ and 7 there are N whole-range draws (power 4, 6 or 8, g = ±10^U(−320, 300),
 λ = 10^U(−323, 300), n ≤ 40) and N // 2 normal-range draws (g = ±10^U(−3, 3),
 λ = 10^U(−3, 3), n ≤ 40); N defaults to 40,000.
 
-Each probed function is called on a fresh model for every draw, and its
-outcome is the repr of its result, or its error class and message.  The
+The Hartree probes solve the draw's model at level n.  The `gha.qft` probes
+take their field theory and shift from the same draw (`field_point`): m² = |g|,
+the draw's λ, a cutoff Λ = m·10^{(n−20)/2} and σ² = (power − 4)/4 · m²/λ.  So
+Λ/m runs from 1e-10, where the cutoff integrals take their heavy-mass series,
+to 1e10, where they take their closed forms; a third of the draws has σ = 0,
+and the others have 12λσ² = 6m² or 12m².  Over the whole range I₀ is
+subnormal on some draws and overflows on others.
+
+Each probed function is called on a fresh model or theory for every draw, and
+its outcome is the repr of its result, or its error class and message.  The
 script prints, per function and seed, the number of draws whose outcomes
 differ and a SHA-256 of each tree's outcomes in draw order.  It splits those
 mismatches into draws whose outcome changes class (a value against an error,
@@ -28,6 +36,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
 import random
 import subprocess
 import sys
@@ -71,12 +80,28 @@ OUTCOME_HEX, CLASS_HEX = 16, 8
 VALUE_CLASS = _digest("value", CLASS_HEX // 2)
 
 
-# qualified name -> outcome of one draw; the tree, a model factory and n
+def field_point(power: int, g: float, lam: float, n: int):
+    """(m², λ, Λ, σ) of the `gha.qft` probes from one (power, g, λ, n) draw."""
+    m2 = abs(g)
+    return m2, lam, math.sqrt(m2) * 10.0 ** ((n - 20) / 2), math.sqrt((power - 4) / 4 * m2 / lam)
+
+
+def _field(gha, draw):
+    """The field theory and the shift σ of the `gha.qft` probes at one draw."""
+    m2, lam, cutoff, sigma = field_point(*draw)
+    return gha.qft.FieldTheory(m2, lam, cutoff), sigma
+
+
+# qualified name -> result of one draw, from the tree and the draw
 PROBES = {
-    "hartree.solve_level": lambda gha, model, n: gha.hartree.solve_level(model(), n),
-    "hipt.second_order": lambda gha, model, n: gha.hipt.second_order(model(), n),
-    "hartree.critical_coupling":
-        lambda gha, model, n: gha.hartree.critical_coupling(n + 0.5, model().g),
+    "hartree.solve_level": lambda gha, power, g, lam, n:
+        gha.hartree.solve_level(gha.hartree.OscillatorModel(power, g, lam), n),
+    "hipt.second_order": lambda gha, power, g, lam, n:
+        gha.hipt.second_order(gha.hartree.OscillatorModel(power, g, lam), n),
+    "hartree.critical_coupling": lambda gha, power, g, lam, n:
+        gha.hartree.critical_coupling(n + 0.5, gha.hartree.OscillatorModel(power, g, lam).g),
+    "qft.solve_mass_gap": lambda gha, *draw: gha.qft.solve_mass_gap(*_field(gha, draw)),
+    "qft.renormalized": lambda gha, *draw: gha.qft.renormalized(_field(gha, draw)[0]),
 }
 
 
@@ -95,6 +120,7 @@ def _import_tree(src: str):
     import gha
     import gha.hartree
     import gha.hipt
+    import gha.qft
 
     home = Path(gha.__file__).resolve().parent
     if home.parent != Path(src).resolve():
@@ -103,9 +129,7 @@ def _import_tree(src: str):
 
 
 def _probe(gha, name: str, power: int, g: float, lam: float, n: int):
-    def model():
-        return gha.hartree.OscillatorModel(power, g, lam)
-    return _outcome(PROBES[name], gha, model, n)
+    return _outcome(PROBES[name], gha, power, g, lam, n)
 
 
 def _draw(seed: int, count: int, index: int):

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness test that
+turns an argument out of float range into a DomainError."""
+
+import math
 
 
 class GhaError(Exception):
@@ -23,3 +26,12 @@ class BudgetExceeded(GhaError):
 
 class NonFiniteValue(GhaError, ArithmeticError):
     """A computation overflowed, divided by zero or produced NaN or infinity."""
+
+
+def _finite(x) -> bool:
+    """math.isfinite(x), but False where x is too large for a float (an int
+    past 2^1024), for which math.isfinite raises OverflowError."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False

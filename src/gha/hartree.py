@@ -131,7 +131,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
 
-from .errors import DomainError, NonConvergence, NonFiniteValue, PhaseUnavailable
+from .errors import DomainError, NonConvergence, NonFiniteValue, PhaseUnavailable, _finite
 
 # Newton descends monotonically from its start.  Over whole-range draws it
 # took at most 8 steps at σ = 0 and 29 on the broken branch, whose root nears
@@ -168,9 +168,9 @@ class OscillatorModel:
         # a float power passes the membership test but fails in math.comb
         if not hasattr(power, "__index__") or power not in (4, 6, 8):
             raise DomainError(f"anharmonic power must be the integer 4, 6 or 8, got {power!r}")
-        if not (lam > 0.0) or not math.isfinite(lam):
+        if not (lam > 0.0) or not _finite(lam):
             raise DomainError(f"coupling must be positive, got {lam}")
-        if g == 0.0 or not math.isfinite(g):
+        if g == 0.0 or not _finite(g):
             raise DomainError(f"quadratic coefficient must be nonzero, got {g}")
         init = object.__setattr__
         init(self, "power", power)
@@ -414,8 +414,7 @@ def _finish(model, n, xi, omega, sigma, phase, energy, branches=None) -> Hartree
     h0 = model.lam * C - 0.5 * omega * omega * sigma * sigma
     if branches is not None:
         branches = tuple(BranchInfo(ph, w, s, e) for w, s, ph, e in branches)
-    return HartreeSolution(n=n, omega=omega, sigma=sigma, phase=phase, A=A, B=B, C=C,
-                           h0=h0, energy=energy, branches=branches)
+    return HartreeSolution(n, omega, sigma, phase, A, B, C, h0, energy, branches)
 
 
 def _winner(model: OscillatorModel, n: int, xi: float):

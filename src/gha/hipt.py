@@ -39,6 +39,8 @@ odd offsets come out as exact zeros.  h₀ = σ^{2k} − Aσ² + Bσ − C enter
 m = n element alone and is formed from C, so the first-order check tests C;
 it holds ⟨n|H′|n⟩ to 1e-9 of the largest of ⟨φ^{2k}⟩, |A⟨φ²⟩|, |Bσ| and
 |C|, the scale of its own terms at every λ.
+Each kept channel is a `Contribution`, a NamedTuple, so a level op's 2k of
+them cost a tuple each.
 `build_h_prime` forms H′ as a normal-ordered ladder polynomial instead, with
 V from `potential_polynomial`; the two are kept as the independent reference
 the tests compare the column with, and are the only library code that uses
@@ -50,7 +52,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .errors import NonConvergence
 from .hartree import (
@@ -66,8 +68,7 @@ from .hartree import (
 _NUMERATOR_DUST = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
-class Contribution:
+class Contribution(NamedTuple):
     m: int
     numerator: float  # ⟨m|λH′|n⟩
     denominator: float  # E_n − E_m
@@ -186,13 +187,7 @@ def second_order(
         den = sol.energy - _winner(model, m, m + 0.5)[3]
         if den == 0.0:
             raise NonConvergence(f"degenerate denominator between levels {n} and {m}")
-        contributions.append(Contribution(m=m, numerator=num, denominator=den))
+        contributions.append(Contribution(m, num, den))
         delta += num * num / den
 
-    return PerturbationReport(
-        n=n,
-        e0=sol.energy,
-        delta_e2=delta,
-        e2=sol.energy + delta,
-        contributions=tuple(contributions),
-    )
+    return PerturbationReport(n, sol.energy, delta, sol.energy + delta, tuple(contributions))

@@ -17,8 +17,12 @@ has quasiparticle mass M and shift σ determined by
 The gap residual F(M²) = M² − m² − 12λσ² − 12λI₀(M²) is increasing and
 concave in M² and negative at M² = m² + 12λσ², so Newton started there
 climbs monotonically onto its unique root; the climb stops once rounding no
-longer lets a step increase M².  The effective potential
-U(σ) = I₁ − 3λI₀² + ½m²σ² + λσ⁴ is evaluated on the gap solution M²(σ).  For m² > 0 the only physical vacuum is σ = 0: a σ ≠ 0
+longer lets a step increase M².  One private ascent, `_ascend`, returns the
+bare (M², I₀, I₋₁, F) at the root.  Only `solve_mass_gap` builds a
+`GapState` from it, adding I₁; `effective_potential` takes I₁ at the root
+itself, and `renormalized` needs M̄² and I₋₁ alone, so it never evaluates I₁.
+The effective potential U(σ) = I₁ − 3λI₀² + ½m²σ² + λσ⁴ is evaluated on
+the gap solution M²(σ).  For m² > 0 the only physical vacuum is σ = 0: a σ ≠ 0
 root would need −M²/2 = m² + 12λI₀(M²), whose sides differ in sign.  The
 curvatures of U at the origin give the renormalized parameters
 
@@ -36,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NonConvergence, NonFiniteValue
+from .errors import DomainError, NonConvergence, NonFiniteValue, _finite
 
 _FOUR_PI2 = 4.0 * math.pi * math.pi
 _LN2 = math.log(2.0)
@@ -59,11 +63,11 @@ class FieldTheory:
     cutoff: float
 
     def __post_init__(self):
-        if not (self.m2 > 0.0) or not math.isfinite(self.m2):
+        if not (self.m2 > 0.0) or not _finite(self.m2):
             raise DomainError(f"bare mass^2 must be positive, got {self.m2}")
-        if not (self.lam > 0.0) or not math.isfinite(self.lam):
+        if not (self.lam > 0.0) or not _finite(self.lam):
             raise DomainError(f"coupling must be positive, got {self.lam}")
-        if not (self.cutoff > 0.0) or not math.isfinite(self.cutoff):
+        if not (self.cutoff > 0.0) or not _finite(self.cutoff):
             raise DomainError(f"cutoff must be positive and finite, got {self.cutoff}")
 
 
@@ -157,7 +161,7 @@ def stevenson(n: int, M2: float, cutoff: float) -> float:
     """
     if n not in (-1, 0, 1):
         raise DomainError(f"only n in {{-1, 0, 1}} supported, got {n}")
-    if not 0.0 < M2 < math.inf or not 0.0 < cutoff < math.inf:
+    if not (M2 > 0.0 and _finite(M2)) or not (cutoff > 0.0 and _finite(cutoff)):
         raise DomainError(f"need finite M2 > 0 and cutoff > 0, got {M2}, {cutoff}")
     return _cutoff_integrals((n,), M2, cutoff)[0]
 
@@ -182,22 +186,14 @@ def _gap_source(lam: float, M2: float, cutoff: float, i0: float) -> float:
     return math.ldexp(12.0 * coupling * unit, e_lam + e_unit + 2 * s)
 
 
-def solve_mass_gap(theory: FieldTheory, sigma: float) -> GapState:
-    """Unique root of M² = m² + 12λσ² + 12λI₀(M²).
-
-    The residual F(M²) = M² − m² − 12λσ² − 12λI₀(M²) is increasing,
-    F′ = 1 + 6λI₋₁ > 0, and concave, F″ = 6λ·dI₋₁/dM² < 0, and it is
-    negative at M² = m² + 12λσ², where F = −12λI₀.  Each Newton tangent of a
-    concave F lies above F, so Newton started there climbs monotonically
-    onto the root and never overshoots it.  The climb stops once rounding no
-    longer lets a step increase M², and the residual already evaluated there
-    is the one checked and returned.  Each step takes I₀ and I₋₁ from one
-    `_cutoff_integrals` call, which forms √M², the hypot and the logarithm
-    once for both and raises as `stevenson` does for I₀, then for I₋₁.  Where
-    I₀ is subnormal, 12λI₀ comes from `_gap_source`, which keeps its digits.
-    """
+def _ascend(theory: FieldTheory, sigma: float):
+    """(M², I₀(M²), I₋₁(M²), F(M²)) at the unique root of the gap equation, by
+    the monotone Newton ascent that `solve_mass_gap` describes."""
     lam, cut = theory.lam, theory.cutoff
-    base = theory.m2 + 12.0 * lam * sigma * sigma
+    try:
+        base = theory.m2 + 12.0 * lam * sigma * sigma
+    except OverflowError:  # an int σ too large for a float
+        base = math.inf
     if not math.isfinite(base):
         raise DomainError(f"sigma must be finite with 12*lambda*sigma^2 finite, got {sigma}")
     m2 = base
@@ -217,31 +213,49 @@ def solve_mass_gap(theory: FieldTheory, sigma: float) -> GapState:
         raise NonConvergence(f"mass-gap ascent did not settle in {_GAP_STEPS} steps")
     if not abs(f) <= 1e-10 * m2:
         raise NonConvergence(f"gap residual {f:.3e} too large")
-    return GapState(sigma=float(sigma), M2=m2, i0=i0,
-                    i1=stevenson(1, m2, cut), im1=im1, residual=f)
+    return m2, i0, im1, f
+
+
+def solve_mass_gap(theory: FieldTheory, sigma: float) -> GapState:
+    """Unique root of M² = m² + 12λσ² + 12λI₀(M²), with I₀, I₁ and I₋₁ there.
+
+    The residual F(M²) = M² − m² − 12λσ² − 12λI₀(M²) is increasing,
+    F′ = 1 + 6λI₋₁ > 0, and concave, F″ = 6λ·dI₋₁/dM² < 0, and it is
+    negative at M² = m² + 12λσ², where F = −12λI₀.  Each Newton tangent of a
+    concave F lies above F, so Newton started there climbs monotonically
+    onto the root and never overshoots it.  The climb stops once rounding no
+    longer lets a step increase M², and the residual already evaluated there
+    is the one checked and returned.  Each step takes I₀ and I₋₁ from one
+    `_cutoff_integrals` call, which forms √M², the hypot and the logarithm
+    once for both and raises as `stevenson` does for I₀, then for I₋₁.  Where
+    I₀ is subnormal, 12λI₀ comes from `_gap_source`, which keeps its digits.
+
+    The ascent is the private `_ascend`, which returns the raw (M², I₀, I₋₁,
+    F); `effective_potential` and `renormalized` call it directly.  Only this
+    function builds a `GapState`, and only it adds I₁ = `stevenson(1, M², Λ)`.
+    """
+    m2, i0, im1, f = _ascend(theory, sigma)
+    return GapState(float(sigma), m2, i0, stevenson(1, m2, theory.cutoff), im1, f)
 
 
 def effective_potential(theory: FieldTheory, sigma: float) -> float:
     """Gaussian effective potential U(σ) on the gap solution M²(σ)."""
-    state = solve_mass_gap(theory, sigma)
+    m2, i0, _, _ = _ascend(theory, sigma)
+    i1 = _cutoff_integrals((1,), m2, theory.cutoff)[0]
     try:
         quartic = theory.lam * sigma**4
     except OverflowError as exc:
         raise NonFiniteValue(f"U({sigma}) of {theory} leaves floating-point range") from exc
-    return (
-        state.i1
-        - 3.0 * theory.lam * state.i0 * state.i0
-        + 0.5 * theory.m2 * sigma * sigma
-        + quartic
-    )
+    return i1 - 3.0 * theory.lam * i0 * i0 + 0.5 * theory.m2 * sigma * sigma + quartic
 
 
 def renormalized(theory: FieldTheory) -> RenormalizedParams:
-    """Renormalized mass² and coupling from the curvatures of U at σ = 0."""
-    bar = solve_mass_gap(theory, 0.0)
+    """Renormalized mass² and coupling from the curvatures of U at σ = 0;
+    they need M̄² and I₋₁(M̄²) alone, so I₁ is not evaluated."""
+    m2, _, im1, _ = _ascend(theory, 0.0)
     lam = theory.lam
-    lam_r = lam * (1.0 - 12.0 * lam * bar.im1) / (1.0 + 6.0 * lam * bar.im1)
-    return RenormalizedParams(mR2=bar.M2, lambdaR=lam_r)
+    lam_r = lam * (1.0 - 12.0 * lam * im1) / (1.0 + 6.0 * lam * im1)
+    return RenormalizedParams(m2, lam_r)
 
 
 def _k1_scaled(x: float) -> float:
@@ -285,9 +299,9 @@ def static_potential(r: float, mR: float) -> float:
     logarithm.  U is 0.0 where it underflows and raises NonFiniteValue where
     it overflows.
     """
-    if not 0.0 < r < math.inf:
+    if not (r > 0.0 and _finite(r)):
         raise DomainError(f"r must be positive and finite, got {r}")
-    if not 0.0 < mR < math.inf:
+    if not (mR > 0.0 and _finite(mR)):
         raise DomainError(f"mR must be positive and finite, got {mR}")
     x = mR * r
     if x >= 2300.0:  # U < e^{−x}/r² ≤ e^{−2300}·2^{2148} underflows for every float r

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
-from .errors import DomainError
+from .errors import DomainError, _finite
 from .hartree import OscillatorModel, solve_level
 
 
@@ -31,7 +31,7 @@ class VacuumStructure:
 
 def vacuum_structure(omega: float) -> VacuumStructure:
     """Bogoliubov parameter, condensate density, and structure parameter."""
-    if not (omega > 0.0) or not math.isfinite(omega):
+    if not (omega > 0.0) or not _finite(omega):
         raise DomainError(f"omega must be positive, got {omega}")
     alpha = -0.5 * math.log(omega)
     n0 = 0.25 * (omega + 1.0 / omega - 2.0)

@@ -163,8 +163,8 @@ def test_qft_renorm(capsys, monkeypatch):
     from gha import qft
 
     solves = []
-    real = qft.solve_mass_gap
-    monkeypatch.setattr(qft, "solve_mass_gap",
+    real = qft._ascend
+    monkeypatch.setattr(qft, "_ascend",
                         lambda *args: solves.append(args) or real(*args))
     doc = run_json(capsys, [
         "qft", "renorm", "--mass2", "1", "--lambda", "0.1", "--cutoff", "10",
@@ -174,6 +174,17 @@ def test_qft_renorm(capsys, monkeypatch):
     # m_R² is M̄², taken from the one gap solve
     assert doc["M2_bar"] == doc["mR2"]
     assert len(solves) == 1
+
+
+def test_qft_renorm_needs_no_i1(capsys):
+    # I₁ overflows at this cutoff; m_R² and λ_R do not need it, U does
+    theory = ["--mass2", "1", "--lambda", "0.001", "--cutoff", "1e100"]
+    doc = run_json(capsys, ["qft", "renorm", *theory])
+    assert doc["mR2"] == doc["M2_bar"] == 1.5187584064074844e+196
+    assert main(["qft", "potential", *theory, "--no-meta"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: I_1(")
 
 
 def test_qft_gap(capsys):

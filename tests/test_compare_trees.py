@@ -20,7 +20,7 @@ def compare(parent, change):
 
 
 HARTREE_PROBES = ("hartree.solve_level", "hipt.second_order", "hartree.critical_coupling")
-QFT_PROBES = ("qft.solve_mass_gap", "qft.renormalized")
+QFT_PROBES = ("qft.solve_mass_gap", "qft.renormalized", "qft.effective_potential")
 
 
 def perturbed_tree(tmp_path, module, old, new):
@@ -64,7 +64,7 @@ def test_a_perturbed_qft_constant_shows_in_the_qft_probes_alone(tmp_path):
     assert code == 1 and total > 0, out
     rows = rows_of(out)
     assert all(bad == 0 for name in HARTREE_PROBES for bad, *_ in rows[name]), out
-    # 1/(4π²) scales every cutoff integral, so both probes move values
+    # 1/(4π²) scales every cutoff integral, so all three probes move values
     for name in QFT_PROBES:
         assert sum(value for *_, value in rows[name]) > 0, (name, out)
         assert f"examples of {name}, value mismatches:" in out, out
@@ -77,7 +77,7 @@ def test_a_perturbed_constant_shows_as_mismatches(tmp_path):
     assert code == 1 and total > 0, out
     # each mismatch changes the class, only the message or only the value
     rows = re.findall(r"^[\w.]+ +\d+ +90 +(\d+) +(\d+) +(\d+) +(\d+) +\w+ +\w+$", out, re.M)
-    assert len(rows) == 15, out
+    assert len(rows) == 18, out
     split = [[int(count) for count in row] for row in rows]
     assert all(bad == sum(kinds) for bad, *kinds in split), out
     assert sum(bad for bad, *_ in split) == total, out

@@ -946,3 +946,11 @@ def test_broken_branch_b_keeps_its_digits():
         moved = hartree._finish(m, n, n + 0.5, math.nextafter(sol.omega, direction),
                                 sol.sigma, sol.phase, sol.energy)
         assert abs(moved.B - sol.B) <= 1e-14 * abs(sol.B)
+
+
+@pytest.mark.parametrize("g, lam, field", [(10**400, 1.0, "quadratic"), (1.0, 10**400, "coupling"),
+                                           (-(10**400), 1.0, "quadratic")])
+def test_model_refuses_an_int_too_large_for_a_float(g, lam, field):
+    # math.isfinite raises OverflowError on such an int; it is bad input
+    with pytest.raises(DomainError, match=f"^{field}"):
+        OscillatorModel(4, g, lam)

@@ -1,5 +1,6 @@
 """Second-order corrections on the Hartree basis."""
 
+import hashlib
 import math
 import os
 import random
@@ -220,6 +221,38 @@ def test_contribution_window_and_parity():
                 assert c.numerator != 0.0
             total = sum(c.numerator**2 / c.denominator for c in rep.contributions)
             assert rep.delta_e2 == pytest.approx(total, rel=1e-12)
+
+
+def test_contribution_keeps_the_contract_of_a_frozen_record():
+    # a NamedTuple with the frozen dataclass's field order, repr text and hash
+    rep = second_order(OscillatorModel(power=4, g=-1.0, lam=0.01), 1)
+    first = rep.contributions[0]
+    assert hipt.Contribution._fields == ("m", "numerator", "denominator")
+    assert repr(first) == ("Contribution(m=0, numerator=-0.26927134494650756,"
+                           " denominator=1.331694850759269)")
+    assert tuple(first) == (first.m, first.numerator, first.denominator)
+    # it equals and hashes as its tuple, as every NamedTuple does
+    assert first == (0, -0.26927134494650756, 1.331694850759269)
+    assert hash(first) == hash((0, -0.26927134494650756, 1.331694850759269))
+    for name in hipt.Contribution._fields:
+        with pytest.raises(AttributeError):
+            setattr(first, name, 1)
+    assert [c.m for c in rep.contributions] == [0, 2, 4, 5]
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("json", "6a396ebc13cf0d9208331d3fd962d4c16f64c6d2e534c1bab1d4423b75fdaf44"),
+    ("csv", "f2b48f91ca058729d973921aea68c0fc6f5f165b2485bfc15fd51fdddbeced16"),
+    ("md", "2f6457ca139b09d70b406e662cb2205c66de3fb955bae65bb34bd8d3bdfc8e45"),
+])
+def test_hipt_output_is_that_of_the_dataclass_contributions(capsys, fmt, digest):
+    # SHA-256 of `gha hipt` where Contribution was a frozen dataclass, on a
+    # broken-branch level with odd and even channels
+    from gha.cli import main
+
+    argv = ["hipt", "--g=-1", "--lambda", "0.01", "--level", "1", "--no-meta", "--format", fmt]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_broken_branch_brings_odd_channels():

@@ -11,7 +11,7 @@ import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gha.errors import DomainError, NonFiniteValue
+from gha.errors import DomainError, GhaError, NonFiniteValue
 from gha.qft import (
     FieldTheory,
     GapState,
@@ -105,6 +105,28 @@ def test_mass_gap_rejects_bad_shift_by_name(sigma):
 def test_potential_overflow_is_typed():
     with pytest.raises(NonFiniteValue):
         effective_potential(THEORY, 1e100)
+
+
+# an int that no float can hold: math.isfinite and float() raise OverflowError
+HUGE = 10**400
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: FieldTheory(m2=HUGE, lam=0.1, cutoff=10.0), "bare mass"),
+    (lambda: FieldTheory(m2=1.0, lam=HUGE, cutoff=10.0), "coupling"),
+    (lambda: FieldTheory(m2=1.0, lam=0.1, cutoff=HUGE), "cutoff"),
+    (lambda: stevenson(0, HUGE, 10.0), "need finite M2"),
+    (lambda: stevenson(1, 1.0, HUGE), "need finite M2"),
+    (lambda: static_potential(HUGE, 1.0), "r must"),
+    (lambda: static_potential(1.0, HUGE), "mR must"),
+    (lambda: solve_mass_gap(THEORY, HUGE), "sigma"),
+    (lambda: solve_mass_gap(THEORY, -HUGE), "sigma"),
+    (lambda: effective_potential(THEORY, HUGE), "sigma"),
+], ids=["m2", "lam", "cutoff", "stevenson-M2", "stevenson-cutoff", "static-r",
+        "static-mR", "gap-sigma", "gap-negative-sigma", "potential-sigma"])
+def test_an_int_too_large_for_a_float_is_a_domain_error(call, message):
+    with pytest.raises(DomainError, match=f"^{message}"):
+        call()
 
 
 def test_heavy_mass_asymptotics():
@@ -322,6 +344,73 @@ def test_renormalized_at_large_cutoff_regression():
     big = renormalized(FieldTheory(m2=1.0, lam=1.0, cutoff=1e6))
     assert big.mR2 == pytest.approx(127413543038.87, rel=1e-9)
     assert big.lambdaR == pytest.approx(0.6704654115329164, rel=1e-9)
+
+
+# I₁ ≈ Λ⁴/(16π²) leaves float range at Λ = 1e100, while M̄² and I₋₁ do not
+WIDE = FieldTheory(m2=1.0, lam=1e-3, cutoff=1e100)
+
+
+def test_renormalized_needs_no_i1():
+    for fails in (lambda: solve_mass_gap(WIDE, 0.0), lambda: effective_potential(WIDE, 0.0)):
+        with pytest.raises(NonFiniteValue, match="^I_1"):
+            fails()
+    r = renormalized(WIDE)
+    assert r.mR2 == 1.5187584064074844e+196
+    assert abs(r.mR2 - mp_mass_gap(1.0, 1e-3, 1e100, 0.0)) <= 1e-14 * r.mR2
+    im1 = stevenson(-1, r.mR2, WIDE.cutoff)
+    assert r.lambdaR == 1e-3 * (1.0 - 12.0 * 1e-3 * im1) / (1.0 + 6.0 * 1e-3 * im1)
+
+
+def _hex_or_error(evaluate):
+    """The float.hex of each value evaluate() returns, or its error class and message."""
+    try:
+        return [value.hex() for value in evaluate()]
+    except GhaError as exc:
+        return type(exc), str(exc)
+
+
+_SCALE = _log_uniform(1e-8, 1e8) | _log_uniform(1e-300, 1e300)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m2=_SCALE, lam=_SCALE, cutoff=_SCALE,
+       sigma=st.just(0.0) | _SCALE | _SCALE.map(lambda s: -s))
+@example(m2=1.0, lam=0.1, cutoff=10.0, sigma=0.3)
+@example(m2=1.0, lam=1e-3, cutoff=1e100, sigma=0.0)
+# U's quartic term overflows after the gap has solved
+@example(m2=1.0, lam=0.1, cutoff=10.0, sigma=1e80)
+def test_potential_and_renormalized_are_their_formulas_on_the_gap_state(m2, lam, cutoff, sigma):
+    # U and (m_R², λ_R) run the gap ascent without building a GapState; each
+    # is the float expression of its formula on solve_mass_gap's state, bit
+    # for bit, and fails where solve_mass_gap does, with its error
+    theory = FieldTheory(m2=m2, lam=lam, cutoff=cutoff)
+
+    def on_state():
+        state = solve_mass_gap(theory, sigma)
+        return [state.i1 - 3.0 * lam * state.i0 * state.i0 + 0.5 * m2 * sigma * sigma
+                + lam * sigma**4]
+
+    potential = _hex_or_error(lambda: [effective_potential(theory, sigma)])
+    try:
+        assert potential == _hex_or_error(on_state)
+    except OverflowError:  # λσ⁴ alone leaves float range
+        assert potential[0] is NonFiniteValue and potential[1].startswith(f"U({sigma})")
+
+    def renormalized_on_state():
+        bar = solve_mass_gap(theory, 0.0)
+        return [bar.M2, lam * (1.0 - 12.0 * lam * bar.im1) / (1.0 + 6.0 * lam * bar.im1)]
+
+    def renormalized_values():
+        r = renormalized(theory)
+        return [r.mR2, r.lambdaR]
+
+    renorm = _hex_or_error(renormalized_values)
+    expected = _hex_or_error(renormalized_on_state)
+    if expected[0] is NonFiniteValue and expected[1].startswith("I_1"):
+        # the one intended difference: I₁ is not needed, so it cannot fail
+        assert isinstance(renorm, list) and float.fromhex(renorm[0]) > 0.0
+    else:
+        assert renorm == expected
 
 
 def test_renormalized_match_potential_curvatures():

@@ -143,3 +143,8 @@ def test_occupation_monotone_in_coupling():
         n0 = vacuum_structure(solve_level(m, 0).omega).n0
         assert n0 > prev
         prev = n0
+
+
+def test_omega_too_large_for_a_float_is_a_domain_error():
+    with pytest.raises(DomainError, match="omega"):
+        vacuum_structure(10**400)

@@ -9,9 +9,10 @@ and 7 there are N whole-range draws (power 4, 6 or 8, g = ±10^U(−320, 300),
 λ = 10^U(−323, 300), n ≤ 40) and N // 2 normal-range draws (g = ±10^U(−3, 3),
 λ = 10^U(−3, 3), n ≤ 40); N defaults to 40,000.
 
-The Hartree probes solve the draw's model at level n.  The `gha.qft` probes
-take their field theory and shift from the same draw (`field_point`): m² = |g|,
-the draw's λ, a cutoff Λ = m·10^{(n−20)/2} and σ² = (power − 4)/4 · m²/λ.  So
+The Hartree probes solve the draw's model at level n.  The `gha.qft` probes,
+`solve_mass_gap`, `renormalized` and `effective_potential`, take their field
+theory and shift from the same draw (`field_point`): m² = |g|, the draw's λ,
+a cutoff Λ = m·10^{(n−20)/2} and σ² = (power − 4)/4 · m²/λ.  So
 Λ/m runs from 1e-10, where the cutoff integrals take their heavy-mass series,
 to 1e10, where they take their closed forms; a third of the draws has σ = 0,
 and the others have 12λσ² = 6m² or 12m².  Over the whole range I₀ is
@@ -102,6 +103,7 @@ PROBES = {
         gha.hartree.critical_coupling(n + 0.5, gha.hartree.OscillatorModel(power, g, lam).g),
     "qft.solve_mass_gap": lambda gha, *draw: gha.qft.solve_mass_gap(*_field(gha, draw)),
     "qft.renormalized": lambda gha, *draw: gha.qft.renormalized(_field(gha, draw)[0]),
+    "qft.effective_potential": lambda gha, *draw: gha.qft.effective_potential(*_field(gha, draw)),
 }
 
 

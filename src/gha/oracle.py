@@ -33,8 +33,11 @@ crops it for smaller ones.
 Because the potential is even, a level couples only to levels of its own
 parity: only the even offsets of the powers are kept, and offset 2r between
 levels of parity p is offset r of the block on levels p, p + 2, ….
-`hamiltonian_matrix` fills both blocks from alternate columns of the bands,
-with no N×N matrix.
+`hamiltonian_matrix` fills both blocks, with no N×N matrix, by one gather
+from the bands and one scatter into a (2, m, m) array.  The flat indices
+of that copy depend only on (k, N); they are computed once per pair and
+cached (`_scatter`).  An offset that reaches past the end of a small block
+has no element there and is left out.
 
 `converged_levels` certifies levels 0..n_max with one eigensolve, which both
 validates the Hartree results and reproduces the external benchmark values
@@ -73,6 +76,7 @@ command that never diagonalizes do not pay for loading it.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from typing import Dict, NamedTuple, Tuple
@@ -139,6 +143,35 @@ def _unit_powers(power: int, n_dim: int) -> Tuple[np.ndarray, np.ndarray]:
     return cached[0][:, :n_dim], cached[1][:, :n_dim]
 
 
+@functools.lru_cache(maxsize=64)
+def _scatter(k: int, n_dim: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat indices that copy the even-offset upper bands of H, shape
+    (k + 1, n_dim), into both parity blocks, shape (2, m, m), m = ⌈n_dim/2⌉.
+
+    Band r at level i = p + 2a is H[i, i + 2r], which goes to [a, a + r] and
+    [a + r, a] of block p, for every a whose a + r is a level of the block.
+    Offsets past a small block's size are dropped, not wrapped.  Both index
+    arrays are read-only.
+    """
+    import numpy as np
+
+    m = (n_dim + 1) // 2
+    source, destination = [], []
+    for parity in (0, 1):
+        size = (n_dim + 1 - parity) // 2
+        for r in range(min(k + 1, size)):
+            a = np.arange(size - r)
+            band = r * n_dim + parity + 2 * a
+            corner = parity * m * m + a * (m + 1)
+            # [a, a + r] and its mirror [a + r, a], the same on the diagonal
+            source += [band, band]
+            destination += [corner + r, corner + r * m]
+    indices = np.concatenate(source), np.concatenate(destination)
+    for array in indices:
+        array.flags.writeable = False
+    return indices
+
+
 def hamiltonian_matrix(
     model: OscillatorModel, basis: _TruncatedBasis
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -156,11 +189,8 @@ def hamiltonian_matrix(
     # page fault per row; for odd n_dim the odd block is one level smaller
     m = (n_dim + 1) // 2
     blocks = np.zeros((2, m, m))
-    for bands, flat in zip((upper[:, 0::2], upper[:, 1::2]), blocks.reshape(2, -1)):
-        # offset 2r between levels of one parity is offset r of their block
-        for r, diagonal in enumerate(bands):
-            n = bands.shape[1] - r
-            flat[r :: m + 1][:n] = flat[r * m :: m + 1][:n] = diagonal[:n]
+    source, destination = _scatter(k, n_dim)
+    blocks.reshape(-1)[destination] = upper.reshape(-1)[source]
     return blocks[0], blocks[1, : n_dim // 2, : n_dim // 2]
 
 
@@ -205,9 +235,12 @@ def converged_levels(
     top = wanted[0] + 1
     while n_dim <= _MAX_DIMENSION:
         m = n_dim // 2
-        blocks = hamiltonian_matrix(model, _TruncatedBasis(n_dim + 2 * k, frequency))
-        leading = np.stack([block[:m, :m] for block in blocks])
-        floor = 8 * k * _EPSILON * np.abs(leading).max()
+        even, odd = hamiltonian_matrix(model, _TruncatedBasis(n_dim + 2 * k, frequency))
+        # the leading m columns of both blocks: the m×m block that is
+        # diagonalized and, under it, the k rows past it
+        columns = np.array((even[:, :m], odd[:, :m]))
+        leading = columns[:, :m]
+        floor = 8 * k * _EPSILON * float(np.abs(leading).max())
         if not floor < tol:
             raise NonConvergence(
                 f"levels 0..{n_max} cannot be certified to {tol}: the rounding "
@@ -215,20 +248,22 @@ def converged_levels(
         theta, vectors = np.linalg.eigh(leading)
         # the k rows past a block hold the residual of each of its Ritz pairs,
         # which only the last k components of the Ritz vector reach
-        coupling = np.stack([block[m:, m - k : m] for block in blocks])
-        rho = np.linalg.norm(coupling @ vectors[:, m - k :, :top], axis=1)
-        # Temple's b for level j is θ_{j+1} − ρ_{j+1}
-        gap = theta[:, 1:top] - rho[:, 1:] - theta[:, : top - 1]
-        bound = np.divide(rho[:, :-1] ** 2, gap, out=np.full_like(gap, np.inf),
-                          where=gap > 0.0) + floor
-        levels = np.concatenate((theta[0, : wanted[0]], theta[1, : wanted[1]]))
-        errors = np.concatenate((bound[0, : wanted[0]], bound[1, : wanted[1]]))
-        if errors.max() < tol:
-            order = np.argsort(levels, kind="stable")
+        residuals = columns[:, m:, m - k :] @ vectors[:, m - k :, :top]
+        rho = np.sqrt(np.add.reduce(residuals * residuals, axis=1)).tolist()
+        theta = theta[:, :top].tolist()
+        levels, errors = [], []
+        for t, r, count in zip(theta, rho, wanted):
+            for j in range(count):
+                # Temple's b for level j is θ_{j+1} − ρ_{j+1}
+                gap = t[j + 1] - r[j + 1] - t[j]
+                levels.append(t[j])
+                errors.append((r[j] * r[j] / gap if gap > 0.0 else math.inf) + floor)
+        if max(errors) < tol:
+            order = sorted(range(len(levels)), key=levels.__getitem__)
             return SpectrumEstimate(
-                levels=tuple(levels[order].tolist()),
+                levels=tuple([levels[i] for i in order]),
                 dimension_used=n_dim,
-                convergence_error=tuple(errors[order].tolist()),
+                convergence_error=tuple([errors[i] for i in order]),
             )
         n_dim = 2 * math.ceil(0.625 * n_dim)
     raise BudgetExceeded(budget)

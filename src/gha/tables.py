@@ -25,8 +25,9 @@ reported but never fail a run.  The sextic table's bracketed percent rows
 are recomputed from the energy rows rather than trusted as printed.
 
 `run_table` recomputes one table serially, cell by cell in the embedded
-order; `gha table N --compare` renders its report through the same output
-path as every other subcommand.
+order, from a plan of plain tuples built on the table's first run;
+`gha table N --compare` renders its report through the same output path as
+every other subcommand.
 """
 
 from __future__ import annotations
@@ -349,17 +350,38 @@ def reference_table(table_id: int) -> ReferenceTable:
     return tables[table_id]
 
 
-def _model_for(table: ReferenceTable, lam: float) -> OscillatorModel:
-    coupling = lam / 2.0 if table.table_id == 3 else lam
-    return OscillatorModel(power=table.power, g=table.g, lam=coupling)
+@functools.cache
+def _plan(table_id: int):
+    """The replay plan of one table, built on its first `run_table`: its
+    power, g and report scale, then plain tuples that a run reads in order.
+    A reported value is scale·E_raw + shift (see the module docstring).
 
-
-def _report_value(table: ReferenceTable, model: OscillatorModel, raw: float) -> float:
-    if table.convention == "shifted":
-        return raw + classical_well_depth(model)
-    if table.convention == "doubled":
-        return 2.0 * raw
-    return raw
+    columns: (model λ, shift, top quoted level or None) per printed coupling,
+      in order of first appearance;
+    cells: (column, λ, n, provenance, reference, disputed) per cell;
+    percents: (λ, n, index of the GHA row, quoted value, printed percent).
+    """
+    table = reference_table(table_id)
+    index = {}
+    for c in table.cells:
+        index.setdefault(c.lam, len(index))
+    columns = []
+    for lam in index:
+        # the sextic table prints β = 2λ
+        coupling = lam / 2.0 if table_id == 3 else lam
+        shift = (classical_well_depth(OscillatorModel(table.power, table.g, coupling))
+                 if table.convention == "shifted" else 0.0)
+        top = max((c.n for c in table.cells
+                   if c.lam == lam and c.provenance is Provenance.EXTERNAL_REF), default=None)
+        columns.append((coupling, shift, top))
+    cells = tuple((index[c.lam], c.lam, c.n, c.provenance.value, c.reference, c.disputed)
+                  for c in table.cells)
+    row = {(lam, n, provenance): i for i, (_, lam, n, provenance, _, _) in enumerate(cells)}
+    percents = tuple((p.lam, p.n, row[p.lam, p.n, "GHA"],
+                      cells[row[p.lam, p.n, "EXTERNAL_REF"]][4], p.reference)
+                     for p in table.percent_cells)
+    scale = 2.0 if table.convention == "doubled" else 1.0
+    return table.power, table.g, scale, tuple(columns), cells, percents
 
 
 def run_table(table_id: int,
@@ -367,16 +389,17 @@ def run_table(table_id: int,
               threads: Optional[int] = None) -> ComparisonReport:
     """Recompute one benchmark table and compare against its printed values.
 
-    The run goes cell by cell in the embedded order and builds each row where
-    its value is computed.  A coupling column's model is made on first use,
-    so each level is solved once, and its oracle spectrum once, up to the
-    column's largest quoted level.  The percent rows come last and read the
-    GHA and quoted rows already built.  `tol`, when given, replaces every
+    The run is one pass over the table's plan (`_plan`), cell by cell in the
+    embedded order, and builds each row where its value is computed.  It
+    makes a fresh model per coupling column, so each level is solved once
+    per run, and its oracle spectrum once, on first use, up to the column's
+    largest quoted level.  The percent rows come last and read the GHA rows
+    and quoted values already in place.  `tol`, when given, replaces every
     per-provenance tolerance at once and must lie in (0, inf).  `threads`
     accepts only None or 1; it stays while bench/make_expected.py passes
     threads=1 and goes at the next change to the benchmark.
     """
-    table = reference_table(table_id)
+    power, g, scale, columns, cells, percents = _plan(table_id)
     if threads not in (None, 1):
         raise DomainError(f"tables are computed serially; threads must be 1, got {threads}")
     if tol is not None and not 0.0 < tol < math.inf:
@@ -386,40 +409,30 @@ def run_table(table_id: int,
     if tol is not None:
         tols = dict.fromkeys(tols, tol)
 
-    model = functools.cache(functools.partial(_model_for, table))
-
-    @functools.cache
-    def spectrum(lam):
-        top = max(c.n for c in table.cells
-                  if c.lam == lam and c.provenance is Provenance.EXTERNAL_REF)
-        return converged_levels(model(lam), top, tol=_ORACLE_TOL).levels
-
-    # every (coupling, level, provenance) is printed once
-    rows: Dict[Tuple[float, int, str], ComparisonRow] = {}
-
-    def row(lam, n, provenance, value, reference, disputed):
-        rel = abs(value - reference) / abs(reference)
-        rows[lam, n, provenance] = ComparisonRow(
-            lam=lam, n=n, provenance=provenance, computed=value,
-            reference=reference, rel_error=rel,
-            passed=not disputed and rel <= tols[provenance], disputed=disputed)
-
-    for c in table.cells:
-        if c.provenance is Provenance.GHA:
-            raw = solve_level(model(c.lam), c.n).energy
-        elif c.provenance is Provenance.HIPT:
-            raw = second_order(model(c.lam), c.n).e2
+    models = [OscillatorModel(power, g, lam) for lam, _, _ in columns]
+    spectra = {}
+    rows, live, failures = [], [], 0
+    for column, lam, n, provenance, reference, disputed in cells:
+        model = models[column]
+        if provenance == "GHA":
+            raw = solve_level(model, n).energy
+        elif provenance == "HIPT":
+            raw = second_order(model, n).e2
         else:
-            raw = spectrum(c.lam)[c.n]
-        row(c.lam, c.n, c.provenance.value, _report_value(table, model(c.lam), raw),
-            c.reference, c.disputed)
-    for p in table.percent_cells:
-        gha = rows[p.lam, p.n, "GHA"].computed
-        quoted = rows[p.lam, p.n, "EXTERNAL_REF"].reference
-        row(p.lam, p.n, "PERCENT", 100.0 * abs(gha - quoted) / abs(quoted),
-            p.reference, True)
-
-    live = [r for r in rows.values() if not r.disputed]
-    return ComparisonReport(table_id=table_id, rows=tuple(rows.values()),
-                            max_rel_error=max((r.rel_error for r in live), default=0.0),
-                            failures=sum(not r.passed for r in live))
+            spectrum = spectra.get(column)
+            if spectrum is None:
+                spectrum = spectra[column] = converged_levels(
+                    model, columns[column][2], tol=_ORACLE_TOL).levels
+            raw = spectrum[n]
+        value = scale * raw + columns[column][1]
+        rel = abs(value - reference) / abs(reference)
+        passed = not disputed and rel <= tols[provenance]
+        if not disputed:
+            live.append(rel)
+            failures += not passed
+        rows.append(ComparisonRow(lam, n, provenance, value, reference, rel, passed, disputed))
+    for lam, n, gha_row, quoted, printed in percents:
+        value = 100.0 * abs(rows[gha_row].computed - quoted) / abs(quoted)
+        rows.append(ComparisonRow(lam, n, "PERCENT", value, printed,
+                                  abs(value - printed) / abs(printed), False, True))
+    return ComparisonReport(table_id, tuple(rows), max(live, default=0.0), failures)

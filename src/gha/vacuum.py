@@ -39,13 +39,22 @@ def vacuum_structure(omega: float) -> VacuumStructure:
     return VacuumStructure(alpha=alpha, n0=n0, u=u)
 
 
+def _coupling(lam) -> float:
+    """float(lam), or the infinity of its sign where lam is an int too large
+    for a float, so that it gets the DomainError of an infinite float."""
+    try:
+        return float(lam)
+    except OverflowError:
+        return math.inf if lam > 0 else -math.inf
+
+
 def strong_coupling_scaling(
     model: OscillatorModel, lambdas: Iterable[float]
 ) -> List[Tuple[float, float]]:
     """Ground-state n₀ sampled over strong couplings of the quartic AHO."""
     if model.power != 4 or model.g <= 0.0:
         raise DomainError("strong-coupling scaling is defined for the quartic AHO")
-    values = [float(lam) for lam in lambdas]
+    values = [_coupling(lam) for lam in lambdas]
     if not values:
         raise DomainError("need at least one coupling")
     if min(values) < 100.0:

@@ -21,6 +21,11 @@ def compare(parent, change):
 
 HARTREE_PROBES = ("hartree.solve_level", "hipt.second_order", "hartree.critical_coupling")
 QFT_PROBES = ("qft.solve_mass_gap", "qft.renormalized", "qft.effective_potential")
+ORACLE_PROBES = ("oracle.converged_levels",)
+PROBES = HARTREE_PROBES + QFT_PROBES + ORACLE_PROBES
+# draws per seed at --draws 60: 60 whole-range and 30 normal-range ones, and
+# the oracle's minimum of 20
+DRAWS = dict.fromkeys(PROBES, 90) | {"oracle.converged_levels": 20}
 
 
 def perturbed_tree(tmp_path, module, old, new):
@@ -37,8 +42,9 @@ def perturbed_tree(tmp_path, module, old, new):
 def rows_of(out):
     """Per probe, the (mismatches, class, message, value) counts of each seed."""
     rows = {}
-    for name, *counts in re.findall(r"^([\w.]+) +\d+ +90 +(\d+) +(\d+) +(\d+) +(\d+) +\w+ +\w+$",
-                                    out, re.M):
+    for name, draws, *counts in re.findall(
+            r"^([\w.]+) +\d+ +(\d+) +(\d+) +(\d+) +(\d+) +(\d+) +\w+ +\w+$", out, re.M):
+        assert int(draws) == DRAWS[name], out
         rows.setdefault(name, []).append([int(count) for count in counts])
     return rows
 
@@ -49,9 +55,9 @@ def test_a_tree_against_itself_has_no_mismatch():
     assert "examples of" not in out, out
     # every probe names a function that the tree has
     assert "skipped" not in out, out
-    assert sorted(rows_of(out)) == sorted(HARTREE_PROBES + QFT_PROBES), out
-    for name in HARTREE_PROBES + QFT_PROBES:
-        rows = re.findall(rf"^{re.escape(name)} +(\d+) +90 +0 +0 +0 +0 +(\w+) +(\w+)$",
+    assert sorted(rows_of(out)) == sorted(PROBES), out
+    for name in PROBES:
+        rows = re.findall(rf"^{re.escape(name)} +(\d+) +{DRAWS[name]} +0 +0 +0 +0 +(\w+) +(\w+)$",
                           out, re.M)
         assert [seed for seed, _, _ in rows] == ["16", "99", "7"], out
         assert all(a == b for _, a, b in rows), out
@@ -63,12 +69,28 @@ def test_a_perturbed_qft_constant_shows_in_the_qft_probes_alone(tmp_path):
     code, total, out = compare(SRC, change)
     assert code == 1 and total > 0, out
     rows = rows_of(out)
-    assert all(bad == 0 for name in HARTREE_PROBES for bad, *_ in rows[name]), out
+    assert all(bad == 0 for name in HARTREE_PROBES + ORACLE_PROBES
+               for bad, *_ in rows[name]), out
     # 1/(4π²) scales every cutoff integral, so all three probes move values
     for name in QFT_PROBES:
         assert sum(value for *_, value in rows[name]) > 0, (name, out)
         assert f"examples of {name}, value mismatches:" in out, out
     assert "examples of hartree" not in out and "examples of hipt" not in out, out
+    assert "examples of oracle" not in out, out
+
+
+def test_a_perturbed_oracle_constant_shows_in_the_oracle_probe_alone(tmp_path):
+    change = perturbed_tree(tmp_path, "oracle.py", "_EPSILON = sys.float_info.epsilon\n",
+                            "_EPSILON = 1.0000001 * sys.float_info.epsilon\n")
+    code, total, out = compare(SRC, change)
+    assert code == 1 and total > 0, out
+    rows = rows_of(out)
+    # the rounding floor is part of every bound, so every oracle draw moves a
+    # value, and nothing that the oracle does not run moves at all
+    assert rows["oracle.converged_levels"] == [[20, 0, 0, 20]] * 3, out
+    assert all(bad == 0 for name in HARTREE_PROBES + QFT_PROBES for bad, *_ in rows[name]), out
+    assert "examples of oracle.converged_levels, value mismatches:" in out, out
+    assert re.findall(r"^examples of ([\w.]+)", out, re.M) == ["oracle.converged_levels"], out
 
 
 def test_a_perturbed_constant_shows_as_mismatches(tmp_path):
@@ -76,8 +98,8 @@ def test_a_perturbed_constant_shows_as_mismatches(tmp_path):
     code, total, out = compare(SRC, change)
     assert code == 1 and total > 0, out
     # each mismatch changes the class, only the message or only the value
-    rows = re.findall(r"^[\w.]+ +\d+ +90 +(\d+) +(\d+) +(\d+) +(\d+) +\w+ +\w+$", out, re.M)
-    assert len(rows) == 18, out
+    rows = re.findall(r"^[\w.]+ +\d+ +\d+ +(\d+) +(\d+) +(\d+) +(\d+) +\w+ +\w+$", out, re.M)
+    assert len(rows) == 21, out
     split = [[int(count) for count in row] for row in rows]
     assert all(bad == sum(kinds) for bad, *kinds in split), out
     assert sum(bad for bad, *_ in split) == total, out
@@ -85,7 +107,7 @@ def test_a_perturbed_constant_shows_as_mismatches(tmp_path):
     assert sum(value for *_, value in split) > 0, out
     # up to three example draws per function and kind of mismatch, each with
     # its (power, g, λ, n) and both trees' outcomes
-    names = re.findall(r"^([\w.]+) +\d+ +90 ", out, re.M)
+    names = re.findall(r"^([\w.]+) +\d+ +\d+ ", out, re.M)
     blocks = re.findall(r"^examples of ([\w.]+), (\w+) mismatches:\n((?:  .*\n)+)", out, re.M)
     shown = {(name, kind): body for name, kind, body in blocks}
     assert len(shown) == len(blocks), out

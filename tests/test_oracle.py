@@ -69,6 +69,46 @@ def test_band_structure_and_symmetry():
                         assert h[i, j] == 0.0
 
 
+def dense_blocks(model, n_dim, omega):
+    """Both parity blocks of H on levels 0..n_dim−1 from dense numpy
+    matrices: X̂ built in dimension n_dim + 2k and raised by matrix_power."""
+    size, k = n_dim + model.power, model.k
+    x = np.diag(np.sqrt(np.arange(1.0, size)), 1)
+    x += x.T
+    terms = (np.diag(omega * (np.arange(size) + 0.5)),
+             (0.5 * (model.g - omega * omega) / (2.0 * omega)) * (x @ x),
+             (model.lam / (2.0 * omega) ** k) * np.linalg.matrix_power(x, 2 * k))
+    h = sum(terms)[:n_dim, :n_dim]
+    scale = sum(np.abs(term) for term in terms)[:n_dim, :n_dim]
+    return [(h[p::2, p::2], scale[p::2, p::2]) for p in (0, 1)]
+
+
+@pytest.mark.parametrize("power", [4, 6, 8])
+def test_small_blocks_match_a_dense_build(power):
+    # a parity block no larger than the band's reach k: at N = 5 the sextic
+    # odd block was asymmetric and the octic raised ValueError at N = 5..7,
+    # because a band offset past the block wrapped around its end
+    model = OscillatorModel(power=power, g=0.8, lam=0.37)
+    for n_dim in range(1, 2 * power + 4):
+        for omega in (0.6, 1.3):
+            blocks = hamiltonian_matrix(model, _TruncatedBasis(n_dim, omega))
+            for block, (dense, scale) in zip(blocks, dense_blocks(model, n_dim, omega)):
+                assert block.shape == dense.shape, (n_dim, omega)
+                assert np.array_equal(block, block.T), (n_dim, omega)
+                # each element to a few ulp of its terms; a zero stays zero
+                assert np.all(np.abs(block - dense) <= 8 * sys.float_info.epsilon * scale)
+
+
+def test_scatter_indices_are_cached_and_read_only():
+    gha.oracle._scatter.cache_clear()
+    for n_dim in (16, 17, 16):
+        hamiltonian_matrix(SEXTIC, _TruncatedBasis(n_dim, 1.0))
+    assert gha.oracle._scatter.cache_info()[:2] == (1, 2)
+    for indices in gha.oracle._scatter(3, 17):
+        with pytest.raises(ValueError):
+            indices[0] = 0
+
+
 def test_basis_validation():
     with pytest.raises(DomainError):
         converged_levels(QUARTIC, -1, 1e-7)

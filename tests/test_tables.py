@@ -1,6 +1,7 @@
 """Benchmark-table regression harness: embedded data, comparison, rendering."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -262,3 +263,38 @@ def test_oracle_dimension_of_each_column(monkeypatch):
                     for lam in quoted}
         assert used == expected, table_id
         assert builds == Counter(expected.keys()), table_id
+
+
+# SHA-256 of `gha table N --compare --no-meta` where each cell took its model,
+# tolerance and reference through per-run closures and Enum lookups
+@pytest.mark.parametrize("table_id, fmt, digest", [
+    (1, "json", "dcdf5340ff9948fa8d02a5168cf13670d601313e2ad6708f82a0042cb01e2841"),
+    (1, "csv", "ed32dce9ca086d4212822f7c259a7e215c4253a345d568b703fd1032dc8a147c"),
+    (1, "md", "995b4bd9360b49e47f49379b62d8eb5d6911067ad90eece03a47e5bdb6425523"),
+    (2, "json", "21bfea660ce5a2f2d0de7f460e812334872bf83d37948c7674982781cd1f682a"),
+    (2, "csv", "aee4b2359750d32686c8a0bbe6bab60cb948c09da02c95146554ec62464e6ce6"),
+    (2, "md", "3ffb760bcb77cca92aa0cdb495e948337a18dfc10d3daa837bdc259f92a65d12"),
+    (3, "json", "5f48125c26a735d1788d59178d2ab441f139b6859cba5c603bfd15834ba156a0"),
+    (3, "csv", "c868347f9990bdc92759e414eb7288d241a2eaf664a2589620cf9d592d327478"),
+    (3, "md", "27e249d97dda0765d73e335bcc20ffe69ee6de7c09257c8b260dfa7c449caaf7"),
+    (4, "json", "0971ecb311ed0aa8b01d5e54b5aa3e0770daba7f787c6d45cd3347c7bbcf14d2"),
+    (4, "csv", "a33ef8672604c42d9cd5a80cc921d8131e3da1d8c68421e088d9ca1cbd900c48"),
+    (4, "md", "0c8493105c9bd884a1e86861de82113099ad364f0ae6e7cdc147b40f9c445a66"),
+])
+def test_replay_output_is_that_of_the_per_cell_replay(capsys, table_id, fmt, digest):
+    out = compare_output(capsys, table_id, "--no-meta", "--format", fmt)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_plan_is_built_on_the_first_run_alone():
+    # the replay plan holds no model, so a second run solves afresh, and
+    # reading a table builds no plan
+    tables._plan.cache_clear()
+    reference_table(1)
+    assert tables._plan.cache_info().currsize == 0
+    run_table(1)
+    power, g, scale, columns, cells, percents = tables._plan(1)
+    assert (power, g, scale, len(columns), len(cells), percents) == (4, 1.0, 1.0, 5, 88, ())
+    assert tables._plan.cache_info()[:2] == (1, 1)
+    leaves = [x for group in (columns, cells) for entry in group for x in entry]
+    assert all(type(x) in (int, float, str, bool, type(None)) for x in leaves)

@@ -148,3 +148,16 @@ def test_occupation_monotone_in_coupling():
 def test_omega_too_large_for_a_float_is_a_domain_error():
     with pytest.raises(DomainError, match="omega"):
         vacuum_structure(10**400)
+
+
+@pytest.mark.parametrize("big, message", [
+    (10**400, "coupling must be positive, got inf"),
+    (-10**400, "require lambda >= 100"),
+], ids=["positive", "negative"])
+def test_scan_coupling_too_large_for_a_float_is_that_of_an_infinite_float(big, message):
+    # float(10**400) raised a raw OverflowError; the int now gets the
+    # DomainError, message and all, of the infinite float of its sign
+    m = OscillatorModel(power=4, g=1.0, lam=1.0)
+    for lam in (big, math.inf if big > 0 else -math.inf):
+        with pytest.raises(DomainError, match=message):
+            strong_coupling_scaling(m, [1e3, lam])

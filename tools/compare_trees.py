@@ -18,6 +18,11 @@ to 1e10, where they take their closed forms; a third of the draws has σ = 0,
 and the others have 12λσ² = 6m² or 12m².  Over the whole range I₀ is
 subnormal on some draws and overflows on others.
 
+The oracle probe, `converged_levels`, has its own normal-range draws, max(20,
+N // 100) per seed: power 4, 6 or 8 at g = 1 and the quartic well at g = −1,
+λ = 10^U(−2, 4) and n_max ≤ 40, each solved at tol 1e-7.  Its outcome holds
+the levels and the error bounds by `float.hex`, and the dimension used.
+
 Each probed function is called on a fresh model or theory for every draw, and
 its outcome is the repr of its result, or its error class and message.  The
 script prints, per function and seed, the number of draws whose outcomes
@@ -49,6 +54,10 @@ MAX_LEVEL = 40
 # log10 ranges of |g| and λ: the whole float range, then the normal one
 WHOLE_RANGE = ((-320.0, 300.0), (-323.0, 300.0))
 NORMAL_RANGE = ((-3.0, 3.0), (-3.0, 3.0))
+# the oracle probe: log10 range of λ, its tolerance, and its share of N
+ORACLE_LAMBDA = (-2.0, 4.0)
+ORACLE_TOL = 1e-7
+ORACLE_SHARE, ORACLE_MIN = 100, 20
 
 
 def draws(seed: int, count: int):
@@ -60,6 +69,21 @@ def draws(seed: int, count: int):
             power = rng.choice(POWERS)
             g = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(g_lo, g_hi)
             yield power, g, 10.0 ** rng.uniform(l_lo, l_hi), rng.randint(0, MAX_LEVEL)
+
+
+def oracle_draws(seed: int, count: int):
+    """(power, g, λ, n_max) of the oracle probe's draws."""
+    rng = random.Random(f"oracle:{seed}")
+    for _ in range(max(ORACLE_MIN, count // ORACLE_SHARE)):
+        power = rng.choice(POWERS)
+        g = -1.0 if power == 4 and rng.random() < 0.5 else 1.0
+        yield power, g, 10.0 ** rng.uniform(*ORACLE_LAMBDA), rng.randint(0, MAX_LEVEL)
+
+
+def _spectrum(estimate):
+    """The levels and bounds of an oracle estimate by float.hex, and its dimension."""
+    return ([x.hex() for x in estimate.levels], estimate.dimension_used,
+            [x.hex() for x in estimate.convergence_error])
 
 
 def _outcome(fn, *args):
@@ -104,7 +128,11 @@ PROBES = {
     "qft.solve_mass_gap": lambda gha, *draw: gha.qft.solve_mass_gap(*_field(gha, draw)),
     "qft.renormalized": lambda gha, *draw: gha.qft.renormalized(_field(gha, draw)[0]),
     "qft.effective_potential": lambda gha, *draw: gha.qft.effective_potential(*_field(gha, draw)),
+    "oracle.converged_levels": lambda gha, power, g, lam, n: _spectrum(
+        gha.oracle.converged_levels(gha.hartree.OscillatorModel(power, g, lam), n, ORACLE_TOL)),
 }
+# qualified name -> its draws, where they are not `draws`
+DRAWS = {"oracle.converged_levels": oracle_draws}
 
 
 KINDS = ("class", "message", "value")
@@ -122,6 +150,7 @@ def _import_tree(src: str):
     import gha
     import gha.hartree
     import gha.hipt
+    import gha.oracle
     import gha.qft
 
     home = Path(gha.__file__).resolve().parent
@@ -134,8 +163,12 @@ def _probe(gha, name: str, power: int, g: float, lam: float, n: int):
     return _outcome(PROBES[name], gha, power, g, lam, n)
 
 
-def _draw(seed: int, count: int, index: int):
-    return next(itertools.islice(draws(seed, count), index, None))
+def _draws(name: str, seed: int, count: int):
+    return DRAWS.get(name, draws)(seed, count)
+
+
+def _draw(name: str, seed: int, count: int, index: int):
+    return next(itertools.islice(_draws(name, seed, count), index, None))
 
 
 def worker(src: str, job: dict) -> dict:
@@ -150,13 +183,13 @@ def worker(src: str, job: dict) -> dict:
     results = {}
     for name in job["names"]:
         if "examples" in job:
-            results[name] = [_probe(gha, name, *_draw(seed, job["draws"], index))[1]
+            results[name] = [_probe(gha, name, *_draw(name, seed, job["draws"], index))[1]
                              for seed, index in job["examples"][name]]
             continue
         per_seed = {}
         for seed in SEEDS:
             whole, digests, classes = hashlib.sha256(), [], []
-            for draw in draws(seed, job["draws"]):
+            for draw in _draws(name, seed, job["draws"]):
                 kind, text = _probe(gha, name, *draw)
                 whole.update(text.encode() + b"\n")
                 digests.append(_digest(text, OUTCOME_HEX // 2))
@@ -206,7 +239,7 @@ def _print_examples(trees, count: int, picked) -> None:
                 print(f"examples of {name}, {kind} mismatches:")
             for seed, index in picked[name][kind]:
                 parent, change = next(outcomes)
-                print(f"  seed {seed} draw {index}: {_draw(seed, count, index)}\n"
+                print(f"  seed {seed} draw {index}: {_draw(name, seed, count, index)}\n"
                       f"    parent: {parent}\n    change: {change}")
 
 

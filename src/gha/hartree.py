@@ -508,5 +508,8 @@ def gap_residual_scale(model: OscillatorModel, n: int, phase: Phase) -> float:
 
 def classical_well_depth(model: OscillatorModel) -> float:
     """Depth g²/(16λ) of the double-well minima below zero; the usual
-    additive shift when quoting double-well spectra."""
+    additive shift when quoting double-well spectra.  For g > 0 there is no
+    well: the minimum is V(0) = 0 and the depth 0.0."""
+    if model.g > 0.0:
+        return 0.0
     return model.g * model.g / (16.0 * model.lam)

@@ -20,24 +20,25 @@ with X̂ = √(2ω)·X, whose entries are √(j+1),
     H = diag(ω(n + ½)) + ½(g − ω²)(2ω)^{−1} X̂² + λ(2ω)^{−k} X̂^{2k}.
 
 The unit powers X̂² and X̂^{2k} depend only on (2k, N).  They are built in
-banded storage, one shifted multiply per power, and cached, one band set per
-power.  A product of truncated matrices differs from the truncation of the
-infinite product only through paths that leave the basis; a path of 2k unit
-steps between levels m and n climbs at most k levels above max(m, n).  The
-powers are therefore formed in dimension N + k and cropped to N, which makes
-every element of the N×N block exact.  For the same reason every element of
-that block is the same float whatever larger dimension the cached bands were
-formed in, so the cache keeps the largest dimension asked for so far and
-crops it for smaller ones.
+banded storage, one shifted multiply per power.  A product of truncated
+matrices differs from the truncation of the infinite product only through
+paths that leave the basis; a path of 2k unit steps between levels m and n
+climbs at most k levels above max(m, n).  The powers are therefore formed in
+dimension N + k and cropped to N, which makes every element of the N×N block
+exact.
 
 Because the potential is even, a level couples only to levels of its own
 parity: only the even offsets of the powers are kept, and offset 2r between
-levels of parity p is offset r of the block on levels p, p + 2, ….
-`hamiltonian_matrix` fills both blocks, with no N×N matrix, by one gather
-from the bands and one scatter into a (2, m, m) array.  The flat indices
-of that copy depend only on (k, N); they are computed once per pair and
-cached (`_scatter`).  An offset that reaches past the end of a small block
-has no element there and is left out.
+levels of parity p is offset r of the block on levels p, p + 2, ….  An
+offset that reaches past the end of a small block has no element there and
+is left out.  One cache keyed by (2k, N), `_layout`, holds the flat indices
+of the elements that the band reaches in a (2, m, m) array of both blocks,
+and at each of them X̂², X̂^{2k} and the level n + ½ (0 off the diagonal).
+`hamiltonian_matrix` fills both blocks, with no N×N matrix, by one scatter
+of their sum with the three scalar factors λ(2ω)^{−k}, ½(g − ω²)(2ω)^{−1}
+and ω, added in that order.  A term that an element lacks adds a zero, and
+the λ term is never negative, so the element is the float it would be
+without that term.
 
 `converged_levels` certifies levels 0..n_max with one eigensolve, which both
 validates the Hartree results and reproduces the external benchmark values
@@ -79,7 +80,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from typing import Dict, NamedTuple, Tuple
+from typing import NamedTuple, Tuple
 
 from .errors import BudgetExceeded, DomainError, NonConvergence
 from .hartree import OscillatorModel, solve_level
@@ -101,59 +102,41 @@ class SpectrumEstimate(NamedTuple):
     convergence_error: Tuple[float, ...]
 
 
-# power -> read-only even-offset upper bands of X̂² and X̂^{2k}, in the
-# largest dimension asked for so far
-_unit_power_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _unit_powers(power: int, n_dim: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Upper bands of X̂² and X̂^{2k} in dimension n_dim, X̂[j, j+1] = √(j+1).
-
-    Row r holds offset 2r: band[r, i] = X̂^p[i, i + 2r], inside the basis where
-    i + 2r < n_dim; the odd offsets vanish by parity.  Both are read-only
-    views of the cached bands, cropped to n_dim.
-    """
-    import numpy as np
-
-    cached = _unit_power_cache.get(power)
-    if cached is None or cached[1].shape[1] < n_dim:
-        k = power // 2
-        padded = n_dim + k
-        width = power
-        # banded storage: band[r, i] = A[i, i + r − width]; steps[r, i] is
-        # X̂[j, j+1] at j = i + r − width, zero where j + 1 leaves the basis
-        padded_x = np.zeros(padded + 2 * width)
-        padded_x[width : width + padded - 1] = np.sqrt(np.arange(1.0, padded))
-        steps = np.lib.stride_tricks.sliding_window_view(padded_x, padded)
-
-        band = np.zeros((2 * width + 1, padded))
-        band[width] = 1.0
-        for p in range(1, power + 1):
-            # (A·X̂)[i, j] = A[i, j − 1] X̂[j − 1, j] + A[i, j + 1] X̂[j, j + 1]
-            product = np.zeros_like(band)
-            product[1:] += band[:-1] * steps[:-1]
-            product[:-1] += band[1:] * steps[:-1]
-            band = product
-            if p == 2:
-                x_squared = band[width : width + 3 : 2, :n_dim].copy()
-        x_power = band[width::2, :n_dim].copy()
-        x_squared.flags.writeable = False
-        x_power.flags.writeable = False
-        cached = _unit_power_cache[power] = (x_squared, x_power)
-    return cached[0][:, :n_dim], cached[1][:, :n_dim]
-
-
 @functools.lru_cache(maxsize=64)
-def _scatter(k: int, n_dim: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Flat indices that copy the even-offset upper bands of H, shape
-    (k + 1, n_dim), into both parity blocks, shape (2, m, m), m = ⌈n_dim/2⌉.
+def _layout(power: int, n_dim: int) -> Tuple[np.ndarray, ...]:
+    """Where the band of H goes in both parity blocks, and its ω-free terms.
 
-    Band r at level i = p + 2a is H[i, i + 2r], which goes to [a, a + r] and
-    [a + r, a] of block p, for every a whose a + r is a level of the block.
-    Offsets past a small block's size are dropped, not wrapped.  Both index
-    arrays are read-only.
+    Returns the flat indices, in ascending order, of every element of the
+    (2, m, m) blocks, m = ⌈n_dim/2⌉, that offsets 0..2k of H reach, and at
+    each one X̂², X̂^{2k} and the level i + ½ (0 off the diagonal), where
+    X̂[j, j+1] = √(j+1).  Band r at level i = p + 2a is H[i, i + 2r], which
+    goes to [a, a + r] and [a + r, a] of block p; offsets past a small
+    block's size are dropped, not wrapped.  All four arrays are read-only.
     """
     import numpy as np
+
+    k = power // 2
+    padded = n_dim + k
+    width = power
+    # banded storage: band[r, i] = A[i, i + r − width]; steps[r, i] is
+    # X̂[j, j+1] at j = i + r − width, zero where j + 1 leaves the basis
+    padded_x = np.zeros(padded + 2 * width)
+    padded_x[width : width + padded - 1] = np.sqrt(np.arange(1.0, padded))
+    steps = np.lib.stride_tricks.sliding_window_view(padded_x, padded)
+    # terms[t, r, i] is offset 2r at level i of X̂², X̂^{2k} and the levels
+    terms = np.zeros((3, k + 1, n_dim))
+    band = np.zeros((2 * width + 1, padded))
+    band[width] = 1.0
+    for p in range(1, power + 1):
+        # (A·X̂)[i, j] = A[i, j − 1] X̂[j − 1, j] + A[i, j + 1] X̂[j, j + 1]
+        product = np.zeros_like(band)
+        product[1:] += band[:-1] * steps[:-1]
+        product[:-1] += band[1:] * steps[:-1]
+        band = product
+        if p == 2:
+            terms[0, :2] = band[width : width + 3 : 2, :n_dim]
+    terms[1] = band[width::2, :n_dim]
+    terms[2, 0] = np.arange(n_dim) + 0.5
 
     m = (n_dim + 1) // 2
     source, destination = [], []
@@ -161,36 +144,41 @@ def _scatter(k: int, n_dim: int) -> Tuple[np.ndarray, np.ndarray]:
         size = (n_dim + 1 - parity) // 2
         for r in range(min(k + 1, size)):
             a = np.arange(size - r)
-            band = r * n_dim + parity + 2 * a
+            band_index = r * n_dim + parity + 2 * a
             corner = parity * m * m + a * (m + 1)
             # [a, a + r] and its mirror [a + r, a], the same on the diagonal
-            source += [band, band]
+            source += [band_index, band_index]
             destination += [corner + r, corner + r * m]
-    indices = np.concatenate(source), np.concatenate(destination)
-    for array in indices:
-        array.flags.writeable = False
-    return indices
+    destination, first = np.unique(np.concatenate(destination), return_index=True)
+    values = terms.reshape(3, -1)[:, np.concatenate(source)[first]]
+    destination.flags.writeable = values.flags.writeable = False
+    return (destination, *values)
 
 
 def hamiltonian_matrix(
     model: OscillatorModel, basis: _TruncatedBasis
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Exact H_{mn} in the σ=0 number basis of the given frequency, as its
-    even and odd parity blocks: block p holds H[p + 2a, p + 2b] at [a, b]."""
+    even and odd parity blocks: block p holds H[p + 2a, p + 2b] at [a, b].
+
+    Raises `DomainError` unless the dimension is a positive integer and the
+    frequency positive and finite.
+    """
     import numpy as np
 
     n_dim, w, k = basis.dimension, basis.basis_frequency, model.k
-    x_squared, x_power = _unit_powers(model.power, n_dim)
-    # row r holds offset 2r of the upper triangle
-    upper = (model.lam / (2.0 * w) ** k) * x_power
-    upper[:2] += (0.5 * (model.g - w * w) / (2.0 * w)) * x_squared
-    upper[0] += w * (np.arange(n_dim) + 0.5)
+    if not hasattr(n_dim, "__index__") or n_dim < 1:
+        raise DomainError(f"basis dimension must be a positive integer, got {n_dim!r}")
+    if not 0.0 < w < math.inf:
+        raise DomainError(f"basis frequency must be positive and finite, got {w!r}")
+    destination, x_squared, x_power, level = _layout(model.power, n_dim)
     # one allocation for both blocks, as two fresh half-size arrays can cost a
     # page fault per row; for odd n_dim the odd block is one level smaller
     m = (n_dim + 1) // 2
     blocks = np.zeros((2, m, m))
-    source, destination = _scatter(k, n_dim)
-    blocks.reshape(-1)[destination] = upper.reshape(-1)[source]
+    blocks.reshape(-1)[destination] = ((model.lam / (2.0 * w) ** k) * x_power
+                                       + (0.5 * (model.g - w * w) / (2.0 * w)) * x_squared
+                                       + w * level)
     return blocks[0], blocks[1, : n_dim // 2, : n_dim // 2]
 
 

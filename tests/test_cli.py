@@ -78,6 +78,13 @@ def test_csv_format(capsys):
     assert float(cells[4]) == 0.8125
 
 
+def test_dwo_without_a_well_reports_the_raw_energy(capsys):
+    # at g > 0 the reported energy used to carry a well depth of g²/(16λ)
+    doc = run_json(capsys, ["dwo", "--g", "1", "--lambda", "1", "--levels", "0,1"])
+    assert doc["well_depth"] == 0.0 and doc["lambda_c"] is None
+    assert [row["e_reported"] for row in doc["levels"]] == [row["e_raw"] for row in doc["levels"]]
+
+
 def test_md_format(capsys):
     assert main([
         "spectrum", "--g", "1", "--lambda", "1", "--format", "md",

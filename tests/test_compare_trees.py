@@ -21,11 +21,12 @@ def compare(parent, change):
 
 HARTREE_PROBES = ("hartree.solve_level", "hipt.second_order", "hartree.critical_coupling")
 QFT_PROBES = ("qft.solve_mass_gap", "qft.renormalized", "qft.effective_potential")
-ORACLE_PROBES = ("oracle.converged_levels",)
+ORACLE_PROBES = ("oracle.converged_levels", "oracle.hamiltonian_matrix")
 PROBES = HARTREE_PROBES + QFT_PROBES + ORACLE_PROBES
-# draws per seed at --draws 60: 60 whole-range and 30 normal-range ones, and
-# the oracle's minimum of 20
-DRAWS = dict.fromkeys(PROBES, 90) | {"oracle.converged_levels": 20}
+# draws per seed at --draws 60: 60 whole-range and 30 normal-range ones, the
+# oracle's minimum of 20, and one matrix build per dimension 1..140
+DRAWS = dict.fromkeys(PROBES, 90) | {"oracle.converged_levels": 20,
+                                     "oracle.hamiltonian_matrix": 140}
 
 
 def perturbed_tree(tmp_path, module, old, new):
@@ -86,11 +87,25 @@ def test_a_perturbed_oracle_constant_shows_in_the_oracle_probe_alone(tmp_path):
     assert code == 1 and total > 0, out
     rows = rows_of(out)
     # the rounding floor is part of every bound, so every oracle draw moves a
-    # value, and nothing that the oracle does not run moves at all
+    # value, and nothing that does not certify a level moves at all
     assert rows["oracle.converged_levels"] == [[20, 0, 0, 20]] * 3, out
-    assert all(bad == 0 for name in HARTREE_PROBES + QFT_PROBES for bad, *_ in rows[name]), out
+    assert all(bad == 0 for name in HARTREE_PROBES + QFT_PROBES + ORACLE_PROBES[1:]
+               for bad, *_ in rows[name]), out
     assert "examples of oracle.converged_levels, value mismatches:" in out, out
     assert re.findall(r"^examples of ([\w.]+)", out, re.M) == ["oracle.converged_levels"], out
+
+
+def test_a_perturbed_matrix_level_shows_in_the_oracle_probes_alone(tmp_path):
+    change = perturbed_tree(tmp_path, "oracle.py", "np.arange(n_dim) + 0.5\n",
+                            "np.arange(n_dim) + 0.5000001\n")
+    code, total, out = compare(SRC, change)
+    assert code == 1 and total > 0, out
+    rows = rows_of(out)
+    # every diagonal element moves, at every dimension and frequency
+    assert rows["oracle.hamiltonian_matrix"] == [[140, 0, 0, 140]] * 3, out
+    assert sum(bad for bad, *_ in rows["oracle.converged_levels"]) > 0, out
+    assert all(bad == 0 for name in HARTREE_PROBES + QFT_PROBES for bad, *_ in rows[name]), out
+    assert "examples of oracle.hamiltonian_matrix, value mismatches:" in out, out
 
 
 def test_a_perturbed_constant_shows_as_mismatches(tmp_path):
@@ -99,7 +114,7 @@ def test_a_perturbed_constant_shows_as_mismatches(tmp_path):
     assert code == 1 and total > 0, out
     # each mismatch changes the class, only the message or only the value
     rows = re.findall(r"^[\w.]+ +\d+ +\d+ +(\d+) +(\d+) +(\d+) +(\d+) +\w+ +\w+$", out, re.M)
-    assert len(rows) == 21, out
+    assert len(rows) == 24, out
     split = [[int(count) for count in row] for row in rows]
     assert all(bad == sum(kinds) for bad, *kinds in split), out
     assert sum(bad for bad, *_ in split) == total, out

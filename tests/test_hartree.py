@@ -181,6 +181,13 @@ def test_double_well_first_excited():
     assert sol.energy + classical_well_depth(m) == pytest.approx(2.1250, rel=1e-5)
 
 
+def test_well_depth_is_zero_without_a_well():
+    # for g > 0 the minimum of the potential is V(0) = 0; it was g²/(16λ)
+    for g, lam in [(1.0, 1.0), (0.3, 1e-3), (1e3, 7.0)]:
+        assert classical_well_depth(OscillatorModel(power=4, g=g, lam=lam)) == 0.0
+    assert classical_well_depth(OscillatorModel(power=4, g=-1.0, lam=0.1)) == 0.625
+
+
 def test_energy_equals_hamiltonian_average():
     cases = [
         (QUARTIC, 0),

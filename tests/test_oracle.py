@@ -100,13 +100,30 @@ def test_small_blocks_match_a_dense_build(power):
 
 
 def test_scatter_indices_are_cached_and_read_only():
-    gha.oracle._scatter.cache_clear()
+    # the block indices the band is scattered to are built once per
+    # (power, dimension), in the layout cache, and cannot be written
+    gha.oracle._layout.cache_clear()
     for n_dim in (16, 17, 16):
         hamiltonian_matrix(SEXTIC, _TruncatedBasis(n_dim, 1.0))
-    assert gha.oracle._scatter.cache_info()[:2] == (1, 2)
-    for indices in gha.oracle._scatter(3, 17):
-        with pytest.raises(ValueError):
-            indices[0] = 0
+    assert gha.oracle._layout.cache_info()[:2] == (1, 2)
+    destination = gha.oracle._layout(6, 17)[0]
+    assert destination is gha.oracle._layout(6, 17)[0]
+    with pytest.raises(ValueError):
+        destination[0] = 0
+
+
+@pytest.mark.parametrize("dimension", [0, -3, 2.0, None])
+def test_matrix_rejects_a_dimension_that_is_not_a_positive_integer(dimension):
+    # 0 and −3 raised a raw numpy ValueError
+    with pytest.raises(DomainError, match="dimension must be a positive integer"):
+        hamiltonian_matrix(QUARTIC, _TruncatedBasis(dimension, 1.0))
+
+
+@pytest.mark.parametrize("frequency", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_matrix_rejects_a_frequency_that_is_not_positive_and_finite(frequency):
+    # 0 raised ZeroDivisionError, and −1 and NaN returned a matrix
+    with pytest.raises(DomainError, match="frequency must be positive and finite"):
+        hamiltonian_matrix(QUARTIC, _TruncatedBasis(8, frequency))
 
 
 def test_basis_validation():
@@ -314,56 +331,88 @@ SEXTIC = OscillatorModel(power=6, g=1.0, lam=0.7)
 DOUBLE_WELL = OscillatorModel(power=4, g=-1.0, lam=0.1)
 
 
-def test_unit_power_cache_does_not_change_results():
+def test_layout_cache_does_not_change_results():
     cases = [(QUARTIC, 5), (SEXTIC, 3), (DOUBLE_WELL, 12)]
     cold = []
     for model, n_max in cases:
-        gha.oracle._unit_power_cache.clear()
+        gha.oracle._layout.cache_clear()
         cold.append(converged_levels(model, n_max, 1e-7))
-    # warm: each power's bands were grown past the dimensions used (a larger
-    # dimension asked first) and another power was built in between
-    gha.oracle._unit_power_cache.clear()
-    converged_levels(QUARTIC, 100, 1e-7)
+    # warm: every case's layouts were built before, with other powers and
+    # dimensions built in between
+    gha.oracle._layout.cache_clear()
+    for model, n_max in cases:
+        converged_levels(model, n_max, 1e-7)
     converged_levels(OscillatorModel(power=8, g=1.0, lam=1.0), 0, 1e-7)
-    gha.oracle._unit_powers(6, 1000)
     for (model, n_max), estimate in zip(cases, cold):
-        assert estimate.dimension_used < 512
         assert converged_levels(model, n_max, 1e-7) == estimate
-    # and every matrix element of a cropped band is the one built in place
+    # and every matrix element built from a cached layout is the one built cold
     for model in (QUARTIC, SEXTIC):
         for dim in (16, 17, 100):
             basis = _TruncatedBasis(dim, 1.3)
             warm = full_matrix(model, basis)
-            gha.oracle._unit_power_cache.clear()
+            gha.oracle._layout.cache_clear()
             assert np.array_equal(full_matrix(model, basis), warm)
-            gha.oracle._unit_powers(model.power, 700)
 
 
-def test_unit_powers_are_read_only():
-    gha.oracle._unit_power_cache.clear()
-    for x_squared, x_power in [gha.oracle._unit_powers(6, 64),
-                               gha.oracle._unit_power_cache[6]]:
-        for band in (x_squared, x_power):
-            with pytest.raises(ValueError):
-                band[0, 0] = 1.0
-    x_squared, x_power = gha.oracle._unit_powers(6, 64)
-    # only the even offsets are kept: 0, 2 of X̂² and 0, 2, 4, 6 of X̂⁶
-    assert x_squared.shape == (2, 64) and x_power.shape == (4, 64)
-    # X̂² = 2n + 1 on the diagonal, √((n+1)(n+2)) two above it
+def layout_term(power, n_dim, term):
+    """Term 1 (X̂²), 2 (X̂^{2k}) or 3 (the levels) of the cached layout as
+    an n_dim×n_dim matrix."""
+    layout = gha.oracle._layout(power, n_dim)
+    m = (n_dim + 1) // 2
+    blocks = np.zeros((2, m, m))
+    blocks.reshape(-1)[layout[0]] = layout[term]
+    h = np.zeros((n_dim, n_dim))
+    h[0::2, 0::2] = blocks[0]
+    h[1::2, 1::2] = blocks[1, : n_dim // 2, : n_dim // 2]
+    return h
+
+
+def test_layout_is_read_only():
+    gha.oracle._layout.cache_clear()
+    destination, *terms = gha.oracle._layout(6, 64)
+    for array in (destination, *terms):
+        assert array.shape == destination.shape
+        with pytest.raises(ValueError):
+            array[0] = 1
+    # each element of the blocks at most once, in ascending order
+    assert np.all(np.diff(destination) > 0)
+    # X̂² = 2n + 1 on the diagonal, √((n+1)(n+2)) two off it, 0 elsewhere
     n = np.arange(62)
-    assert np.allclose(x_squared[0], 2.0 * np.arange(64) + 1.0, rtol=1e-15, atol=0.0)
-    assert np.allclose(x_squared[1, :62], np.sqrt((n + 1) * (n + 2)), rtol=1e-15, atol=0.0)
+    above = np.diag(np.sqrt((n + 1) * (n + 2)), 2)
+    x_squared = np.diag(2.0 * np.arange(64) + 1.0) + above + above.T
+    assert np.allclose(layout_term(6, 64, 1), x_squared, rtol=1e-15, atol=0.0)
+    # X̂⁶ is the dense power of X̂ built in dimension N + 3, and n + ½ the levels
+    x = np.diag(np.sqrt(np.arange(1.0, 67)), 1)
+    dense = np.linalg.matrix_power(x + x.T, 6)[:64, :64]
+    assert np.allclose(layout_term(6, 64, 2), dense, rtol=1e-14, atol=0.0)
+    assert np.array_equal(layout_term(6, 64, 3), np.diag(np.arange(64) + 0.5))
 
 
 def test_unit_power_cache_holds_one_entry_per_power():
-    gha.oracle._unit_power_cache.clear()
-    for power, dim in [(4, 64), (6, 128), (4, 512), (8, 16), (4, 128), (6, 64)]:
-        basis = _TruncatedBasis(dim, 1.0)
-        hamiltonian_matrix(OscillatorModel(power=power, g=1.0, lam=1.0), basis)
-    cache = gha.oracle._unit_power_cache
-    assert sorted(cache) == [4, 6, 8]
-    # each keeps the largest dimension asked for so far
-    assert {p: bands[1].shape[1] for p, bands in cache.items()} == {4: 512, 6: 128, 8: 16}
+    # X̂² and X̂^{2k} hold no ω, g or λ: at one dimension, every model and
+    # frequency of a power shares that power's one cached entry
+    gha.oracle._layout.cache_clear()
+    for power in (4, 6, 8):
+        for g, lam, freq in [(1.0, 1.0, 1.0), (-1.0, 0.1, 2.5), (0.3, 7.0, 0.4)]:
+            hamiltonian_matrix(OscillatorModel(power=power, g=g, lam=lam),
+                               _TruncatedBasis(64, freq))
+    info = gha.oracle._layout.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (6, 3, 3)
+
+
+def test_layout_cache_holds_one_entry_per_power_and_dimension():
+    gha.oracle._layout.cache_clear()
+    builds = [(4, 64, 1.0), (6, 128, 1.0), (4, 512, 1.0), (8, 16, 1.0), (4, 128, 1.0),
+              (6, 64, 1.0), (4, 64, 2.5), (6, 128, 0.3), (8, 16, 1.0)]
+    for power, dim, freq in builds:
+        hamiltonian_matrix(OscillatorModel(power=power, g=1.0, lam=1.0),
+                           _TruncatedBasis(dim, freq))
+    # the frequency is not part of the key
+    info = gha.oracle._layout.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (3, 6, 6)
+    # nor are g and λ, and an integer dimension of another type finds the same entry
+    hamiltonian_matrix(DOUBLE_WELL, _TruncatedBasis(np.int64(64), 1.0))
+    assert gha.oracle._layout.cache_info()[:2] == (4, 6)
 
 
 def ladder_band(model, basis):

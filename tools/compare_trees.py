@@ -23,6 +23,12 @@ N // 100) per seed: power 4, 6 or 8 at g = 1 and the quartic well at g = −1,
 λ = 10^U(−2, 4) and n_max ≤ 40, each solved at tol 1e-7.  Its outcome holds
 the levels and the error bounds by `float.hex`, and the dimension used.
 
+The matrix probe, `hamiltonian_matrix`, has its own draws too, max(140,
+N // 20) per seed: power 4, 6 or 8, g = ±10^U(−3, 3), λ = 10^U(−3, 3) and the
+dimension 1 + i mod 140 at draw i, so every dimension from 1 to 140 comes up.
+Each draw builds both parity blocks at the basis frequencies 0.3, 1 and 2.7;
+its outcome holds their shapes and a SHA-256 of their bytes.
+
 Each probed function is called on a fresh model or theory for every draw, and
 its outcome is the repr of its result, or its error class and message.  The
 script prints, per function and seed, the number of draws whose outcomes
@@ -31,9 +37,9 @@ mismatches into draws whose outcome changes class (a value against an error,
 or one error class against another), draws that change only an error
 message, and draws that change only a value.  For each function and each of
 those three kinds it then prints up to three example draws, (power, g, λ, n)
-with both trees' outcomes, the first in seed and draw order.  It names every
-probed function that is missing from either tree and skips it, and exits 1 on
-any mismatch.
+or, for the matrix probe, (power, g, λ, N), with both trees' outcomes, the
+first in seed and draw order.  It names every probed function that is
+missing from either tree and skips it, and exits 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -58,6 +64,11 @@ NORMAL_RANGE = ((-3.0, 3.0), (-3.0, 3.0))
 ORACLE_LAMBDA = (-2.0, 4.0)
 ORACLE_TOL = 1e-7
 ORACLE_SHARE, ORACLE_MIN = 100, 20
+# the matrix probe: its dimensions 1..MATRIX_DIMENSIONS, its basis
+# frequencies, and its share of N
+MATRIX_DIMENSIONS = 140
+MATRIX_FREQUENCIES = (0.3, 1.0, 2.7)
+MATRIX_SHARE = 20
 
 
 def draws(seed: int, count: int):
@@ -78,6 +89,29 @@ def oracle_draws(seed: int, count: int):
         power = rng.choice(POWERS)
         g = -1.0 if power == 4 and rng.random() < 0.5 else 1.0
         yield power, g, 10.0 ** rng.uniform(*ORACLE_LAMBDA), rng.randint(0, MAX_LEVEL)
+
+
+def matrix_draws(seed: int, count: int):
+    """(power, g, λ, N) of the matrix probe's draws."""
+    rng = random.Random(f"matrix:{seed}")
+    (g_lo, g_hi), (l_lo, l_hi) = NORMAL_RANGE
+    for index in range(max(MATRIX_DIMENSIONS, count // MATRIX_SHARE)):
+        power = rng.choice(POWERS)
+        g = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(g_lo, g_hi)
+        yield power, g, 10.0 ** rng.uniform(l_lo, l_hi), 1 + index % MATRIX_DIMENSIONS
+
+
+def _blocks(gha, power: int, g: float, lam: float, n_dim: int):
+    """The shapes and a SHA-256 of the bytes of both parity blocks of H at
+    each of the matrix probe's basis frequencies."""
+    model = gha.hartree.OscillatorModel(power, g, lam)
+    outcome = []
+    for frequency in MATRIX_FREQUENCIES:
+        blocks = gha.oracle.hamiltonian_matrix(
+            model, gha.oracle._TruncatedBasis(n_dim, frequency))
+        outcome.append(([block.shape for block in blocks], hashlib.sha256(
+            b"".join(block.tobytes() for block in blocks)).hexdigest()))
+    return outcome
 
 
 def _spectrum(estimate):
@@ -130,9 +164,10 @@ PROBES = {
     "qft.effective_potential": lambda gha, *draw: gha.qft.effective_potential(*_field(gha, draw)),
     "oracle.converged_levels": lambda gha, power, g, lam, n: _spectrum(
         gha.oracle.converged_levels(gha.hartree.OscillatorModel(power, g, lam), n, ORACLE_TOL)),
+    "oracle.hamiltonian_matrix": _blocks,
 }
 # qualified name -> its draws, where they are not `draws`
-DRAWS = {"oracle.converged_levels": oracle_draws}
+DRAWS = {"oracle.converged_levels": oracle_draws, "oracle.hamiltonian_matrix": matrix_draws}
 
 
 KINDS = ("class", "message", "value")

@@ -507,9 +507,14 @@ def gap_residual_scale(model: OscillatorModel, n: int, phase: Phase) -> float:
 
 
 def classical_well_depth(model: OscillatorModel) -> float:
-    """Depth g²/(16λ) of the double-well minima below zero; the usual
-    additive shift when quoting double-well spectra.  For g > 0 there is no
-    well: the minimum is V(0) = 0 and the depth 0.0."""
-    if model.g > 0.0:
+    """Depth of the double-well minima of V = ½gφ² + λφ^{2k} below zero; the
+    usual additive shift when quoting double-well spectra.  For g < 0 the
+    minima lie at φ₀² = (|g|/(2kλ))^{1/(k−1)}, (k−1)/(2k)·|g|·φ₀² below zero,
+    which is g²/(16λ) for the quartic.  For g > 0 there is no well: the
+    minimum is V(0) = 0 and the depth 0.0."""
+    g, lam, k = model.g, model.lam, model.k
+    if g > 0.0:
         return 0.0
-    return model.g * model.g / (16.0 * model.lam)
+    if k == 2:
+        return g * g / (16.0 * lam)
+    return (k - 1) / (2 * k) * abs(g) * (abs(g) / (2 * k * lam)) ** (1.0 / (k - 1))

@@ -57,6 +57,13 @@ ch. 10–11):
 - Temple (1928) and Kato (1949): if no exact level of the parity lies
   strictly between λ_j and some b > θ_j, then θ_j − λ_j ≤ ρ_j²/(b − θ_j).
 
+Level n is Ritz pair j = n // 2 of the block of parity n mod 2: in an even
+potential the n-th level has parity (−1)^n (the oscillation theorem), so the
+blocks already say which pair is level n, and no sort merges them.  Inside a
+tunnelling doublet narrower than its bounds, levels 2j and 2j + 1 may then
+be printed out of order, by less than their bounds, and each printed bound
+is the Kato–Temple bound of the level it stands beside.
+
 Temple's b is taken as θ_{j+1} − ρ_{j+1}, the next Ritz value of the parity
 less its residual.  Some exact level lies within ρ_{j+1} of θ_{j+1}
 (Krylov–Weinstein) and λ_{j+1} ≤ θ_{j+1}, so b is a true lower bound on
@@ -82,7 +89,7 @@ import math
 import sys
 from typing import NamedTuple, Tuple
 
-from .errors import BudgetExceeded, DomainError, NonConvergence
+from .errors import BudgetExceeded, DomainError, NonConvergence, NonFiniteValue
 from .hartree import OscillatorModel, solve_level
 
 _MAX_DIMENSION = 4096
@@ -162,7 +169,8 @@ def hamiltonian_matrix(
     even and odd parity blocks: block p holds H[p + 2a, p + 2b] at [a, b].
 
     Raises `DomainError` unless the dimension is a positive integer and the
-    frequency positive and finite.
+    frequency positive and finite, and `NonFiniteValue` where a scalar factor
+    or an element leaves floating-point range, as at extreme frequencies.
     """
     import numpy as np
 
@@ -172,13 +180,21 @@ def hamiltonian_matrix(
     if not 0.0 < w < math.inf:
         raise DomainError(f"basis frequency must be positive and finite, got {w!r}")
     destination, x_squared, x_power, level = _layout(model.power, n_dim)
+    # as a numpy float, (2ω)^k underflows to 0 or overflows to inf instead of
+    # raising; a factor or an element that is not finite then shows in the
+    # values, since every scattered element has X̂^{2k} > 0 and the diagonal
+    # ones X̂² > 0 too
+    with np.errstate(all="ignore"):
+        values = ((model.lam / np.float64(2.0 * w) ** k) * x_power
+                  + (0.5 * (model.g - w * w) / (2.0 * w)) * x_squared
+                  + w * level)
+    if not np.isfinite(values).all():
+        raise NonFiniteValue(f"H of {model} at basis frequency {w!r} leaves floating-point range")
     # one allocation for both blocks, as two fresh half-size arrays can cost a
     # page fault per row; for odd n_dim the odd block is one level smaller
     m = (n_dim + 1) // 2
     blocks = np.zeros((2, m, m))
-    blocks.reshape(-1)[destination] = ((model.lam / (2.0 * w) ** k) * x_power
-                                       + (0.5 * (model.g - w * w) / (2.0 * w)) * x_squared
-                                       + w * level)
+    blocks.reshape(-1)[destination] = values
     return blocks[0], blocks[1, : n_dim // 2, : n_dim // 2]
 
 
@@ -199,11 +215,13 @@ def converged_levels(
 ) -> SpectrumEstimate:
     """Levels 0..n_max, each with a certified bound on its error below tol.
 
-    `convergence_error` holds the Kato–Temple bound plus the rounding floor of
-    each level (see the module docstring for when it holds), and
-    `dimension_used` the dimension that certified them.  Raises
-    `NonConvergence` once the rounding floor reaches tol and `BudgetExceeded`
-    once the dimension passes `_MAX_DIMENSION`.
+    Level n is the Ritz value n // 2 of the parity block n mod 2, so the two
+    levels of a tunnelling doublet narrower than their bounds may come out of
+    order, by less than those bounds.  `convergence_error` holds the
+    Kato–Temple bound plus the rounding floor of each level (see the module
+    docstring for when it holds), and `dimension_used` the dimension that
+    certified them.  Raises `NonConvergence` once the rounding floor reaches
+    tol and `BudgetExceeded` once the dimension passes `_MAX_DIMENSION`.
     """
     import numpy as np
 
@@ -217,10 +235,9 @@ def converged_levels(
     if n_dim > _MAX_DIMENSION:
         raise BudgetExceeded(budget)
     frequency = solve_level(model, n_max + 2 * k).omega
-    # levels 0..n_max are the lowest `wanted` of each parity block, even
-    # first; the bound of the last one reads the Ritz pair above it
-    wanted = (n_max // 2 + 1, (n_max + 1) // 2)
-    top = wanted[0] + 1
+    # level n is Ritz pair n // 2 of parity block n mod 2, and the bound of
+    # the last even one reads the Ritz pair above it
+    top = n_max // 2 + 2
     while n_dim <= _MAX_DIMENSION:
         m = n_dim // 2
         even, odd = hamiltonian_matrix(model, _TruncatedBasis(n_dim + 2 * k, frequency))
@@ -240,18 +257,13 @@ def converged_levels(
         rho = np.sqrt(np.add.reduce(residuals * residuals, axis=1)).tolist()
         theta = theta[:, :top].tolist()
         levels, errors = [], []
-        for t, r, count in zip(theta, rho, wanted):
-            for j in range(count):
-                # Temple's b for level j is θ_{j+1} − ρ_{j+1}
-                gap = t[j + 1] - r[j + 1] - t[j]
-                levels.append(t[j])
-                errors.append((r[j] * r[j] / gap if gap > 0.0 else math.inf) + floor)
+        for n in range(n_max + 1):
+            t, r, j = theta[n % 2], rho[n % 2], n // 2
+            # Temple's b for level n is θ_{j+1} − ρ_{j+1} of its parity
+            gap = t[j + 1] - r[j + 1] - t[j]
+            levels.append(t[j])
+            errors.append((r[j] * r[j] / gap if gap > 0.0 else math.inf) + floor)
         if max(errors) < tol:
-            order = sorted(range(len(levels)), key=levels.__getitem__)
-            return SpectrumEstimate(
-                levels=tuple([levels[i] for i in order]),
-                dimension_used=n_dim,
-                convergence_error=tuple([errors[i] for i in order]),
-            )
+            return SpectrumEstimate(tuple(levels), n_dim, tuple(errors))
         n_dim = 2 * math.ceil(0.625 * n_dim)
     raise BudgetExceeded(budget)

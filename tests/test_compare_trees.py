@@ -21,12 +21,16 @@ def compare(parent, change):
 
 HARTREE_PROBES = ("hartree.solve_level", "hipt.second_order", "hartree.critical_coupling")
 QFT_PROBES = ("qft.solve_mass_gap", "qft.renormalized", "qft.effective_potential")
-ORACLE_PROBES = ("oracle.converged_levels", "oracle.hamiltonian_matrix")
+# the probes that certify levels, on normal-range draws and on doublets
+LEVEL_PROBES = ("oracle.converged_levels", "oracle.converged_levels.doublets")
+MATRIX_PROBES = ("oracle.hamiltonian_matrix",)
+ORACLE_PROBES = LEVEL_PROBES + MATRIX_PROBES
 PROBES = HARTREE_PROBES + QFT_PROBES + ORACLE_PROBES
 # draws per seed at --draws 60: 60 whole-range and 30 normal-range ones, the
-# oracle's minimum of 20, and one matrix build per dimension 1..140
-DRAWS = dict.fromkeys(PROBES, 90) | {"oracle.converged_levels": 20,
-                                     "oracle.hamiltonian_matrix": 140}
+# oracle's minimum of 20 for each level probe, and one matrix build per
+# dimension 1..140
+DRAWS = dict.fromkeys(PROBES, 90) | dict.fromkeys(LEVEL_PROBES, 20) | {
+    "oracle.hamiltonian_matrix": 140}
 
 
 def perturbed_tree(tmp_path, module, old, new):
@@ -86,13 +90,14 @@ def test_a_perturbed_oracle_constant_shows_in_the_oracle_probe_alone(tmp_path):
     code, total, out = compare(SRC, change)
     assert code == 1 and total > 0, out
     rows = rows_of(out)
-    # the rounding floor is part of every bound, so every oracle draw moves a
-    # value, and nothing that does not certify a level moves at all
-    assert rows["oracle.converged_levels"] == [[20, 0, 0, 20]] * 3, out
-    assert all(bad == 0 for name in HARTREE_PROBES + QFT_PROBES + ORACLE_PROBES[1:]
+    # the rounding floor is part of every bound, so every draw of both level
+    # probes moves a value, and nothing that does not certify a level moves
+    for name in LEVEL_PROBES:
+        assert rows[name] == [[20, 0, 0, 20]] * 3, out
+        assert f"examples of {name}, value mismatches:" in out, out
+    assert all(bad == 0 for name in HARTREE_PROBES + QFT_PROBES + MATRIX_PROBES
                for bad, *_ in rows[name]), out
-    assert "examples of oracle.converged_levels, value mismatches:" in out, out
-    assert re.findall(r"^examples of ([\w.]+)", out, re.M) == ["oracle.converged_levels"], out
+    assert re.findall(r"^examples of ([\w.]+)", out, re.M) == list(LEVEL_PROBES), out
 
 
 def test_a_perturbed_matrix_level_shows_in_the_oracle_probes_alone(tmp_path):
@@ -114,7 +119,7 @@ def test_a_perturbed_constant_shows_as_mismatches(tmp_path):
     assert code == 1 and total > 0, out
     # each mismatch changes the class, only the message or only the value
     rows = re.findall(r"^[\w.]+ +\d+ +\d+ +(\d+) +(\d+) +(\d+) +(\d+) +\w+ +\w+$", out, re.M)
-    assert len(rows) == 24, out
+    assert len(rows) == 27, out
     split = [[int(count) for count in row] for row in rows]
     assert all(bad == sum(kinds) for bad, *kinds in split), out
     assert sum(bad for bad, *_ in split) == total, out

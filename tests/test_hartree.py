@@ -188,6 +188,29 @@ def test_well_depth_is_zero_without_a_well():
     assert classical_well_depth(OscillatorModel(power=4, g=-1.0, lam=0.1)) == 0.625
 
 
+@pytest.mark.parametrize("power", [4, 6, 8])
+@pytest.mark.parametrize("g, lam", [(-1.0, 0.1), (-4.0, 0.05), (-0.3, 7.0), (-1e3, 1e-2)])
+def test_well_depth_is_the_minimum_of_the_potential(power, g, lam):
+    # the sextic and octic depths were the quartic g²/(16λ): 0.625 at
+    # (6|8, −1, 0.1), where the minima lie 0.43033 and 0.40396 below zero.
+    # The minimum here is V at a 50-digit root of V′ = gφ + 2kλφ^{2k−1},
+    # bracketed by doubling and halving φ until V′ changes sign
+    k = power // 2
+    depth = classical_well_depth(OscillatorModel(power=power, g=g, lam=lam))
+    with mp.workdps(50):
+        g_, lam_ = mp.mpf(g), mp.mpf(lam)
+        slope = lambda phi: g_ * phi + 2 * k * lam_ * phi ** (2 * k - 1)
+        low = high = mp.mpf(1)
+        while slope(high) <= 0:
+            high *= 2
+        while slope(low) >= 0:
+            low /= 2
+        phi = mp.findroot(slope, (low, high), solver="illinois")
+        exact = -(g_ * phi**2 / 2 + lam_ * phi ** (2 * k))
+    assert exact > 0
+    assert abs(depth - exact) <= 4 * sys.float_info.epsilon * exact, (depth, exact)
+
+
 def test_energy_equals_hamiltonian_average():
     cases = [
         (QUARTIC, 0),

@@ -4,17 +4,18 @@ import ast
 import math
 import pathlib
 import sys
+import warnings
 from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gha.oracle
 from gha import ladder
-from gha.errors import BudgetExceeded, DomainError, NonConvergence
+from gha.errors import BudgetExceeded, DomainError, NonConvergence, NonFiniteValue
 from gha.hartree import OscillatorModel, solve_level
 from gha.oracle import (
     SpectrumEstimate,
@@ -126,6 +127,19 @@ def test_matrix_rejects_a_frequency_that_is_not_positive_and_finite(frequency):
         hamiltonian_matrix(QUARTIC, _TruncatedBasis(8, frequency))
 
 
+@pytest.mark.parametrize("model, frequency", [
+    (QUARTIC, 1e-170),  # (2ω)^k underflowed to 0: ZeroDivisionError
+    (QUARTIC, 1e160),  # (2ω)^k overflowed: OverflowError
+    (OscillatorModel(power=4, g=1e300, lam=1.0), 1e-10),  # blocks of inf and NaN
+    (OscillatorModel(power=8, g=1.0, lam=1e307), 0.5),  # finite factors, inf elements
+])
+def test_matrix_out_of_floating_point_range_is_a_typed_error(model, frequency):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue, match="leaves floating-point range"):
+            hamiltonian_matrix(model, _TruncatedBasis(64, frequency))
+
+
 def test_basis_validation():
     with pytest.raises(DomainError):
         converged_levels(QUARTIC, -1, 1e-7)
@@ -180,17 +194,43 @@ def test_basis_frequency_independence():
     assert np.allclose(levels[0], levels[2], rtol=0.0, atol=1e-7)
 
 
-def test_variational_upper_bound():
-    grid = [
-        OscillatorModel(power=4, g=1.0, lam=0.1),
-        OscillatorModel(power=4, g=1.0, lam=1.0),
-        OscillatorModel(power=4, g=1.0, lam=10.0),
-        OscillatorModel(power=6, g=1.0, lam=1.0),
-        OscillatorModel(power=8, g=1.0, lam=1.0),
-    ]
-    for m in grid:
-        exact = converged_levels(m, 0, 1e-8).levels[0]
-        assert solve_level(m, 0).energy >= exact - 1e-10
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([(4, 1.0), (6, 1.0), (8, 1.0), (4, -1.0)]),
+       st.floats(-1.0, 1.0), st.floats(-2.0, 3.0))
+@example((4, 1.0), 0.0, -1.0)
+@example((4, 1.0), 0.0, 0.0)
+@example((4, 1.0), 0.0, 1.0)
+@example((6, 1.0), 0.0, 0.0)
+@example((8, 1.0), 0.0, 0.0)
+@example((4, -1.0), 1.0, -2.0)  # the deepest well, certified at N = 900
+def test_variational_upper_bound(kind, log_g, log_lam):
+    # Rayleigh–Ritz: the n = 0 Hartree energy is ⟨0|H|0⟩ in a Gaussian state,
+    # so it lies above the exact ground state, here the oracle's level 0 less
+    # its bound, on every phase and power the solver admits
+    power, sign = kind
+    model = OscillatorModel(power=power, g=sign * 10.0**log_g, lam=10.0**log_lam)
+    energy = solve_level(model, 0).energy
+    estimate = converged_levels(model, 0, 1e-8)
+    floor = estimate.levels[0] - estimate.convergence_error[0]
+    assert energy >= floor - 4 * sys.float_info.epsilon * abs(energy), (model, energy, estimate)
+
+
+def test_a_tunnelling_doublet_is_labelled_by_parity():
+    # a doublet narrower than its bounds: level n is Ritz value n // 2 of the
+    # block of parity n mod 2, with that pair's own bound, even where the odd
+    # value is the lower one; a sort put the odd value and bound at level 0
+    model = OscillatorModel(power=4, g=-13.603196993840806, lam=0.38788182013096106)
+    estimate = converged_levels(model, 2, 1e-5)
+    k, n_dim = model.k, estimate.dimension_used
+    omega = solve_level(model, 2 + 2 * k).omega
+    blocks = hamiltonian_matrix(model, _TruncatedBasis(n_dim + 2 * k, omega))
+    ritz = [np.linalg.eigvalsh(block[: n_dim // 2, : n_dim // 2]) for block in blocks]
+    for n, level in enumerate(estimate.levels):
+        assert level == pytest.approx(ritz[n % 2][n // 2], rel=1e-13, abs=0.0), n
+    (first, second, _), (bound_first, bound_second, _) = (estimate.levels,
+                                                          estimate.convergence_error)
+    assert second < first
+    assert abs(first - second) < min(bound_first, bound_second)
 
 
 def test_levels_beyond_start_dimension():

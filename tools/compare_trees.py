@@ -21,7 +21,11 @@ subnormal on some draws and overflows on others.
 The oracle probe, `converged_levels`, has its own normal-range draws, max(20,
 N // 100) per seed: power 4, 6 or 8 at g = 1 and the quartic well at g = −1,
 λ = 10^U(−2, 4) and n_max ≤ 40, each solved at tol 1e-7.  Its outcome holds
-the levels and the error bounds by `float.hex`, and the dimension used.
+the levels and the error bounds by `float.hex`, and the dimension used.  The
+doublet probe, `converged_levels` again, has its own draws, as many: quartic
+wells, g = −10^U(−1, 1), at the depth |g|³/λ² = 10^U(4.2, 4.45), where levels
+2j and 2j + 1 form a tunnelling doublet narrower than its bounds, solved at
+n_max = 3 and tol 1e-7, each in about 1–2 ms.
 
 The matrix probe, `hamiltonian_matrix`, has its own draws too, max(140,
 N // 20) per seed: power 4, 6 or 8, g = ±10^U(−3, 3), λ = 10^U(−3, 3) and the
@@ -49,6 +53,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -64,6 +69,10 @@ NORMAL_RANGE = ((-3.0, 3.0), (-3.0, 3.0))
 ORACLE_LAMBDA = (-2.0, 4.0)
 ORACLE_TOL = 1e-7
 ORACLE_SHARE, ORACLE_MIN = 100, 20
+# the doublet probe: log10 ranges of |g| and of the depth |g|³/λ², and n_max
+DOUBLET_G = (-1.0, 1.0)
+DOUBLET_DEPTH = (4.2, 4.45)
+DOUBLET_LEVELS = 3
 # the matrix probe: its dimensions 1..MATRIX_DIMENSIONS, its basis
 # frequencies, and its share of N
 MATRIX_DIMENSIONS = 140
@@ -89,6 +98,14 @@ def oracle_draws(seed: int, count: int):
         power = rng.choice(POWERS)
         g = -1.0 if power == 4 and rng.random() < 0.5 else 1.0
         yield power, g, 10.0 ** rng.uniform(*ORACLE_LAMBDA), rng.randint(0, MAX_LEVEL)
+
+
+def doublet_draws(seed: int, count: int):
+    """(power, g, λ, n_max) of the doublet probe's draws."""
+    rng = random.Random(f"doublet:{seed}")
+    for _ in range(max(ORACLE_MIN, count // ORACLE_SHARE)):
+        g = 10.0 ** rng.uniform(*DOUBLET_G)
+        yield 4, -g, math.sqrt(g**3 / 10.0 ** rng.uniform(*DOUBLET_DEPTH)), DOUBLET_LEVELS
 
 
 def matrix_draws(seed: int, count: int):
@@ -118,6 +135,12 @@ def _spectrum(estimate):
     """The levels and bounds of an oracle estimate by float.hex, and its dimension."""
     return ([x.hex() for x in estimate.levels], estimate.dimension_used,
             [x.hex() for x in estimate.convergence_error])
+
+
+def _levels(gha, power: int, g: float, lam: float, n_max: int):
+    """The oracle's estimate of levels 0..n_max of one draw's model, by `_spectrum`."""
+    return _spectrum(gha.oracle.converged_levels(
+        gha.hartree.OscillatorModel(power, g, lam), n_max, ORACLE_TOL))
 
 
 def _outcome(fn, *args):
@@ -151,7 +174,8 @@ def _field(gha, draw):
     return gha.qft.FieldTheory(m2, lam, cutoff), sigma
 
 
-# qualified name -> result of one draw, from the tree and the draw
+# qualified name -> result of one draw, from the tree and the draw; a third
+# part names a second probe of the same function, on draws of its own
 PROBES = {
     "hartree.solve_level": lambda gha, power, g, lam, n:
         gha.hartree.solve_level(gha.hartree.OscillatorModel(power, g, lam), n),
@@ -162,12 +186,13 @@ PROBES = {
     "qft.solve_mass_gap": lambda gha, *draw: gha.qft.solve_mass_gap(*_field(gha, draw)),
     "qft.renormalized": lambda gha, *draw: gha.qft.renormalized(_field(gha, draw)[0]),
     "qft.effective_potential": lambda gha, *draw: gha.qft.effective_potential(*_field(gha, draw)),
-    "oracle.converged_levels": lambda gha, power, g, lam, n: _spectrum(
-        gha.oracle.converged_levels(gha.hartree.OscillatorModel(power, g, lam), n, ORACLE_TOL)),
+    "oracle.converged_levels": _levels,
     "oracle.hamiltonian_matrix": _blocks,
+    "oracle.converged_levels.doublets": _levels,
 }
 # qualified name -> its draws, where they are not `draws`
-DRAWS = {"oracle.converged_levels": oracle_draws, "oracle.hamiltonian_matrix": matrix_draws}
+DRAWS = {"oracle.converged_levels": oracle_draws, "oracle.hamiltonian_matrix": matrix_draws,
+         "oracle.converged_levels.doublets": doublet_draws}
 
 
 KINDS = ("class", "message", "value")
@@ -176,7 +201,7 @@ EXAMPLES = 3
 
 
 def _present(gha, name: str) -> bool:
-    module, attr = name.split(".")
+    module, attr = name.split(".")[:2]
     return hasattr(getattr(gha, module), attr)
 
 
@@ -236,9 +261,12 @@ def worker(src: str, job: dict) -> dict:
 
 def _run_workers(trees, job: dict):
     """Each tree's worker answer to the job, each tree in its own process."""
+    # one BLAS thread per worker: the workers run side by side, and OpenBLAS
+    # threads spinning against each other made a run several times slower
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
     procs = [subprocess.Popen(
         [sys.executable, "-B", str(Path(__file__).resolve()), "--worker", src],
-        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True) for src in trees]
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env) for src in trees]
     # the job fits in the pipe, so every worker starts before any is read
     for proc in procs:
         proc.stdin.write(json.dumps(job))
@@ -286,7 +314,7 @@ def compare(parent: str, change: str, count: int) -> int:
     names = [name for name in PROBES if name in present[0] & present[1]]
     skipped = [name for name in PROBES if name not in names]
     left, right = _run_workers(trees, {"draws": count, "names": names})
-    print(f"{'function':28} {'seed':>4} {'draws':>7} {'mismatches':>10} {'class':>6} "
+    print(f"{'function':32} {'seed':>4} {'draws':>7} {'mismatches':>10} {'class':>6} "
           f"{'message':>7} {'value':>6}  {'parent sha256':16}  {'change sha256':16}")
     total = 0
     picked = {name: {kind: [] for kind in KINDS} for name in names}
@@ -307,7 +335,7 @@ def compare(parent: str, change: str, count: int) -> int:
                         picked[name][kind].append((seed, index))
             bad = sum(counts.values())
             total += bad
-            print(f"{name:28} {seed:>4} {n_draws:>7} {bad:>10} "
+            print(f"{name:32} {seed:>4} {n_draws:>7} {bad:>10} "
                   f"{counts['class']:>6} {counts['message']:>7} {counts['value']:>6}  "
                   f"{hash_a[:16]}  {hash_b[:16]}")
     for name in skipped:

@@ -26,7 +26,7 @@ import math
 import sys
 
 from . import __version__
-from .errors import DomainError, GhaError, NonFiniteValue
+from .errors import DomainError, GhaError, NonFiniteValue, _positive
 from .hartree import (OscillatorModel, classical_well_depth,
                       critical_coupling, solve_level)
 from .vacuum import loglog_slope, strong_coupling_scaling, vacuum_structure
@@ -244,8 +244,7 @@ def _cmd_qft_potential(args):
     theory = _theory(args)
     if args.points < 2:
         raise DomainError("qft potential: --points must be at least 2")
-    if not 0.0 < args.sigma_max < math.inf:
-        raise DomainError(f"--sigma-max must be positive and finite, got {args.sigma_max}")
+    _positive(args.sigma_max, "--sigma-max must be positive and finite")
     step = args.sigma_max / (args.points - 1)
     rows = [{"sigma": i * step, "U": qft.effective_potential(theory, i * step)}
             for i in range(args.points)]

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Tuple
 
-from .errors import DomainError
+from .errors import DomainError, _finite, _positive, _shown
 
 Key = Tuple[int, int]
 
@@ -42,10 +42,9 @@ class ModeParameters:
     sigma: float = 0.0
 
     def __post_init__(self):
-        if not (self.omega > 0.0) or not math.isfinite(self.omega):
-            raise DomainError(f"mode frequency must be positive, got {self.omega}")
-        if not math.isfinite(self.sigma):
-            raise DomainError(f"mode shift must be finite, got {self.sigma}")
+        _positive(self.omega, "mode frequency must be positive")
+        if not _finite(self.sigma):
+            raise DomainError(f"mode shift must be finite, got {_shown(self.sigma)}")
 
 
 class NormalOrderedPolynomial:

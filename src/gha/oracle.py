@@ -89,7 +89,8 @@ import math
 import sys
 from typing import NamedTuple, Tuple
 
-from .errors import BudgetExceeded, DomainError, NonConvergence, NonFiniteValue
+from .errors import (BudgetExceeded, DomainError, NonConvergence, NonFiniteValue, _finite,
+                     _index, _positive, _shown)
 from .hartree import OscillatorModel, solve_level
 
 _MAX_DIMENSION = 4096
@@ -169,16 +170,20 @@ def hamiltonian_matrix(
     even and odd parity blocks: block p holds H[p + 2a, p + 2b] at [a, b].
 
     Raises `DomainError` unless the dimension is a positive integer and the
-    frequency positive and finite, and `NonFiniteValue` where a scalar factor
-    or an element leaves floating-point range, as at extreme frequencies.
+    frequency positive and finite, `BudgetExceeded` for a dimension past
+    `_MAX_DIMENSION` + 2k, the largest that `converged_levels` builds, and
+    `NonFiniteValue` where a scalar factor or an element leaves
+    floating-point range, as at extreme frequencies.
     """
     import numpy as np
 
     n_dim, w, k = basis.dimension, basis.basis_frequency, model.k
-    if not hasattr(n_dim, "__index__") or n_dim < 1:
-        raise DomainError(f"basis dimension must be a positive integer, got {n_dim!r}")
-    if not 0.0 < w < math.inf:
-        raise DomainError(f"basis frequency must be positive and finite, got {w!r}")
+    _index(n_dim, "basis dimension must be a positive integer", 1)
+    _positive(w, "basis frequency must be positive and finite")
+    if n_dim > _MAX_DIMENSION + 2 * k:
+        raise BudgetExceeded(f"basis dimension {n_dim} exceeds {_MAX_DIMENSION + 2 * k}")
+    # numpy takes no bool for a size, and an int frequency is squared in integers
+    n_dim, w = int(n_dim), float(w)
     destination, x_squared, x_power, level = _layout(model.power, n_dim)
     # as a numpy float, (2ω)^k underflows to 0 or overflows to inf instead of
     # raising; a factor or an element that is not finite then shows in the
@@ -225,10 +230,9 @@ def converged_levels(
     """
     import numpy as np
 
-    if not hasattr(n_max, "__index__") or n_max < 0:
-        raise DomainError(f"n_max must be nonnegative and integral, got {n_max!r}")
-    if not 1e-10 <= tol < math.inf:
-        raise DomainError(f"tolerance must lie in [1e-10, inf), got {tol}")
+    _index(n_max, "n_max must be nonnegative and integral")
+    if not (1e-10 <= tol and _finite(tol)):
+        raise DomainError(f"tolerance must lie in [1e-10, inf), got {_shown(tol)}")
     budget = f"levels 0..{n_max} not certified to {tol} within dimension {_MAX_DIMENSION}"
     k = model.k
     n_dim = _start_dimension(n_max, k)

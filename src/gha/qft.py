@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NonConvergence, NonFiniteValue, _finite
+from .errors import DomainError, NonConvergence, NonFiniteValue, _finite, _positive, _shown
 
 _FOUR_PI2 = 4.0 * math.pi * math.pi
 _LN2 = math.log(2.0)
@@ -63,12 +63,9 @@ class FieldTheory:
     cutoff: float
 
     def __post_init__(self):
-        if not (self.m2 > 0.0) or not _finite(self.m2):
-            raise DomainError(f"bare mass^2 must be positive, got {self.m2}")
-        if not (self.lam > 0.0) or not _finite(self.lam):
-            raise DomainError(f"coupling must be positive, got {self.lam}")
-        if not (self.cutoff > 0.0) or not _finite(self.cutoff):
-            raise DomainError(f"cutoff must be positive and finite, got {self.cutoff}")
+        _positive(self.m2, "bare mass^2 must be positive")
+        _positive(self.lam, "coupling must be positive")
+        _positive(self.cutoff, "cutoff must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -160,9 +157,9 @@ def stevenson(n: int, M2: float, cutoff: float) -> float:
     about ε(M/Λ)³, and the heavy-mass series takes over.
     """
     if n not in (-1, 0, 1):
-        raise DomainError(f"only n in {{-1, 0, 1}} supported, got {n}")
+        raise DomainError(f"only n in {{-1, 0, 1}} supported, got {_shown(n)}")
     if not (M2 > 0.0 and _finite(M2)) or not (cutoff > 0.0 and _finite(cutoff)):
-        raise DomainError(f"need finite M2 > 0 and cutoff > 0, got {M2}, {cutoff}")
+        raise DomainError(f"need finite M2 > 0 and cutoff > 0, got {_shown(M2)}, {_shown(cutoff)}")
     return _cutoff_integrals((n,), M2, cutoff)[0]
 
 
@@ -195,7 +192,7 @@ def _ascend(theory: FieldTheory, sigma: float):
     except OverflowError:  # an int σ too large for a float
         base = math.inf
     if not math.isfinite(base):
-        raise DomainError(f"sigma must be finite with 12*lambda*sigma^2 finite, got {sigma}")
+        raise DomainError(f"sigma must be finite with 12*lambda*sigma^2 finite, got {_shown(sigma)}")
     m2 = base
     for _ in range(_GAP_STEPS):
         i0, im1 = _cutoff_integrals((0, -1), m2, cut)
@@ -299,10 +296,8 @@ def static_potential(r: float, mR: float) -> float:
     logarithm.  U is 0.0 where it underflows and raises NonFiniteValue where
     it overflows.
     """
-    if not (r > 0.0 and _finite(r)):
-        raise DomainError(f"r must be positive and finite, got {r}")
-    if not (mR > 0.0 and _finite(mR)):
-        raise DomainError(f"mR must be positive and finite, got {mR}")
+    _positive(r, "r must be positive and finite")
+    _positive(mR, "mR must be positive and finite")
     x = mR * r
     if x >= 2300.0:  # U < e^{−x}/r² ≤ e^{−2300}·2^{2148} underflows for every float r
         return 0.0

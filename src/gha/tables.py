@@ -33,12 +33,11 @@ every other subcommand.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Optional, Tuple
 
-from .errors import DomainError
+from .errors import DomainError, _positive, _shown
 from .hartree import OscillatorModel, classical_well_depth, solve_level
 from .hipt import second_order
 from .oracle import converged_levels
@@ -346,7 +345,7 @@ def reference_table(table_id: int) -> ReferenceTable:
     """The embedded table `table_id`; all four are built on the first call."""
     tables = _build_tables()
     if table_id not in tables:
-        raise DomainError(f"no reference table {table_id}; valid ids are 1..4")
+        raise DomainError(f"no reference table {_shown(table_id)}; valid ids are 1..4")
     return tables[table_id]
 
 
@@ -401,12 +400,11 @@ def run_table(table_id: int,
     """
     power, g, scale, columns, cells, percents = _plan(table_id)
     if threads not in (None, 1):
-        raise DomainError(f"tables are computed serially; threads must be 1, got {threads}")
-    if tol is not None and not 0.0 < tol < math.inf:
-        raise DomainError(f"tolerance must lie in (0, inf), got {tol}")
+        raise DomainError(f"tables are computed serially; threads must be 1, got {_shown(threads)}")
     tols = {"GHA": GHA_TOL[table_id], "HIPT": HIPT_TOL.get(table_id, 2e-3),
             "EXTERNAL_REF": EXTERNAL_TOL}
     if tol is not None:
+        _positive(tol, "tolerance must lie in (0, inf)")
         tols = dict.fromkeys(tols, tol)
 
     models = [OscillatorModel(power, g, lam) for lam, _, _ in columns]

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
-from .errors import DomainError, _finite
+from .errors import DomainError, _finite, _positive
 from .hartree import OscillatorModel, solve_level
 
 
@@ -31,8 +31,7 @@ class VacuumStructure:
 
 def vacuum_structure(omega: float) -> VacuumStructure:
     """Bogoliubov parameter, condensate density, and structure parameter."""
-    if not (omega > 0.0) or not _finite(omega):
-        raise DomainError(f"omega must be positive, got {omega}")
+    _positive(omega, "omega must be positive")
     alpha = -0.5 * math.log(omega)
     n0 = 0.25 * (omega + 1.0 / omega - 2.0)
     u = (1.0 - omega) / (1.0 + omega)
@@ -70,7 +69,7 @@ def loglog_slope(samples: Sequence[Tuple[float, float]]) -> float:
     """Least-squares slope of ln n₀ against ln λ."""
     if len(samples) < 2:
         raise DomainError("slope needs at least two samples")
-    if not all(0.0 < v < math.inf for sample in samples for v in sample):
+    if not all(v > 0.0 and _finite(v) for sample in samples for v in sample):
         raise DomainError("slope needs finite positive couplings and densities")
     x = [math.log(lam) for lam, _ in samples]
     y = [math.log(n0) for _, n0 in samples]

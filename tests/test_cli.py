@@ -394,6 +394,25 @@ def test_overflow_exits_one_without_traceback(argv):
     assert "Traceback" not in proc.stderr
 
 
+_PAST_FLOAT = str(10**400)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--g", "1", "--lambda", "1", "--levels", _PAST_FLOAT],
+    ["dwo", "--g=-1", "--lambda", "0.05", "--levels", _PAST_FLOAT],
+    ["hipt", "--g", "1", "--lambda", "1", "--level", _PAST_FLOAT],
+    ["vacuum", "--g", "1", "--lambda", "1", "--level", _PAST_FLOAT],
+])
+def test_level_index_past_float_range_exits_two_without_traceback(argv):
+    # ξ = n + ½ overflowed in the level solve, a bare OverflowError (exit 1)
+    proc = subprocess.run([sys.executable, "-m", "gha.cli", *argv, "--no-meta"],
+                          capture_output=True, text=True, env=_SRC_ENV, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: level index must be nonnegative and integral")
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("argv", [
     # the symmetry-restored root 7e-361 underflows, and 8e-317 is subnormal
     ["vacuum", "--g=-1.7426264624882977e55", "--lambda", "1.9574360759863343e-306"],

@@ -396,11 +396,31 @@ def test_model_validation():
         OscillatorModel(power=4, g=-1.0, lam=0.05), 2)
     with pytest.raises(DomainError):
         moment(1, -1)
-    # the moment cache keys on the argument types: a float level fails in
-    # math.comb as it did uncached, after the integer level has been cached
+    # the moment cache keys on the argument types: a float level is refused
+    # after the integer level has been cached, where it was a bare TypeError
+    # from math.comb
     moment(2, 1)
-    with pytest.raises(TypeError):
+    with pytest.raises(DomainError, match="got 1.0"):
         moment(2, 1.0)
+
+
+def test_residual_helpers_and_moments_return_a_value_or_a_typed_error():
+    # each raised a bare OverflowError, ValueError or TypeError
+    with pytest.raises(NonFiniteValue, match="^gap residuals of level 0 of Osc"):
+        general_gap_residuals(QUARTIC, 0, 1.0, 1e200)
+    with pytest.raises(DomainError, match="phase must be AHO, DWO_SR or DWO_SSB, got 'XX'"):
+        gap_residual_scale(QUARTIC, 0, "XX")
+    assert gap_residual_scale(QUARTIC, 0, "AHO") == gap_residual_scale(QUARTIC, 0, Phase.AHO)
+    with pytest.raises(DomainError, match="got 3.0"):
+        moment(2, 3.0)
+    with pytest.raises(NonFiniteValue, match=r"^moment c_4\(10{200}\) leaves"):
+        moment(4, 10**200)
+    # c_j(0) = (2j − 1)!!/2^j is the least moment of order j; it is finite
+    # at j = 171 and overflows at 172, past which nothing is summed
+    assert moment(171, 0) == math.prod(range(1, 342, 2)) / 2**171
+    for j in (172, 10**9):
+        with pytest.raises(NonFiniteValue, match=f"^moment c_{j}\\(0\\)"):
+            moment(j, 0)
 
 
 def test_overflow_is_a_typed_error_naming_the_model():
@@ -410,17 +430,20 @@ def test_overflow_is_a_typed_error_naming_the_model():
         solve_level(model, 0)
 
 
-def test_overflowing_energy_reports_the_coefficients_error():
-    # the winning DWO_SR energy g/ω overflows to −inf and ω² underflows in
-    # the averages; the level names the coefficients' error, as a level
-    # solved in one step did, also at the winner step that second order
-    # takes its neighbours to
+def test_overflowing_energy_fails_the_winner_step_by_its_range_rule():
+    # the winning DWO_SR energy g/ω overflows to −inf (and ω² underflows in
+    # the averages).  The winner step's one range rule, a finite σ + E₀ on
+    # every branch it solved, fails the level before any coefficient is
+    # formed, also at the winner step that second order takes its
+    # neighbours to; the message carries no arithmetic error
     model = OscillatorModel(power=4, g=-1.011159896108892e+138, lam=9.030102062832079e-104)
-    with pytest.raises(NonFiniteValue, match="range: float division by zero"):
+    message = r"^level 11 of OscillatorModel\(.*\) leaves floating-point range$"
+    with pytest.raises(NonFiniteValue, match=message):
         solve_level(model, 11)
     fresh = OscillatorModel(power=4, g=-1.011159896108892e+138, lam=9.030102062832079e-104)
-    with pytest.raises(NonFiniteValue, match="range: float division by zero"):
+    with pytest.raises(NonFiniteValue, match=message):
         hartree._winner(fresh, 11, 11.5)
+    assert not fresh._winners and not fresh._levels
 
 
 @pytest.mark.parametrize("g, lam, n", [

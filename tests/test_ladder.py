@@ -178,6 +178,11 @@ def test_mode_parameter_validation():
         ModeParameters(omega=float("nan"))
     with pytest.raises(DomainError):
         ModeParameters(omega=1.0, sigma=float("inf"))
+    # an int past float range raised a raw OverflowError from math.isfinite
+    with pytest.raises(DomainError, match="mode frequency must be positive"):
+        ModeParameters(omega=10**400)
+    with pytest.raises(DomainError, match="mode shift must be finite"):
+        ModeParameters(omega=1.0, sigma=10**400)
 
 
 _term_keys = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(

@@ -127,6 +127,24 @@ def test_matrix_rejects_a_frequency_that_is_not_positive_and_finite(frequency):
         hamiltonian_matrix(QUARTIC, _TruncatedBasis(8, frequency))
 
 
+def test_matrix_past_the_largest_build_is_over_budget_before_it_allocates():
+    # 10**20 raised a raw numpy ValueError from the allocation
+    cap = gha.oracle._MAX_DIMENSION + 2 * QUARTIC.k
+    for dimension in (cap + 1, 10**20):
+        with pytest.raises(BudgetExceeded, match=f"basis dimension {dimension} exceeds {cap}"):
+            hamiltonian_matrix(QUARTIC, _TruncatedBasis(dimension, 1.0))
+
+
+def test_matrix_takes_an_int_frequency_and_a_bool_dimension_as_their_floats_and_ints():
+    # an int ω was squared in integers, a raw OverflowError at 10**300, and
+    # numpy took no bool for a size
+    for got, want in zip(hamiltonian_matrix(QUARTIC, _TruncatedBasis(True, 3)),
+                         hamiltonian_matrix(QUARTIC, _TruncatedBasis(1, 3.0))):
+        assert got.tobytes() == want.tobytes()
+    with pytest.raises(NonFiniteValue, match="leaves floating-point range"):
+        hamiltonian_matrix(QUARTIC, _TruncatedBasis(4, 10**300))
+
+
 @pytest.mark.parametrize("model, frequency", [
     (QUARTIC, 1e-170),  # (2ω)^k underflowed to 0: ZeroDivisionError
     (QUARTIC, 1e160),  # (2ω)^k overflowed: OverflowError

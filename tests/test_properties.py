@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gha import hartree
+from gha import hartree, oracle, qft, tables
 from gha.errors import GhaError, NonConvergence, NonFiniteValue, PhaseUnavailable
 from gha.hartree import (
     HartreeSolution,
@@ -24,7 +24,7 @@ from gha.hartree import (
 )
 from gha.hipt import second_order
 from gha.ladder import ModeParameters, expectation
-from gha.vacuum import vacuum_structure
+from gha.vacuum import loglog_slope, strong_coupling_scaling, vacuum_structure
 
 from conftest import broken_cubic_at_floor, sigma0_gap_root
 from ladder_reference import hamiltonian_polynomial
@@ -399,3 +399,85 @@ def test_levels_are_finite_or_a_typed_error():
     # the gap solves, and ω⁴ overflows in the coefficients
     with pytest.raises(NonFiniteValue, match="level 0 of .*Numerical result out of range"):
         solve_level(OscillatorModel(power=8, g=1e300, lam=1.0), 0)
+
+
+# every kind of number a caller can pass where a float or an index is due:
+# ints of any size, past float range and past the 4300 digits that Python
+# prints too, ±0, subnormals, ±inf, NaN and bools
+_numbers = st.one_of(
+    st.integers(), st.floats(), st.booleans(),
+    st.sampled_from([10**20, 10**300, 10**400, -10**400, 2**1024, -(2**1024), 10**5000,
+                     -10**5000, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan]))
+_models = st.sampled_from([(4, 1.0, 1.0), (4, -1.0, 0.05), (6, 1.0, 0.3), (8, 2.0, 1.0),
+                           (6, -1.0, 1.0)])
+_theory = (1.0, 0.1, 10.0)
+
+
+def _no_slow_n_max(n):
+    # levels 41..2716 are certified at dimensions up to 4096, which is slow;
+    # past them the a priori dimension is over budget at once
+    return not (type(n) is int and 41 <= n <= 2716)
+
+
+def _no_slow_dimension(n):
+    # dimensions past 64 up to the cap, 4096 + 2k, are built; past the cap
+    # the build is refused at once
+    return not (type(n) is int and 65 <= n <= 4104)
+
+
+# name -> (call, strategies of its arguments); every model and theory is fresh
+_DOORS = {
+    "OscillatorModel": (OscillatorModel, (st.one_of(powers, _numbers), _numbers, _numbers)),
+    "solve_level": (lambda m, n: solve_level(OscillatorModel(*m), n), (_models, _numbers)),
+    "second_order": (lambda m, n, even: second_order(OscillatorModel(*m), n, even),
+                     (_models, _numbers, st.booleans())),
+    "classical_well_depth": (lambda p, g, lam: hartree.classical_well_depth(
+        OscillatorModel(p, g, lam)), (powers, _numbers, _numbers)),
+    "critical_coupling": (critical_coupling, (_numbers, _numbers)),
+    "moment": (moment, (_numbers, _numbers)),
+    "general_gap_residuals": (lambda m, n, w, s: general_gap_residuals(OscillatorModel(*m), n, w, s),
+                              (_models, _numbers, _numbers, _numbers)),
+    "gap_residual_scale": (lambda m, n, ph: gap_residual_scale(OscillatorModel(*m), n, ph),
+                           (_models, _numbers, st.one_of(st.sampled_from(list(Phase)),
+                                                         st.sampled_from(["AHO", "XX"]), _numbers))),
+    "converged_levels": (lambda m, n, tol: oracle.converged_levels(OscillatorModel(*m), n, tol),
+                         (_models, _numbers.filter(_no_slow_n_max), _numbers)),
+    "hamiltonian_matrix": (lambda m, n, w: oracle.hamiltonian_matrix(
+        OscillatorModel(*m), oracle._TruncatedBasis(n, w)),
+        (_models, _numbers.filter(_no_slow_dimension), _numbers)),
+    "FieldTheory": (qft.FieldTheory, (_numbers, _numbers, _numbers)),
+    "solve_mass_gap": (lambda s: qft.solve_mass_gap(qft.FieldTheory(*_theory), s), (_numbers,)),
+    "effective_potential": (lambda s: qft.effective_potential(qft.FieldTheory(*_theory), s),
+                            (_numbers,)),
+    "renormalized": (lambda *t: qft.renormalized(qft.FieldTheory(*t)), (_numbers,) * 3),
+    "stevenson": (qft.stevenson, (_numbers, _numbers, _numbers)),
+    "static_potential": (qft.static_potential, (_numbers, _numbers)),
+    "vacuum_structure": (vacuum_structure, (_numbers,)),
+    "strong_coupling_scaling": (lambda lams: strong_coupling_scaling(
+        OscillatorModel(4, 1.0, 100.0), lams), (st.lists(_numbers, max_size=3),)),
+    "loglog_slope": (loglog_slope, (st.lists(st.tuples(_numbers, _numbers), max_size=3),)),
+    "reference_table": (tables.reference_table, (_numbers,)),
+    "run_table": (tables.run_table, (_numbers, _numbers, _numbers)),
+}
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(sorted(_DOORS)).flatmap(
+    lambda name: st.tuples(st.just(name), st.tuples(*_DOORS[name][1]))))
+# each raised a bare OverflowError, ValueError or TypeError
+@example(("solve_level", ((4, 1.0, 1.0), 10**400)))
+@example(("second_order", ((4, 1.0, 1.0), 10**400, False)))
+@example(("hamiltonian_matrix", ((4, 1.0, 1.0), 10**20, 1.0)))
+@example(("hamiltonian_matrix", ((4, 1.0, 1.0), 4, 10**300)))
+@example(("general_gap_residuals", ((4, 1.0, 1.0), 0, 1.0, 1e200)))
+@example(("gap_residual_scale", ((4, 1.0, 1.0), 0, "XX")))
+@example(("moment", (2, 3.0)))
+@example(("moment", (4, 10**200)))
+def test_every_public_door_returns_a_value_or_raises_a_gha_error(door):
+    # the door contract: whatever number reaches a public argument, the call
+    # returns or raises a GhaError, never a bare arithmetic or type error
+    name, args = door
+    try:
+        _DOORS[name][0](*args)
+    except GhaError:
+        pass

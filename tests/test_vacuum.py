@@ -68,7 +68,8 @@ def test_scan_validation():
         loglog_slope([(1e3, 0.5)])
     with pytest.raises(DomainError):
         loglog_slope([(1e3, 0.5), (1e3, 0.7)])
-    for bad in (0.0, -1.0, math.inf, math.nan):
+    # an int past float range passed `0.0 < v < math.inf` and gave a slope
+    for bad in (0.0, -1.0, math.inf, math.nan, 10**400):
         with pytest.raises(DomainError):
             loglog_slope([(1e3, 0.5), (1e4, bad)])
         with pytest.raises(DomainError):

@@ -57,8 +57,6 @@ _float_list = _list_of(float, "reals")
 
 def _cell(fmt, value):
     """CSV keeps repr floats and lowercase booleans; markdown rounds to .10g."""
-    if value is None:
-        return ""
     if isinstance(value, float):
         return repr(value) if fmt == "csv" else f"{value:.10g}"
     if isinstance(value, bool) and fmt == "csv":
@@ -82,7 +80,7 @@ def _emit(args, payload, rows):
     if not rows:  # hipt, when every contribution underflows to zero
         raise GhaError(f"{name} output has no rows to print as {args.format}")
     columns = [k for k, v in rows[0].items() if not isinstance(v, list)]
-    table = [columns] + [[_cell(args.format, row.get(k)) for k in columns]
+    table = [columns] + [[_cell(args.format, row[k]) for k in columns]
                          for row in rows]
     if args.format == "csv":
         import csv
@@ -134,7 +132,7 @@ def _cmd_spectrum(args):
         row = {"n": n, "phase": sol.phase.value, "omega": sol.omega,
                "sigma": sol.sigma, "e0": sol.energy}
         if args.order == 2:
-            rep = second_order(model, n, even_only=args.even_only)
+            rep = second_order(model, n)
             row["delta_e2"] = rep.delta_e2
             row["e2"] = rep.e2
         rows.append(row)
@@ -167,11 +165,11 @@ def _cmd_hipt(args):
     from .hipt import second_order
 
     model = OscillatorModel(power=args.power, g=args.g, lam=args.lam)
-    rep = second_order(model, args.level, even_only=args.even_only)
+    rep = second_order(model, args.level)
     rows = [{"m": c.m, "numerator": c.numerator, "denominator": c.denominator}
             for c in rep.contributions]
     payload = {"command": "hipt", "model": _model_block(model),
-               "n": rep.n, "even_only": args.even_only, "e0": rep.e0,
+               "n": rep.n, "e0": rep.e0,
                "delta_e2": rep.delta_e2, "e2": rep.e2,
                "contributions": rows}
     return _emit(args, payload, rows)
@@ -205,11 +203,10 @@ def _cmd_vacuum(args):
     rows = [{"omega": omega, "alpha": vs.alpha, "n0": vs.n0, "u": vs.u}]
     payload.update(rows[0])
     if args.scan:
-        model = OscillatorModel(power=4, g=args.g if args.g is not None else 1.0,
-                                lam=min(args.scan))
-        samples = strong_coupling_scaling(model, args.scan)
+        g = args.g if args.g is not None else 1.0
+        samples = strong_coupling_scaling(g, args.scan)
         if args.power != 4:  # the scan is quartic whatever --power says
-            payload["scan_model"] = {"power": model.power, "g": model.g}
+            payload["scan_model"] = {"power": 4, "g": g}
         rows = payload["scan"] = [{"lambda": lam, "n0": n0} for lam, n0 in samples]
         payload["slope"] = loglog_slope(samples)
     return _emit(args, payload, rows)
@@ -322,7 +319,6 @@ def build_parser():
     _model_args(p)
     p.add_argument("--levels", type=_int_list, default=[0])
     p.add_argument("--order", type=int, default=0, choices=(0, 2))
-    p.add_argument("--even-only", action="store_true")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("dwo", parents=[common],
@@ -336,7 +332,6 @@ def build_parser():
                        help="second-order correction on the Hartree basis")
     _model_args(p)
     p.add_argument("--level", type=int, default=0)
-    p.add_argument("--even-only", action="store_true")
     p.set_defaults(func=_cmd_hipt)
 
     p = sub.add_parser("oracle", parents=[common],

@@ -410,7 +410,7 @@ def _branch(model: OscillatorModel, n: int, xi: float,
         # σ² > 0 wherever 12λξ/ω is finite; where that overflows, σ² is −∞ or
         # nan, and the σ = ∞ or nan taken from |σ²| fails the level
         sigma = math.sqrt(abs((model.g + 12.0 * model.lam * xi / omega) / (4.0 * model.lam)))
-        depth = classical_well_depth(model)
+        depth = _well_depth(model)
     return omega, sigma, phase, xi * ((k + 1) * omega + (k - 1) * g / omega) / (2 * k) - depth
 
 
@@ -500,13 +500,19 @@ def general_gap_residuals(
     of the ground-state configuration gσ + λ∂_σ⟨φ^{2k}⟩, for exploratory
     studies."""
     _positive(omega, "omega must be positive")
-    g, lam, w = model.g, model.lam, omega
+    if not _finite(sigma):
+        raise DomainError(f"sigma must be finite, got {_shown(sigma)}")
+    g, lam, w, xi = model.g, model.lam, omega, _xi(n)
     try:
-        _, d_sigma, A, _, _ = _field_averages(model.k, n, _xi(n), w, sigma)
-        return w ** (model.k - 1) * (w * w - g - 2.0 * lam * A), g * sigma + lam * d_sigma
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise NonFiniteValue(
-            f"gap residuals of level {n} of {model} leave floating-point range: {exc}") from exc
+        _, d_sigma, A, _, _ = _field_averages(model.k, n, xi, w, sigma)
+        gap, shift = w ** (model.k - 1) * (w * w - g - 2.0 * lam * A), g * sigma + lam * d_sigma
+    except (OverflowError, ZeroDivisionError):
+        # a power past float range raises, as does a moment over ω^j = 0.0;
+        # a product past float range gives inf or NaN instead
+        gap = shift = math.inf
+    if not (math.isfinite(gap) and math.isfinite(shift)):
+        raise NonFiniteValue(f"gap residuals of level {n} of {model} leave floating-point range")
+    return gap, shift
 
 
 def gap_residual_scale(model: OscillatorModel, n: int, phase: Phase) -> float:
@@ -514,7 +520,23 @@ def gap_residual_scale(model: OscillatorModel, n: int, phase: Phase) -> float:
     residual smallness without pretending float64 can do better than eps."""
     if phase not in (_AHO, _DWO_SR, _DWO_SSB):
         raise DomainError(f"phase must be AHO, DWO_SR or DWO_SSB, got {_shown(phase, repr)}")
-    return max(1.0, abs(_gap_poly(model, n, _xi(n), Phase(phase), model.lam)[2]))
+    scale = max(1.0, abs(_gap_poly(model, n, _xi(n), Phase(phase), model.lam)[2]))
+    if scale < math.inf:
+        return scale
+    raise NonFiniteValue(f"gap residual scale of level {n} of {model} leaves floating-point range")
+
+
+def _well_depth(model: OscillatorModel) -> float:
+    """`classical_well_depth` before its range check, inf or NaN where that
+    overflows; the broken branch subtracts it, and the winner step's range
+    rule then fails the level."""
+    # as a float: the square of an int g past 2^512 does not convert to one
+    g, lam, k = float(model.g), model.lam, model.k
+    if g > 0.0:
+        return 0.0
+    # g² and the products overflow to inf without raising; 16λ's inf gives NaN
+    return (g * g / (16.0 * lam) if k == 2 else
+            (k - 1) / (2 * k) * abs(g) * (abs(g) / (2 * k * lam)) ** (1.0 / (k - 1)))
 
 
 def classical_well_depth(model: OscillatorModel) -> float:
@@ -522,11 +544,9 @@ def classical_well_depth(model: OscillatorModel) -> float:
     usual additive shift when quoting double-well spectra.  For g < 0 the
     minima lie at φ₀² = (|g|/(2kλ))^{1/(k−1)}, (k−1)/(2k)·|g|·φ₀² below zero,
     which is g²/(16λ) for the quartic.  For g > 0 there is no well: the
-    minimum is V(0) = 0 and the depth 0.0."""
-    # as a float: the square of an int g past 2^512 does not convert to one
-    g, lam, k = float(model.g), model.lam, model.k
-    if g > 0.0:
-        return 0.0
-    if k == 2:
-        return g * g / (16.0 * lam)
-    return (k - 1) / (2 * k) * abs(g) * (abs(g) / (2 * k * lam)) ** (1.0 / (k - 1))
+    minimum is V(0) = 0 and the depth 0.0.  A depth past float range is a
+    `NonFiniteValue`."""
+    depth = _well_depth(model)
+    if depth < math.inf:
+        return depth
+    raise NonFiniteValue(f"well depth of {model} leaves floating-point range")

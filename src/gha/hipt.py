@@ -16,7 +16,7 @@ neighbours are solved only to their energy E_m, by the winner step of
 
 Only |m − n| ≤ 2k can contribute, and for σ = 0 only even m − n survive
 parity.  On the broken-symmetry branch (σ ≠ 0) the odd offsets contribute
-as well; pass even_only=True to drop them for comparison purposes.
+as well.
 
 The column ⟨m|H′|n⟩ is summed as Σ_p h_p c^p X̂^p|n⟩ in χ = φ − σ = cX̂,
 c = 1/√(2ω) and X̂ = b + b†, from p = 2k down to 1.  Applying X̂ 2k times to
@@ -125,9 +125,10 @@ def _unit_column(power: int, n: int) -> Tuple[Tuple[float, ...], ...]:
     return tuple(powers)
 
 
-def h_prime_column(model: OscillatorModel, sol: HartreeSolution, n: int) -> dict:
-    """⟨m|H′|n⟩ in the mode of sol for m = max(0, n−2k)…n+2k, keyed by m."""
-    power, s = model.power, sol.sigma
+def h_prime_column(model: OscillatorModel, sol: HartreeSolution) -> dict:
+    """⟨m|H′|n⟩ in the mode of sol, n = sol.n, for m = max(0, n−2k)…n+2k,
+    keyed by m."""
+    power, s, n = model.power, sol.sigma, sol.n
     # h[p], the χ^p coefficient of H′ for p = 1…2k; at σ = 0 only h₂ = −A
     # and h_{2k} = 1 are nonzero
     h = [0.0] * power + [1.0]
@@ -149,12 +150,10 @@ def h_prime_column(model: OscillatorModel, sol: HartreeSolution, n: int) -> dict
     return column
 
 
-def second_order(
-    model: OscillatorModel, n: int, even_only: bool = False
-) -> PerturbationReport:
+def second_order(model: OscillatorModel, n: int) -> PerturbationReport:
     """Second-order Hartree-improved energy of level n."""
     sol = solve_level(model, n)
-    column = h_prime_column(model, sol, n)
+    column = h_prime_column(model, sol)
 
     # the first-order term λ⟨n|H′|n⟩ is zero by construction of C; checked,
     # never added.  ⟨n|H′|n⟩ = ⟨φ^{2k}⟩ − A⟨φ²⟩ + Bσ − C is held to 1e-9 of
@@ -170,8 +169,6 @@ def second_order(
     raw = []
     for m, element in column.items():
         if m == n:
-            continue
-        if even_only and (m - n) % 2 != 0:
             continue
         num = model.lam * element
         if num != 0.0:

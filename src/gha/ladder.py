@@ -28,11 +28,6 @@ from .errors import DomainError, _finite, _positive, _shown
 
 Key = Tuple[int, int]
 
-# Coefficients smaller than this are treated as exact zeros when
-# canonicalizing a term map.  Physics coefficients are O(1); anything at
-# this scale is floating-point debris.
-_COEFF_FLOOR = 1e-300
-
 
 @dataclass(frozen=True)
 class ModeParameters:
@@ -57,8 +52,9 @@ class NormalOrderedPolynomial:
         for (i, j), c in terms.items():
             if i < 0 or j < 0:
                 raise DomainError(f"ladder powers must be nonnegative, got {(i, j)}")
-            if c != 0.0 and abs(c) >= _COEFF_FLOOR:
-                clean[(int(i), int(j))] = clean.get((int(i), int(j)), 0.0) + float(c)
+            key = (int(i), int(j))
+            clean[key] = clean.get(key, 0.0) + float(c)
+        # only exact zeros are dropped, so the algebra stays exact near underflow
         self._terms = {k: v for k, v in clean.items() if v != 0.0}
 
     @property

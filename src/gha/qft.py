@@ -239,11 +239,14 @@ def effective_potential(theory: FieldTheory, sigma: float) -> float:
     """Gaussian effective potential U(σ) on the gap solution M²(σ)."""
     m2, i0, _, _ = _ascend(theory, sigma)
     i1 = _cutoff_integrals((1,), m2, theory.cutoff)[0]
+    lam = theory.lam
     try:
-        quartic = theory.lam * sigma**4
-    except OverflowError as exc:
-        raise NonFiniteValue(f"U({sigma}) of {theory} leaves floating-point range") from exc
-    return i1 - 3.0 * theory.lam * i0 * i0 + 0.5 * theory.m2 * sigma * sigma + quartic
+        u = i1 - 3.0 * lam * i0 * i0 + 0.5 * theory.m2 * sigma * sigma + lam * sigma**4
+    except OverflowError:  # σ⁴ past float range raises; the products give inf
+        u = math.inf
+    if not math.isfinite(u):
+        raise NonFiniteValue(f"U({sigma}) of {theory} leaves floating-point range")
+    return u
 
 
 def renormalized(theory: FieldTheory) -> RenormalizedParams:
@@ -303,13 +306,12 @@ def static_potential(r: float, mR: float) -> float:
         return 0.0
     # x·eˣK₁(x) = 1 + x + O(x² ln x) rounds to 1 below x = 1e-17
     xk1 = x * _k1_scaled(x) if x > 1e-17 else 1.0
-    try:
-        if x < 708.0:
-            u = xk1 / _FOUR_PI2 * math.exp(-x) / r / r
-        else:  # e^{−x} is no longer normal
-            u = math.exp(math.log(xk1 / _FOUR_PI2) - x - 2.0 * math.log(r))
-    except OverflowError:
-        u = math.inf
+    # neither branch raises: the divisions overflow to inf, and past x = 708,
+    # r ≥ 708/(largest float) holds the exponent below 699
+    if x < 708.0:
+        u = xk1 / _FOUR_PI2 * math.exp(-x) / r / r
+    else:  # e^{−x} is no longer normal
+        u = math.exp(math.log(xk1 / _FOUR_PI2) - x - 2.0 * math.log(r))
     if not math.isfinite(u):  # U ≈ 1/(4π²r²) at short range
         raise NonFiniteValue(f"U({r}) at mR {mR} leaves floating-point range")
     return u

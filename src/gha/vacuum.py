@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
-from .errors import DomainError, _finite, _positive
+from .errors import DomainError, NonFiniteValue, _finite, _positive
 from .hartree import OscillatorModel, solve_level
 
 
@@ -34,6 +34,8 @@ def vacuum_structure(omega: float) -> VacuumStructure:
     _positive(omega, "omega must be positive")
     alpha = -0.5 * math.log(omega)
     n0 = 0.25 * (omega + 1.0 / omega - 2.0)
+    if not n0 < math.inf:  # 1/ω overflows for ω below 1/(largest float)
+        raise NonFiniteValue(f"condensate density at omega {omega} leaves floating-point range")
     u = (1.0 - omega) / (1.0 + omega)
     return VacuumStructure(alpha=alpha, n0=n0, u=u)
 
@@ -47,12 +49,10 @@ def _coupling(lam) -> float:
         return math.inf if lam > 0 else -math.inf
 
 
-def strong_coupling_scaling(
-    model: OscillatorModel, lambdas: Iterable[float]
-) -> List[Tuple[float, float]]:
-    """Ground-state n₀ sampled over strong couplings of the quartic AHO."""
-    if model.power != 4 or model.g <= 0.0:
-        raise DomainError("strong-coupling scaling is defined for the quartic AHO")
+def strong_coupling_scaling(g: float, lambdas: Iterable[float]) -> List[Tuple[float, float]]:
+    """Ground-state n₀ of the quartic AHO ½p² + ½gφ² + λφ⁴, g > 0, sampled
+    at each coupling λ ≥ 100 of lambdas, as (λ, n₀) pairs."""
+    _positive(g, "strong-coupling scaling is defined for the quartic AHO, g > 0")
     values = [_coupling(lam) for lam in lambdas]
     if not values:
         raise DomainError("need at least one coupling")
@@ -60,7 +60,7 @@ def strong_coupling_scaling(
         raise DomainError("strong-coupling samples require lambda >= 100")
     samples = []
     for lam in values:
-        sol = solve_level(OscillatorModel(power=4, g=model.g, lam=lam), 0)
+        sol = solve_level(OscillatorModel(power=4, g=g, lam=lam), 0)
         samples.append((lam, vacuum_structure(sol.omega).n0))
     return samples
 

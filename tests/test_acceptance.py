@@ -356,10 +356,9 @@ def test_criterion_08_hartree_condition_suite():
 def test_criterion_09_vacuum_structure():
     n0 = vacuum_structure(2.0).n0
     exact = n0 == 0.125
-    model = OscillatorModel(power=4, g=1.0, lam=1.0)
 
     def fitted_slope(lo, hi):
-        return loglog_slope(strong_coupling_scaling(model, np.geomspace(lo, hi, 21)))
+        return loglog_slope(strong_coupling_scaling(1.0, np.geomspace(lo, hi, 21)))
 
     # the exact local slope is (w+1)^2/(3w^2-1) = 1/3 + 2/(3w) + O(1/w^2):
     # [1e3, 1e5] (w = 18..84) sits ~0.02 above 1/3, so the 1/3 +- 0.01

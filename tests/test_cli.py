@@ -355,11 +355,26 @@ def test_version_flag(capsys):
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "md"])
 def test_non_finite_output_exits_one(capsys, fmt):
-    # 1/omega overflows, so n0 is infinite
-    assert main(["vacuum", "--omega", "1e-320", "--format", fmt, "--no-meta"]) == 1
+    # 1/omega overflows: vacuum_structure refuses the infinite n0 itself
+    argv = ["vacuum", "--omega", "1e-320", "--format", fmt, "--no-meta"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: condensate density at omega 1e-320 leaves")
+    # and the emitter refuses an infinity that a result still carried
+    leaky = gha.vacuum.VacuumStructure(alpha=0.0, n0=math.inf, u=0.0)
+    with mock.patch("gha.cli.vacuum_structure", return_value=leaky):
+        assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: vacuum output")
+
+
+@pytest.mark.parametrize("command", ["spectrum", "hipt"])
+def test_even_only_flag_is_gone(command):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--g", "1", "--lambda", "1", "--even-only"])
+    assert info.value.code == 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -416,7 +431,8 @@ def test_level_index_past_float_range_exits_two_without_traceback(argv):
 @pytest.mark.parametrize("argv", [
     # the symmetry-restored root 7e-361 underflows, and 8e-317 is subnormal
     ["vacuum", "--g=-1.7426264624882977e55", "--lambda", "1.9574360759863343e-306"],
-    ["dwo", "--g=-4.750424056133419e162", "--lambda", "1.1754133192628986e-155"],
+    # the level path of `dwo`, whose well depth g²/(16λ) overflows first
+    ["spectrum", "--g=-4.750424056133419e162", "--lambda", "1.1754133192628986e-155"],
 ])
 def test_gap_overflow_is_a_non_finite_value(capsys, argv):
     assert main(argv + ["--no-meta"]) == 1
@@ -424,6 +440,17 @@ def test_gap_overflow_is_a_non_finite_value(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: gap root of level 0 of OscillatorModel(")
     assert captured.err.rstrip().endswith("leaves floating-point range")
+
+
+@pytest.mark.parametrize("g, lam", [("-4.750424056133419e162", "1.1754133192628986e-155"),
+                                    ("-1e200", "1")])
+def test_dwo_refuses_an_overflowing_well_depth_before_its_levels(capsys, g, lam):
+    # the depth was inf, and the level or the emitter failed after it
+    assert main(["dwo", f"--g={g}", "--lambda", lam, "--no-meta"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    model = OscillatorModel(power=4, g=float(g), lam=float(lam))
+    assert captured.err == f"error: well depth of {model!r} leaves floating-point range\n"
 
 
 @pytest.mark.parametrize("argv, g, lam", [

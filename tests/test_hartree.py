@@ -1,6 +1,7 @@
 """Gap equations, Hartree coefficients, level energies and phase selection."""
 
 import math
+import re
 import sys
 
 import mpmath as mp
@@ -421,6 +422,36 @@ def test_residual_helpers_and_moments_return_a_value_or_a_typed_error():
     for j in (172, 10**9):
         with pytest.raises(NonFiniteValue, match=f"^moment c_{j}\\(0\\)"):
             moment(j, 0)
+
+
+@pytest.mark.parametrize("power, g, lam", [(4, -1e200, 1.0), (6, -409, 5e-324)])
+def test_well_depth_past_float_range_is_non_finite(power, g, lam):
+    # g² or |g|/(2kλ) overflows without raising, and the depth was inf
+    model = OscillatorModel(power=power, g=g, lam=lam)
+    with pytest.raises(NonFiniteValue, match=rf"^well depth of {re.escape(repr(model))} leaves"):
+        classical_well_depth(model)
+
+
+def test_residual_scale_past_float_range_is_non_finite():
+    # c₀ = 2kλc_k(n)/ξ overflows without raising, and the scale was inf
+    model = OscillatorModel(power=8, g=1.0, lam=1e308)
+    with pytest.raises(NonFiniteValue, match="^gap residual scale of level 40 of Osc"):
+        gap_residual_scale(model, 40, Phase.AHO)
+
+
+@pytest.mark.parametrize("sigma", [math.inf, -math.inf, math.nan, 10**400],
+                         ids=["inf", "-inf", "nan", "10**400"])
+def test_residuals_refuse_a_shift_that_is_not_finite(sigma):
+    # ±inf and NaN came back as residuals of ±inf or NaN
+    with pytest.raises(DomainError, match="^sigma must be finite, got"):
+        general_gap_residuals(QUARTIC, 0, 2.0, sigma)
+
+
+def test_residuals_past_float_range_are_non_finite():
+    # the gap residual overflowed to −inf without raising
+    model = OscillatorModel(power=8, g=1.0, lam=1e308)
+    with pytest.raises(NonFiniteValue, match="^gap residuals of level 40 of Osc"):
+        general_gap_residuals(model, 40, 1.0, 0.0)
 
 
 def test_overflow_is_a_typed_error_naming_the_model():

@@ -82,8 +82,8 @@ def _check_column(model, sol, n):
     cold and from a warm cache of unit columns alike."""
     power = model.power
     hipt._unit_column.cache_clear()
-    column = h_prime_column(model, sol, n)
-    assert h_prime_column(model, sol, n) == column
+    column = h_prime_column(model, sol)
+    assert h_prime_column(model, sol) == column
     unit = hipt._unit_column(power, n)
     assert hipt._unit_column.cache_info().hits >= 2
     assert isinstance(unit, tuple) and all(isinstance(v, tuple) for v in unit)
@@ -241,7 +241,8 @@ def test_contribution_keeps_the_contract_of_a_frozen_record():
 
 
 @pytest.mark.parametrize("fmt, digest", [
-    ("json", "6a396ebc13cf0d9208331d3fd962d4c16f64c6d2e534c1bab1d4423b75fdaf44"),
+    # re-recorded without the retired "even_only" key, the one line it removed
+    ("json", "9c2c4e4ef5d49c4c6a8f861f9e639581e64b8bd03b08338f5a27769424fa5e8a"),
     ("csv", "f2b48f91ca058729d973921aea68c0fc6f5f165b2485bfc15fd51fdddbeced16"),
     ("md", "2f6457ca139b09d70b406e662cb2205c66de3fb955bae65bb34bd8d3bdfc8e45"),
 ])
@@ -261,11 +262,6 @@ def test_broken_branch_brings_odd_channels():
     offsets = sorted(c.m - rep.n for c in rep.contributions)
     assert any(d % 2 != 0 for d in offsets)
 
-    even = second_order(m, 0, even_only=True)
-    assert all((c.m - even.n) % 2 == 0 for c in even.contributions)
-    assert {c.m for c in even.contributions} <= {c.m for c in rep.contributions}
-    assert even.e0 == rep.e0
-
 
 def test_excited_levels_run_clean():
     for m in (QUARTIC, OscillatorModel(power=6, g=1.0, lam=10.0),
@@ -279,9 +275,9 @@ def test_excited_levels_run_clean():
 def test_nonzero_first_order_term_raises(monkeypatch):
     real = hipt.h_prime_column
 
-    def shifted(model, sol, n):
-        column = real(model, sol, n)
-        column[n] += 1e-3
+    def shifted(model, sol):
+        column = real(model, sol)
+        column[sol.n] += 1e-3
         return column
 
     monkeypatch.setattr(hipt, "h_prime_column", shifted)
@@ -311,9 +307,9 @@ def test_first_order_check_survives_optimized_mode():
         "from gha.errors import NonConvergence\n"
         "from gha.hartree import OscillatorModel\n"
         "real = hipt.h_prime_column\n"
-        "def shifted(model, sol, n):\n"
-        "    column = real(model, sol, n)\n"
-        "    column[n] += 1.0\n"
+        "def shifted(model, sol):\n"
+        "    column = real(model, sol)\n"
+        "    column[sol.n] += 1.0\n"
         "    return column\n"
         "hipt.h_prime_column = shifted\n"
         "try:\n"

@@ -198,19 +198,28 @@ def _magnitude(poly):
     return NormalOrderedPolynomial({key: abs(c) for key, c in poly.terms.items()})
 
 
+def _unit(poly):
+    return NormalOrderedPolynomial({key: 1.0 for key in poly.terms})
+
+
 @settings(max_examples=60, deadline=None)
 @given(_polys, _polys)
 # elements near 6.3e5, where abs=1e-10 was below one ulp and this failed
 @example(NormalOrderedPolynomial({(3, 1): 2.0, (4, 0): 2.0}),
          NormalOrderedPolynomial({(3, 1): 2.0, (4, 0): 1.75}))
+# 5e-301 was dropped as dust below 1e-300, 1e-290 off the matrix product
+@example(NormalOrderedPolynomial({(0, 0): 0.5}), NormalOrderedPolynomial({(0, 0): 1e-300}))
 def test_multiply_matches_matrix_product(p, q):
     prod = multiply(p, q)
     ref = poly_matrix(p) @ poly_matrix(q)
     # a few ulp of the scale of each element's terms, the same product with
-    # |coefficients|, plus what the coefficients below 1e-300 that the ladder
-    # algebra drops as dust can add up to
+    # |coefficients|, plus a few subnormal ulps of the same product with unit
+    # coefficients, for a term that rounds below the normal range and is
+    # then multiplied by its ladder factors
     scale = poly_matrix(_magnitude(p)) @ poly_matrix(_magnitude(q))
+    unit = poly_matrix(_unit(p)) @ poly_matrix(_unit(q))
     for m in range(0, 21, 5):
         for n in range(0, 21, 7):
             assert matrix_element(prod, m, n) == pytest.approx(
-                ref[m, n], rel=0.0, abs=64 * sys.float_info.epsilon * scale[m, n] + 1e-290)
+                ref[m, n], rel=0.0,
+                abs=64 * sys.float_info.epsilon * scale[m, n] + 8 * 5e-324 * unit[m, n])

@@ -1,10 +1,12 @@
 """Randomized invariants over the whole model space."""
 
+import dataclasses
 import math
 import random
 import sys
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -425,12 +427,28 @@ def _no_slow_dimension(n):
     return not (type(n) is int and 65 <= n <= 4104)
 
 
+def _held_floats(value):
+    """Every float that value holds: itself, the items of a tuple, list or
+    array, and the fields of a record."""
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, np.ndarray):
+        yield from value.ravel().tolist()
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _held_floats(item)
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from _held_floats(getattr(value, field.name))
+    elif isinstance(value, OscillatorModel):
+        yield from _held_floats([value.g, value.lam])
+
+
 # name -> (call, strategies of its arguments); every model and theory is fresh
 _DOORS = {
     "OscillatorModel": (OscillatorModel, (st.one_of(powers, _numbers), _numbers, _numbers)),
     "solve_level": (lambda m, n: solve_level(OscillatorModel(*m), n), (_models, _numbers)),
-    "second_order": (lambda m, n, even: second_order(OscillatorModel(*m), n, even),
-                     (_models, _numbers, st.booleans())),
+    "second_order": (lambda m, n: second_order(OscillatorModel(*m), n), (_models, _numbers)),
     "classical_well_depth": (lambda p, g, lam: hartree.classical_well_depth(
         OscillatorModel(p, g, lam)), (powers, _numbers, _numbers)),
     "critical_coupling": (critical_coupling, (_numbers, _numbers)),
@@ -447,14 +465,14 @@ _DOORS = {
         (_models, _numbers.filter(_no_slow_dimension), _numbers)),
     "FieldTheory": (qft.FieldTheory, (_numbers, _numbers, _numbers)),
     "solve_mass_gap": (lambda s: qft.solve_mass_gap(qft.FieldTheory(*_theory), s), (_numbers,)),
-    "effective_potential": (lambda s: qft.effective_potential(qft.FieldTheory(*_theory), s),
-                            (_numbers,)),
+    "effective_potential": (lambda m2, lam, cut, s: qft.effective_potential(
+        qft.FieldTheory(m2, lam, cut), s), (_numbers,) * 4),
     "renormalized": (lambda *t: qft.renormalized(qft.FieldTheory(*t)), (_numbers,) * 3),
     "stevenson": (qft.stevenson, (_numbers, _numbers, _numbers)),
     "static_potential": (qft.static_potential, (_numbers, _numbers)),
     "vacuum_structure": (vacuum_structure, (_numbers,)),
-    "strong_coupling_scaling": (lambda lams: strong_coupling_scaling(
-        OscillatorModel(4, 1.0, 100.0), lams), (st.lists(_numbers, max_size=3),)),
+    "strong_coupling_scaling": (strong_coupling_scaling,
+                                (_numbers, st.lists(_numbers, max_size=3))),
     "loglog_slope": (loglog_slope, (st.lists(st.tuples(_numbers, _numbers), max_size=3),)),
     "reference_table": (tables.reference_table, (_numbers,)),
     "run_table": (tables.run_table, (_numbers, _numbers, _numbers)),
@@ -466,18 +484,31 @@ _DOORS = {
     lambda name: st.tuples(st.just(name), st.tuples(*_DOORS[name][1]))))
 # each raised a bare OverflowError, ValueError or TypeError
 @example(("solve_level", ((4, 1.0, 1.0), 10**400)))
-@example(("second_order", ((4, 1.0, 1.0), 10**400, False)))
+@example(("second_order", ((4, 1.0, 1.0), 10**400)))
 @example(("hamiltonian_matrix", ((4, 1.0, 1.0), 10**20, 1.0)))
 @example(("hamiltonian_matrix", ((4, 1.0, 1.0), 4, 10**300)))
 @example(("general_gap_residuals", ((4, 1.0, 1.0), 0, 1.0, 1e200)))
 @example(("gap_residual_scale", ((4, 1.0, 1.0), 0, "XX")))
 @example(("moment", (2, 3.0)))
 @example(("moment", (4, 10**200)))
+# each returned an infinity or a NaN
+@example(("effective_potential", (1.0, 1e10, 10.0, 1e75)))
+@example(("vacuum_structure", (5e-324,)))
+@example(("classical_well_depth", (4, -1e200, 1.0)))
+@example(("classical_well_depth", (6, -409, 5e-324)))
+@example(("gap_residual_scale", ((8, 1.0, 1e308), 40, Phase.AHO)))
+@example(("general_gap_residuals", ((4, 1.0, 1.0), 0, 2.0, math.inf)))
+@example(("general_gap_residuals", ((4, 1.0, 1.0), 0, 2.0, -math.inf)))
+@example(("general_gap_residuals", ((4, 1.0, 1.0), 0, 2.0, math.nan)))
+@example(("general_gap_residuals", ((8, 1.0, 1e308), 40, 1.0, 0.0)))
 def test_every_public_door_returns_a_value_or_raises_a_gha_error(door):
     # the door contract: whatever number reaches a public argument, the call
-    # returns or raises a GhaError, never a bare arithmetic or type error
+    # returns a value whose every float is finite or raises a GhaError, never
+    # a bare arithmetic or type error
     name, args = door
     try:
-        _DOORS[name][0](*args)
+        value = _DOORS[name][0](*args)
     except GhaError:
-        pass
+        return
+    held = list(_held_floats(value))
+    assert all(math.isfinite(x) for x in held), (value, held)

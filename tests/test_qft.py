@@ -1,6 +1,7 @@
 """Gaussian effective potential of the λφ⁴ field theory in 3+1 dimensions."""
 
 import math
+import re
 import sys
 
 import mpmath as mp
@@ -105,6 +106,13 @@ def test_mass_gap_rejects_bad_shift_by_name(sigma):
 def test_potential_overflow_is_typed():
     with pytest.raises(NonFiniteValue):
         effective_potential(THEORY, 1e100)
+
+
+def test_potential_whose_sum_overflows_is_non_finite():
+    # λσ⁴ = 1e310 overflows without raising, and U was returned as inf
+    theory = FieldTheory(m2=1.0, lam=1e10, cutoff=10.0)
+    with pytest.raises(NonFiniteValue, match=rf"^U\(1e\+75\) of {re.escape(repr(theory))} leaves"):
+        effective_potential(theory, 1e75)
 
 
 # an int that no float can hold: math.isfinite and float() raise OverflowError
@@ -379,10 +387,13 @@ _SCALE = _log_uniform(1e-8, 1e8) | _log_uniform(1e-300, 1e300)
 @example(m2=1.0, lam=1e-3, cutoff=1e100, sigma=0.0)
 # U's quartic term overflows after the gap has solved
 @example(m2=1.0, lam=0.1, cutoff=10.0, sigma=1e80)
+# U's sum overflows to inf without raising
+@example(m2=1.0, lam=1e10, cutoff=10.0, sigma=1e75)
 def test_potential_and_renormalized_are_their_formulas_on_the_gap_state(m2, lam, cutoff, sigma):
     # U and (m_R², λ_R) run the gap ascent without building a GapState; each
     # is the float expression of its formula on solve_mass_gap's state, bit
-    # for bit, and fails where solve_mass_gap does, with its error
+    # for bit, and fails where solve_mass_gap does, with its error; U is a
+    # NonFiniteValue where the formula leaves float range
     theory = FieldTheory(m2=m2, lam=lam, cutoff=cutoff)
 
     def on_state():
@@ -392,9 +403,13 @@ def test_potential_and_renormalized_are_their_formulas_on_the_gap_state(m2, lam,
 
     potential = _hex_or_error(lambda: [effective_potential(theory, sigma)])
     try:
-        assert potential == _hex_or_error(on_state)
-    except OverflowError:  # λσ⁴ alone leaves float range
+        expected = _hex_or_error(on_state)
+    except OverflowError:  # λσ⁴ alone raises
+        expected = ["inf"]
+    if isinstance(expected, list) and not math.isfinite(float.fromhex(expected[0])):
         assert potential[0] is NonFiniteValue and potential[1].startswith(f"U({sigma})")
+    else:
+        assert potential == expected
 
     def renormalized_on_state():
         bar = solve_mass_gap(theory, 0.0)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gha.errors import DomainError
+from gha.errors import DomainError, NonFiniteValue
 from gha.hartree import OscillatorModel
 from gha.vacuum import (
     loglog_slope,
@@ -57,13 +57,14 @@ def test_vacuum_structure_rejects_bad_frequency():
 
 
 def test_scan_validation():
-    m = OscillatorModel(power=4, g=1.0, lam=1.0)
     with pytest.raises(DomainError):
-        strong_coupling_scaling(m, [50.0, 200.0])
+        strong_coupling_scaling(1.0, [50.0, 200.0])
     with pytest.raises(DomainError):
-        strong_coupling_scaling(OscillatorModel(power=6, g=1.0, lam=1.0), [1e3])
-    with pytest.raises(DomainError):
-        strong_coupling_scaling(m, [])
+        strong_coupling_scaling(1.0, [])
+    # the scan is of the quartic AHO, so g must be positive and finite
+    for g in (0.0, -1.0, math.inf, math.nan, 10**400):
+        with pytest.raises(DomainError, match="quartic AHO, g > 0, got"):
+            strong_coupling_scaling(g, [1e3])
     with pytest.raises(DomainError):
         loglog_slope([(1e3, 0.5)])
     with pytest.raises(DomainError):
@@ -88,28 +89,25 @@ def test_slope_matches_numpy_polyfit_on_random_samples():
 
 def test_slope_matches_numpy_polyfit_on_strong_coupling_scans():
     # the windows acceptance criterion 9 fits
-    m = OscillatorModel(power=4, g=1.0, lam=1.0)
     windows = [(1e3, 1e5), (1e6, 1e8), (1e8, 1e10)]
     windows += [(10.0**e, 10.0 ** (e + 1)) for e in range(3, 10)]
     for lo, hi in windows:
-        samples = strong_coupling_scaling(m, np.geomspace(lo, hi, 21))
+        samples = strong_coupling_scaling(1.0, np.geomspace(lo, hi, 21))
         lams, n0s = zip(*samples)
         reference = np.polyfit(np.log(lams), np.log(n0s), 1)[0]
         assert loglog_slope(samples) == pytest.approx(reference, rel=1e-12, abs=0.0)
 
 
 def test_occupation_grows_with_coupling():
-    m = OscillatorModel(power=4, g=1.0, lam=1.0)
     lams = np.geomspace(100.0, 1e6, 25)
-    samples = strong_coupling_scaling(m, lams)
+    samples = strong_coupling_scaling(1.0, lams)
     assert [s[0] for s in samples] == pytest.approx(list(lams))
     n0 = [s[1] for s in samples]
     assert all(b > a for a, b in zip(n0, n0[1:]))
 
 
 def test_top_decade_slope():
-    m = OscillatorModel(power=4, g=1.0, lam=1.0)
-    samples = strong_coupling_scaling(m, np.geomspace(1e4, 1e5, 11))
+    samples = strong_coupling_scaling(1.0, np.geomspace(1e4, 1e5, 11))
     slope = loglog_slope(samples)
     assert 0.32 <= slope <= 0.35
 
@@ -117,10 +115,9 @@ def test_top_decade_slope():
 def test_slope_converges_to_one_third_from_above():
     # n0 ~ lambda^(1/3) up to a subleading term that decays slowly, so any
     # finite window overshoots 1/3 and wider windows overshoot more
-    m = OscillatorModel(power=4, g=1.0, lam=1.0)
-    wide = loglog_slope(strong_coupling_scaling(m, np.geomspace(1e3, 1e5, 21)))
-    top = loglog_slope(strong_coupling_scaling(m, np.geomspace(1e4, 1e5, 11)))
-    far = loglog_slope(strong_coupling_scaling(m, np.geomspace(1e9, 1e10, 11)))
+    wide = loglog_slope(strong_coupling_scaling(1.0, np.geomspace(1e3, 1e5, 21)))
+    top = loglog_slope(strong_coupling_scaling(1.0, np.geomspace(1e4, 1e5, 11)))
+    far = loglog_slope(strong_coupling_scaling(1.0, np.geomspace(1e9, 1e10, 11)))
     assert 0.33 < wide < 0.36
     assert top < wide
     assert abs(far - 1.0 / 3.0) < 1e-3
@@ -146,6 +143,12 @@ def test_occupation_monotone_in_coupling():
         prev = n0
 
 
+def test_condensate_density_past_float_range_is_non_finite():
+    # 1/ω overflows, and n0 was returned as inf
+    with pytest.raises(NonFiniteValue, match="^condensate density at omega 5e-324 leaves"):
+        vacuum_structure(5e-324)
+
+
 def test_omega_too_large_for_a_float_is_a_domain_error():
     with pytest.raises(DomainError, match="omega"):
         vacuum_structure(10**400)
@@ -158,7 +161,6 @@ def test_omega_too_large_for_a_float_is_a_domain_error():
 def test_scan_coupling_too_large_for_a_float_is_that_of_an_infinite_float(big, message):
     # float(10**400) raised a raw OverflowError; the int now gets the
     # DomainError, message and all, of the infinite float of its sign
-    m = OscillatorModel(power=4, g=1.0, lam=1.0)
     for lam in (big, math.inf if big > 0 else -math.inf):
         with pytest.raises(DomainError, match=message):
-            strong_coupling_scaling(m, [1e3, lam])
+            strong_coupling_scaling(1.0, [1e3, lam])

@@ -1,11 +1,15 @@
-"""Exception types shared across the package, and the two door checks for
-public numeric arguments.
+"""Exception types shared across the package, the two door checks for
+public numeric arguments and the one exit check for public results.
 
 `_positive` admits a positive finite number and `_index` an integer (a type
 with `__index__`) at or above its least value.  Both refuse an int too large
 for a float, which would overflow later in float arithmetic, and both raise
 `DomainError(f"{what}, got {x}")`: the message names the rule and the value,
 or, for an int too long to print, its size (`_shown`).
+
+`_in_range` passes on a finite result and raises `NonFiniteValue` for inf or
+NaN, with a message it formats only then, so a result in range costs one call
+and no string work.
 """
 
 import math
@@ -63,3 +67,10 @@ def _index(n, what: str, least: int = 0) -> None:
     a float n is refused even where it is integral."""
     if not (hasattr(n, "__index__") and n >= least and _finite(n)):
         raise DomainError(f"{what}, got {_shown(n, repr)}")
+
+
+def _in_range(x: float, message: str, *parts) -> float:
+    """x where it is finite, else NonFiniteValue(message.format(*parts))."""
+    if math.isfinite(x):
+        return x
+    raise NonFiniteValue(message.format(*parts))

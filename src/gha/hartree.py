@@ -135,7 +135,7 @@ from enum import Enum
 from typing import Optional, Tuple
 
 from .errors import (DomainError, NonConvergence, NonFiniteValue, PhaseUnavailable, _finite,
-                     _index, _positive, _shown)
+                     _in_range, _index, _positive, _shown)
 
 # Newton descends monotonically from its start.  Over whole-range draws it
 # took at most 8 steps at σ = 0 and 29 on the broken branch, whose root nears
@@ -253,7 +253,7 @@ def moment(j: int, n: int) -> float:
         total = sum(math.comb(j, i) * math.comb(n, i) * 2**i for i in range(j + 1))
         try:
             return math.prod(range(1, 2 * j, 2)) * total / 2**j
-        except OverflowError:
+        except OverflowError:  # inline, not errors._in_range: int / int raises, not inf
             pass
     raise NonFiniteValue(f"moment c_{_shown(j)}({n}) leaves floating-point range")
 
@@ -302,11 +302,9 @@ def critical_coupling(xi: float, g: float) -> float:
     try:
         # below g ≈ −9e307 it is −2g that overflows, to inf and without raising
         lam_c = (-2.0 * g / 3.0) ** 1.5 / (3.0 * xi_p(xi))
-        if lam_c < math.inf:
-            return lam_c
     except OverflowError:
-        pass
-    raise NonFiniteValue(f"lambda_c at g={g} leaves floating-point range")
+        lam_c = math.inf
+    return _in_range(lam_c, "lambda_c at g={} leaves floating-point range", g)
 
 
 def _gap_poly(model: OscillatorModel, n: int, xi: float, phase: Phase,
@@ -398,6 +396,7 @@ def _branch(model: OscillatorModel, n: int, xi: float,
     # checked before the residual, since below the normal range the descent
     # loses digits; ω is not finite where −2g overflowed on the broken cubic
     omega = math.ldexp(w, j)
+    # inline, not errors._in_range: ω must be normal, not only finite
     if not _TINY <= omega < math.inf:
         raise NonFiniteValue(f"gap root of level {n} of {model} leaves floating-point range")
     # the residual is a sum of the terms of f₁, and rounding in the largest
@@ -438,7 +437,8 @@ def _winner(model: OscillatorModel, n: int, xi: float):
             # winner alone or, where the broken branch exists, both branches
             # (the winner among them).  σ ≥ 0 and σ² ≤ the largest float, so
             # σ + E₀ is finite exactly where both are.  No loop: this runs
-            # 1 + 2k times per second-order level
+            # 1 + 2k times per second-order level, and for the same reason it
+            # is inline, not errors._in_range, which takes one value per call
             both = won[4]
             if not (math.isfinite(won[1] + won[3]) if both is None else
                     math.isfinite(both[0][1] + both[0][3])
@@ -470,8 +470,7 @@ def solve_level(model: OscillatorModel, n: int) -> HartreeSolution:
                 f"level {n} of {model} leaves floating-point range: {exc}") from exc
         # a product or a sum that overflows gives inf or nan without raising.
         # ω is finite, and a non-finite A, B, C or σ makes h0 non-finite too
-        if not math.isfinite(sol.h0):
-            raise NonFiniteValue(f"level {n} of {model} leaves floating-point range")
+        _in_range(sol.h0, "level {} of {} leaves floating-point range", n, model)
         model._levels[n] = sol
     return sol
 
@@ -510,9 +509,8 @@ def general_gap_residuals(
         # a power past float range raises, as does a moment over ω^j = 0.0;
         # a product past float range gives inf or NaN instead
         gap = shift = math.inf
-    if not (math.isfinite(gap) and math.isfinite(shift)):
-        raise NonFiniteValue(f"gap residuals of level {n} of {model} leave floating-point range")
-    return gap, shift
+    message = "gap residuals of level {} of {} leave floating-point range"
+    return _in_range(gap, message, n, model), _in_range(shift, message, n, model)
 
 
 def gap_residual_scale(model: OscillatorModel, n: int, phase: Phase) -> float:
@@ -520,23 +518,27 @@ def gap_residual_scale(model: OscillatorModel, n: int, phase: Phase) -> float:
     residual smallness without pretending float64 can do better than eps."""
     if phase not in (_AHO, _DWO_SR, _DWO_SSB):
         raise DomainError(f"phase must be AHO, DWO_SR or DWO_SSB, got {_shown(phase, repr)}")
-    scale = max(1.0, abs(_gap_poly(model, n, _xi(n), Phase(phase), model.lam)[2]))
-    if scale < math.inf:
-        return scale
-    raise NonFiniteValue(f"gap residual scale of level {n} of {model} leaves floating-point range")
+    return _in_range(max(1.0, abs(_gap_poly(model, n, _xi(n), Phase(phase), model.lam)[2])),
+                     "gap residual scale of level {} of {} leaves floating-point range", n, model)
 
 
 def _well_depth(model: OscillatorModel) -> float:
-    """`classical_well_depth` before its range check, inf or NaN where that
+    """`classical_well_depth` before its range check, inf where that
     overflows; the broken branch subtracts it, and the winner step's range
     rule then fails the level."""
     # as a float: the square of an int g past 2^512 does not convert to one
     g, lam, k = float(model.g), model.lam, model.k
     if g > 0.0:
         return 0.0
-    # g² and the products overflow to inf without raising; 16λ's inf gives NaN
-    return (g * g / (16.0 * lam) if k == 2 else
-            (k - 1) / (2 * k) * abs(g) * (abs(g) / (2 * k * lam)) ** (1.0 / (k - 1)))
+    # g² and the products overflow to inf without raising.  16λ overflows
+    # for λ above about 1.1e307, and 2kλ above max/(2k), where g²/λ ≤ 16 and
+    # |g|/λ ≤ 2k do not: there λ divides first
+    if k == 2:
+        d = 16.0 * lam
+        return g * g / d if d < math.inf else g * g / lam / 16.0
+    d = 2 * k * lam
+    ratio = abs(g) / d if d < math.inf else abs(g) / lam / (2 * k)
+    return (k - 1) / (2 * k) * abs(g) * ratio ** (1.0 / (k - 1))
 
 
 def classical_well_depth(model: OscillatorModel) -> float:
@@ -546,7 +548,4 @@ def classical_well_depth(model: OscillatorModel) -> float:
     which is g²/(16λ) for the quartic.  For g > 0 there is no well: the
     minimum is V(0) = 0 and the depth 0.0.  A depth past float range is a
     `NonFiniteValue`."""
-    depth = _well_depth(model)
-    if depth < math.inf:
-        return depth
-    raise NonFiniteValue(f"well depth of {model} leaves floating-point range")
+    return _in_range(_well_depth(model), "well depth of {} leaves floating-point range", model)

@@ -193,6 +193,7 @@ def hamiltonian_matrix(
         values = ((model.lam / np.float64(2.0 * w) ** k) * x_power
                   + (0.5 * (model.g - w * w) / (2.0 * w)) * x_squared
                   + w * level)
+    # inline, not errors._in_range: the values are a numpy array, not a float
     if not np.isfinite(values).all():
         raise NonFiniteValue(f"H of {model} at basis frequency {w!r} leaves floating-point range")
     # one allocation for both blocks, as two fresh half-size arrays can cost a

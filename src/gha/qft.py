@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NonConvergence, NonFiniteValue, _finite, _positive, _shown
+from .errors import DomainError, NonConvergence, NonFiniteValue, _in_range, _positive, _shown
 
 _FOUR_PI2 = 4.0 * math.pi * math.pi
 _LN2 = math.log(2.0)
@@ -144,6 +144,9 @@ def _cutoff_integrals(orders, M2: float, cutoff: float) -> list:
                          - M2 * M2 * lt / 8.0) / _FOUR_PI2
         except OverflowError:
             value = math.inf
+        # inline, not errors._in_range: a field-theory point takes about 21
+        # calls, and as many ascent steps, where a helper call each would add
+        # about 60 ns, some 10% of the point's time
         if not math.isfinite(value):
             raise NonFiniteValue(f"I_{n}({M2}) at cutoff {cutoff} leaves floating-point range")
         values.append(value)
@@ -151,20 +154,22 @@ def _cutoff_integrals(orders, M2: float, cutoff: float) -> list:
 
 
 def stevenson(n: int, M2: float, cutoff: float) -> float:
-    """Cutoff integral I_n(M²) for n ∈ {−1, 0, 1}.
+    """Cutoff integral I_n(M²) for n ∈ {−1, 0, 1}.  A door only: it checks
+    n, M² and Λ and calls `_cutoff_integrals`, which the module's own callers,
+    whose arguments are valid by construction, call directly.
 
     Closed forms for Λ ≥ M/2.  Below that they cancel to a relative error of
     about ε(M/Λ)³, and the heavy-mass series takes over.
     """
     if n not in (-1, 0, 1):
         raise DomainError(f"only n in {{-1, 0, 1}} supported, got {_shown(n)}")
-    if not (M2 > 0.0 and _finite(M2)) or not (cutoff > 0.0 and _finite(cutoff)):
-        raise DomainError(f"need finite M2 > 0 and cutoff > 0, got {_shown(M2)}, {_shown(cutoff)}")
+    _positive(M2, "M2 must be positive and finite")
+    _positive(cutoff, "cutoff must be positive and finite")
     return _cutoff_integrals((n,), M2, cutoff)[0]
 
 
 def _gap_source(lam: float, M2: float, cutoff: float, i0: float) -> float:
-    """12λI₀(M²), given a subnormal I₀ = stevenson(0, M², Λ), without its subnormal factor.
+    """12λI₀(M²), given a subnormal I₀(M²) at cutoff Λ, without its subnormal factor.
 
     Where Λ³/M or Λ² falls below about 1e-306, I₀ is subnormal and keeps only
     a few digits, although 12λI₀ in the gap equation can be a normal number.
@@ -179,7 +184,7 @@ def _gap_source(lam: float, M2: float, cutoff: float, i0: float) -> float:
     if length == 0.0:
         return 12.0 * lam * i0
     coupling, e_lam = math.frexp(lam)
-    unit, e_unit = math.frexp(stevenson(0, math.ldexp(M2, -2 * s), length))
+    unit, e_unit = math.frexp(_cutoff_integrals((0,), math.ldexp(M2, -2 * s), length)[0])
     return math.ldexp(12.0 * coupling * unit, e_lam + e_unit + 2 * s)
 
 
@@ -200,7 +205,9 @@ def _ascend(theory: FieldTheory, sigma: float):
         source = 12.0 * lam * i0 if i0 >= _NORMAL_MIN else _gap_source(lam, m2, cut, i0)
         f = m2 - base - source
         step = m2 - f / (1.0 + 6.0 * lam * im1)
-        # inf where the climb leaves float range, NaN where 12λI₀ and 6λI₋₁ both do
+        # inf where the climb leaves float range, NaN where 12λI₀ and 6λI₋₁ both
+        # do; inline, not errors._in_range: it runs once per step, for the
+        # reason `_cutoff_integrals` gives
         if not step < math.inf:
             raise NonFiniteValue(f"mass gap M2 of {theory} at sigma={sigma} leaves floating-point range")
         if not step > m2:
@@ -229,10 +236,10 @@ def solve_mass_gap(theory: FieldTheory, sigma: float) -> GapState:
 
     The ascent is the private `_ascend`, which returns the raw (M², I₀, I₋₁,
     F); `effective_potential` and `renormalized` call it directly.  Only this
-    function builds a `GapState`, and only it adds I₁ = `stevenson(1, M², Λ)`.
+    function builds a `GapState`, and only it adds I₁(M²).
     """
     m2, i0, im1, f = _ascend(theory, sigma)
-    return GapState(float(sigma), m2, i0, stevenson(1, m2, theory.cutoff), im1, f)
+    return GapState(float(sigma), m2, i0, _cutoff_integrals((1,), m2, theory.cutoff)[0], im1, f)
 
 
 def effective_potential(theory: FieldTheory, sigma: float) -> float:
@@ -244,9 +251,7 @@ def effective_potential(theory: FieldTheory, sigma: float) -> float:
         u = i1 - 3.0 * lam * i0 * i0 + 0.5 * theory.m2 * sigma * sigma + lam * sigma**4
     except OverflowError:  # σ⁴ past float range raises; the products give inf
         u = math.inf
-    if not math.isfinite(u):
-        raise NonFiniteValue(f"U({sigma}) of {theory} leaves floating-point range")
-    return u
+    return _in_range(u, "U({}) of {} leaves floating-point range", sigma, theory)
 
 
 def renormalized(theory: FieldTheory) -> RenormalizedParams:
@@ -312,6 +317,5 @@ def static_potential(r: float, mR: float) -> float:
         u = xk1 / _FOUR_PI2 * math.exp(-x) / r / r
     else:  # e^{−x} is no longer normal
         u = math.exp(math.log(xk1 / _FOUR_PI2) - x - 2.0 * math.log(r))
-    if not math.isfinite(u):  # U ≈ 1/(4π²r²) at short range
-        raise NonFiniteValue(f"U({r}) at mR {mR} leaves floating-point range")
-    return u
+    # U ≈ 1/(4π²r²) overflows at short range
+    return _in_range(u, "U({}) at mR {} leaves floating-point range", r, mR)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Optional, Tuple
 
-from .errors import DomainError, _positive, _shown
+from .errors import DomainError, _shown
 from .hartree import OscillatorModel, classical_well_depth, solve_level
 from .hipt import second_order
 from .oracle import converged_levels
@@ -383,9 +383,7 @@ def _plan(table_id: int):
     return table.power, table.g, scale, tuple(columns), cells, percents
 
 
-def run_table(table_id: int,
-              tol: Optional[float] = None,
-              threads: Optional[int] = None) -> ComparisonReport:
+def run_table(table_id: int, threads: Optional[int] = None) -> ComparisonReport:
     """Recompute one benchmark table and compare against its printed values.
 
     The run is one pass over the table's plan (`_plan`), cell by cell in the
@@ -393,19 +391,17 @@ def run_table(table_id: int,
     makes a fresh model per coupling column, so each level is solved once
     per run, and its oracle spectrum once, on first use, up to the column's
     largest quoted level.  The percent rows come last and read the GHA rows
-    and quoted values already in place.  `tol`, when given, replaces every
-    per-provenance tolerance at once and must lie in (0, inf).  `threads`
-    accepts only None or 1; it stays while bench/make_expected.py passes
-    threads=1 and goes at the next change to the benchmark.
+    and quoted values already in place.  A row that is not disputed passes
+    within the fixed tolerance of its provenance: the table's `GHA_TOL`,
+    `HIPT_TOL` or `EXTERNAL_TOL`.  `threads` accepts only None or 1; it
+    stays while bench/make_expected.py passes threads=1 and goes at the next
+    change to the benchmark.
     """
     power, g, scale, columns, cells, percents = _plan(table_id)
     if threads not in (None, 1):
         raise DomainError(f"tables are computed serially; threads must be 1, got {_shown(threads)}")
     tols = {"GHA": GHA_TOL[table_id], "HIPT": HIPT_TOL.get(table_id, 2e-3),
             "EXTERNAL_REF": EXTERNAL_TOL}
-    if tol is not None:
-        _positive(tol, "tolerance must lie in (0, inf)")
-        tols = dict.fromkeys(tols, tol)
 
     models = [OscillatorModel(power, g, lam) for lam, _, _ in columns]
     spectra = {}

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
-from .errors import DomainError, NonFiniteValue, _finite, _positive
+from .errors import DomainError, _finite, _in_range, _positive
 from .hartree import OscillatorModel, solve_level
 
 
@@ -33,9 +33,9 @@ def vacuum_structure(omega: float) -> VacuumStructure:
     """Bogoliubov parameter, condensate density, and structure parameter."""
     _positive(omega, "omega must be positive")
     alpha = -0.5 * math.log(omega)
-    n0 = 0.25 * (omega + 1.0 / omega - 2.0)
-    if not n0 < math.inf:  # 1/ω overflows for ω below 1/(largest float)
-        raise NonFiniteValue(f"condensate density at omega {omega} leaves floating-point range")
+    # 1/ω overflows for ω below 1/(largest float)
+    n0 = _in_range(0.25 * (omega + 1.0 / omega - 2.0),
+                   "condensate density at omega {} leaves floating-point range", omega)
     u = (1.0 - omega) / (1.0 + omega)
     return VacuumStructure(alpha=alpha, n0=n0, u=u)
 

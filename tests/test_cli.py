@@ -280,14 +280,20 @@ def test_table_compare_exit_codes(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["summary"]["failures"] == 0
 
-    assert main(["table", "1", "--compare", "--tol", "1e-12", "--no-meta"]) == 1
-    capsys.readouterr()
+    # a failed comparison exits 1 and still prints its report
+    with mock.patch.dict(gha.tables.GHA_TOL, {1: 1e-12}):
+        assert main(["table", "1", "--compare", "--no-meta"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["summary"]["failures"] > 0
 
-    for tol in ("nan", "-1", "0", "inf"):
-        assert main(["table", "1", "--compare", "--tol", tol, "--no-meta"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "error: tolerance must lie in (0, inf)" in captured.err
+
+def test_table_tolerance_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["table", "1", "--compare", "--tol", "1e-3"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --tol 1e-3" in captured.err
 
 
 def test_table_listing(capsys):
@@ -440,6 +446,12 @@ def test_gap_overflow_is_a_non_finite_value(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: gap root of level 0 of OscillatorModel(")
     assert captured.err.rstrip().endswith("leaves floating-point range")
+
+
+def test_dwo_well_depth_where_16_lambda_overflows(capsys):
+    # 16λ = inf made the reported depth g²/inf = 0.0; g²/(16λ) is 6.25e-10
+    doc = run_json(capsys, ["dwo", "--g=-1e150", "--lambda", "1e308", "--levels", "0"])
+    assert doc["well_depth"] == pytest.approx(6.25e-10, rel=4e-16)
 
 
 @pytest.mark.parametrize("g, lam", [("-4.750424056133419e162", "1.1754133192628986e-155"),
@@ -711,18 +723,10 @@ def test_fuzzed_oracle_exits_cleanly(argv):
         _assert_clean_exit(argv)
 
 
-_TABLE_ARGV = st.tuples(st.sampled_from(["1", "2", "3", "4"]), _reals | _specials).map(
-    lambda draw: ["table", draw[0], "--compare", f"--tol={draw[1]}"])
-
-
-@settings(max_examples=100, deadline=None)
-@given(_TABLE_ARGV)
-def test_fuzzed_table_exits_cleanly(argv):
-    # a failed comparison (exit 1) still prints its report; a numerical
-    # failure (exit 1) and a usage error (exit 2) print nothing
-    code, out = _run_clean(argv)
-    if code == 2:
-        assert out == "", argv
-    elif code == 0 or out:
-        doc = json.loads(out, parse_constant=pytest.fail)
-        assert (doc["summary"]["failures"] > 0) == (code == 1), argv
+@pytest.mark.parametrize("table_id", ["1", "2", "3", "4"])
+def test_fuzzed_table_exits_cleanly(table_id):
+    # with no tolerance to draw, each table replays to a finite report that
+    # passes: the exit code agrees with its failure count
+    code, out = _run_clean(["table", table_id, "--compare"])
+    doc = json.loads(out, parse_constant=pytest.fail)
+    assert (code, doc["summary"]["failures"]) == (0, 0)

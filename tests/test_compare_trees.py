@@ -19,13 +19,16 @@ def compare(parent, change):
     return proc.returncode, int(total.group(1)), proc.stdout
 
 
-HARTREE_PROBES = ("hartree.solve_level", "hipt.second_order", "hartree.critical_coupling")
-QFT_PROBES = ("qft.solve_mass_gap", "qft.renormalized", "qft.effective_potential")
+HARTREE_PROBES = ("hartree.solve_level", "hipt.second_order", "hartree.critical_coupling",
+                  "hartree.classical_well_depth", "hartree.gap_residual_scale")
+QFT_PROBES = ("qft.solve_mass_gap", "qft.renormalized", "qft.effective_potential",
+              "qft.static_potential")
+VACUUM_PROBES = ("vacuum.vacuum_structure",)
 # the probes that certify levels, on normal-range draws and on doublets
 LEVEL_PROBES = ("oracle.converged_levels", "oracle.converged_levels.doublets")
 MATRIX_PROBES = ("oracle.hamiltonian_matrix",)
 ORACLE_PROBES = LEVEL_PROBES + MATRIX_PROBES
-PROBES = HARTREE_PROBES + QFT_PROBES + ORACLE_PROBES
+PROBES = HARTREE_PROBES + QFT_PROBES + VACUUM_PROBES + ORACLE_PROBES
 # draws per seed at --draws 60: 60 whole-range and 30 normal-range ones, the
 # oracle's minimum of 20 for each level probe, and one matrix build per
 # dimension 1..140
@@ -74,14 +77,14 @@ def test_a_perturbed_qft_constant_shows_in_the_qft_probes_alone(tmp_path):
     code, total, out = compare(SRC, change)
     assert code == 1 and total > 0, out
     rows = rows_of(out)
-    assert all(bad == 0 for name in HARTREE_PROBES + ORACLE_PROBES
+    assert all(bad == 0 for name in HARTREE_PROBES + VACUUM_PROBES + ORACLE_PROBES
                for bad, *_ in rows[name]), out
-    # 1/(4π²) scales every cutoff integral, so all three probes move values
+    # 1/(4π²) scales every cutoff integral and U(r), so all four probes move values
     for name in QFT_PROBES:
         assert sum(value for *_, value in rows[name]) > 0, (name, out)
         assert f"examples of {name}, value mismatches:" in out, out
     assert "examples of hartree" not in out and "examples of hipt" not in out, out
-    assert "examples of oracle" not in out, out
+    assert "examples of oracle" not in out and "examples of vacuum" not in out, out
 
 
 def test_a_perturbed_oracle_constant_shows_in_the_oracle_probe_alone(tmp_path):
@@ -95,7 +98,7 @@ def test_a_perturbed_oracle_constant_shows_in_the_oracle_probe_alone(tmp_path):
     for name in LEVEL_PROBES:
         assert rows[name] == [[20, 0, 0, 20]] * 3, out
         assert f"examples of {name}, value mismatches:" in out, out
-    assert all(bad == 0 for name in HARTREE_PROBES + QFT_PROBES + MATRIX_PROBES
+    assert all(bad == 0 for name in HARTREE_PROBES + QFT_PROBES + VACUUM_PROBES + MATRIX_PROBES
                for bad, *_ in rows[name]), out
     assert re.findall(r"^examples of ([\w.]+)", out, re.M) == list(LEVEL_PROBES), out
 
@@ -109,7 +112,8 @@ def test_a_perturbed_matrix_level_shows_in_the_oracle_probes_alone(tmp_path):
     # every diagonal element moves, at every dimension and frequency
     assert rows["oracle.hamiltonian_matrix"] == [[140, 0, 0, 140]] * 3, out
     assert sum(bad for bad, *_ in rows["oracle.converged_levels"]) > 0, out
-    assert all(bad == 0 for name in HARTREE_PROBES + QFT_PROBES for bad, *_ in rows[name]), out
+    assert all(bad == 0 for name in HARTREE_PROBES + QFT_PROBES + VACUUM_PROBES
+               for bad, *_ in rows[name]), out
     assert "examples of oracle.hamiltonian_matrix, value mismatches:" in out, out
 
 
@@ -119,7 +123,7 @@ def test_a_perturbed_constant_shows_as_mismatches(tmp_path):
     assert code == 1 and total > 0, out
     # each mismatch changes the class, only the message or only the value
     rows = re.findall(r"^[\w.]+ +\d+ +\d+ +(\d+) +(\d+) +(\d+) +(\d+) +\w+ +\w+$", out, re.M)
-    assert len(rows) == 27, out
+    assert len(rows) == 39, out
     split = [[int(count) for count in row] for row in rows]
     assert all(bad == sum(kinds) for bad, *kinds in split), out
     assert sum(bad for bad, *_ in split) == total, out

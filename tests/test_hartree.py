@@ -212,6 +212,22 @@ def test_well_depth_is_the_minimum_of_the_potential(power, g, lam):
     assert abs(depth - exact) <= 4 * sys.float_info.epsilon * exact, (depth, exact)
 
 
+@pytest.mark.parametrize("power", [4, 6, 8])
+@pytest.mark.parametrize("g, lam", [(-1e150, 1e308), (-1e154, 1.5e308)])
+def test_well_depth_where_16_lambda_overflows(power, g, lam):
+    # 16λ (2kλ for the sextic and octic) overflows, and |g|²/inf or
+    # (|g|/inf)^{1/(k−1)} made the depth 0.0; the minima lie at
+    # φ₀² = (|g|/(2kλ))^{1/(k−1)}, (k−1)/(2k)·|g|·φ₀² below zero.  The
+    # exponent is the float 1/(k−1), whose rounding alone moves the octic
+    # depth by 7e-15 at |g|/(2kλ) ≈ 1e-159
+    k = power // 2
+    depth = classical_well_depth(OscillatorModel(power=power, g=g, lam=lam))
+    with mp.workdps(50):
+        exact = (mp.mpf(k - 1) / (2 * k) * -mp.mpf(g)
+                 * (-mp.mpf(g) / (2 * k * mp.mpf(lam))) ** mp.mpf(1.0 / (k - 1)))
+    assert abs(depth - exact) <= 4 * sys.float_info.epsilon * exact, (depth, exact)
+
+
 def test_energy_equals_hamiltonian_average():
     cases = [
         (QUARTIC, 0),

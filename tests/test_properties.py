@@ -475,7 +475,7 @@ _DOORS = {
                                 (_numbers, st.lists(_numbers, max_size=3))),
     "loglog_slope": (loglog_slope, (st.lists(st.tuples(_numbers, _numbers), max_size=3),)),
     "reference_table": (tables.reference_table, (_numbers,)),
-    "run_table": (tables.run_table, (_numbers, _numbers, _numbers)),
+    "run_table": (tables.run_table, (_numbers, _numbers)),
 }
 
 

@@ -123,8 +123,8 @@ HUGE = 10**400
     (lambda: FieldTheory(m2=HUGE, lam=0.1, cutoff=10.0), "bare mass"),
     (lambda: FieldTheory(m2=1.0, lam=HUGE, cutoff=10.0), "coupling"),
     (lambda: FieldTheory(m2=1.0, lam=0.1, cutoff=HUGE), "cutoff"),
-    (lambda: stevenson(0, HUGE, 10.0), "need finite M2"),
-    (lambda: stevenson(1, 1.0, HUGE), "need finite M2"),
+    (lambda: stevenson(0, HUGE, 10.0), "M2 must be positive and finite"),
+    (lambda: stevenson(1, 1.0, HUGE), "cutoff must be positive and finite"),
     (lambda: static_potential(HUGE, 1.0), "r must"),
     (lambda: static_potential(1.0, HUGE), "mR must"),
     (lambda: solve_mass_gap(THEORY, HUGE), "sigma"),

@@ -9,14 +9,21 @@ and 7 there are N whole-range draws (power 4, 6 or 8, g = ±10^U(−320, 300),
 λ = 10^U(−323, 300), n ≤ 40) and N // 2 normal-range draws (g = ±10^U(−3, 3),
 λ = 10^U(−3, 3), n ≤ 40); N defaults to 40,000.
 
-The Hartree probes solve the draw's model at level n.  The `gha.qft` probes,
-`solve_mass_gap`, `renormalized` and `effective_potential`, take their field
-theory and shift from the same draw (`field_point`): m² = |g|, the draw's λ,
-a cutoff Λ = m·10^{(n−20)/2} and σ² = (power − 4)/4 · m²/λ.  So
-Λ/m runs from 1e-10, where the cutoff integrals take their heavy-mass series,
-to 1e10, where they take their closed forms; a third of the draws has σ = 0,
-and the others have 12λσ² = 6m² or 12m².  Over the whole range I₀ is
-subnormal on some draws and overflows on others.
+The Hartree probes solve the draw's model at level n, or take its well
+depth.  `gap_residual_scale` takes the draw's model at level 10^n, so that
+its c₀, which grows like λ·10^{n(k−1)} (λ·10^n on the broken cubic), passes
+float range on some draws; its phase is AHO for g > 0, else DWO_SR for even
+n and DWO_SSB for odd n.  The `gha.qft` probes, `solve_mass_gap`,
+`renormalized` and `effective_potential`, take their field theory and shift
+from the same draw (`field_point`): m² = |g|, the draw's λ, a cutoff Λ =
+m·10^{(n−20)/2} and σ² = (power − 4)/4 · m²/λ.  So Λ/m runs from 1e-10,
+where the cutoff integrals take their heavy-mass series, to 1e10, where
+they take their closed forms; a third of the draws has σ = 0, and the
+others have 12λσ² = 6m² or 12m².  Over the whole range I₀ is subnormal on
+some draws and overflows on others.  `static_potential` takes r = |g| and
+m_R = λ, and `vacuum_structure` takes ω = λ.  Over the whole range,
+`classical_well_depth`, `gap_residual_scale`, `static_potential` and
+`vacuum_structure` each reach both values and `NonFiniteValue`.
 
 The oracle probe, `converged_levels`, has its own normal-range draws, max(20,
 N // 100) per seed: power 4, 6 or 8 at g = 1 and the quartic well at g = −1,
@@ -168,6 +175,14 @@ def field_point(power: int, g: float, lam: float, n: int):
     return m2, lam, math.sqrt(m2) * 10.0 ** ((n - 20) / 2), math.sqrt((power - 4) / 4 * m2 / lam)
 
 
+def _residual_scale(gha, power: int, g: float, lam: float, n: int):
+    """`gap_residual_scale` of one draw's model at level 10^n, in the phase
+    that the draw picks."""
+    phase = "AHO" if g > 0.0 else ("DWO_SR", "DWO_SSB")[n % 2]
+    return gha.hartree.gap_residual_scale(gha.hartree.OscillatorModel(power, g, lam), 10**n,
+                                          gha.hartree.Phase[phase])
+
+
 def _field(gha, draw):
     """The field theory and the shift σ of the `gha.qft` probes at one draw."""
     m2, lam, cutoff, sigma = field_point(*draw)
@@ -183,9 +198,14 @@ PROBES = {
         gha.hipt.second_order(gha.hartree.OscillatorModel(power, g, lam), n),
     "hartree.critical_coupling": lambda gha, power, g, lam, n:
         gha.hartree.critical_coupling(n + 0.5, gha.hartree.OscillatorModel(power, g, lam).g),
+    "hartree.classical_well_depth": lambda gha, power, g, lam, n:
+        gha.hartree.classical_well_depth(gha.hartree.OscillatorModel(power, g, lam)),
+    "hartree.gap_residual_scale": _residual_scale,
     "qft.solve_mass_gap": lambda gha, *draw: gha.qft.solve_mass_gap(*_field(gha, draw)),
     "qft.renormalized": lambda gha, *draw: gha.qft.renormalized(_field(gha, draw)[0]),
     "qft.effective_potential": lambda gha, *draw: gha.qft.effective_potential(*_field(gha, draw)),
+    "qft.static_potential": lambda gha, power, g, lam, n: gha.qft.static_potential(abs(g), lam),
+    "vacuum.vacuum_structure": lambda gha, power, g, lam, n: gha.vacuum.vacuum_structure(lam),
     "oracle.converged_levels": _levels,
     "oracle.hamiltonian_matrix": _blocks,
     "oracle.converged_levels.doublets": _levels,
@@ -212,6 +232,7 @@ def _import_tree(src: str):
     import gha.hipt
     import gha.oracle
     import gha.qft
+    import gha.vacuum
 
     home = Path(gha.__file__).resolve().parent
     if home.parent != Path(src).resolve():

@@ -26,7 +26,7 @@ import math
 import sys
 
 from . import __version__
-from .errors import DomainError, GhaError, NonFiniteValue, _positive
+from .errors import DomainError, GhaError, NonFiniteValue, _index, _positive
 from .hartree import (OscillatorModel, classical_well_depth,
                       critical_coupling, solve_level)
 from .vacuum import loglog_slope, strong_coupling_scaling, vacuum_structure
@@ -53,6 +53,10 @@ def _list_of(kind, noun):
 
 _int_list = _list_of(int, "integers")
 _float_list = _list_of(float, "reals")
+
+# the most points `qft potential` evaluates, well under a second of work;
+# a larger count is refused before any point is evaluated
+_MAX_POINTS = 10_000
 
 
 def _cell(fmt, value):
@@ -240,8 +244,7 @@ def _cmd_qft_potential(args):
     from . import qft
 
     theory = _theory(args)
-    if args.points < 2:
-        raise DomainError("qft potential: --points must be at least 2")
+    _index(args.points, f"qft potential: --points must lie in 2..{_MAX_POINTS}", 2, _MAX_POINTS)
     _positive(args.sigma_max, "--sigma-max must be positive and finite")
     step = args.sigma_max / (args.points - 1)
     rows = [{"sigma": i * step, "U": qft.effective_potential(theory, i * step)}

@@ -2,8 +2,9 @@
 public numeric arguments and the one exit check for public results.
 
 `_positive` admits a positive finite number and `_index` an integer (a type
-with `__index__`) at or above its least value.  Both refuse an int too large
-for a float, which would overflow later in float arithmetic, and both raise
+with `__index__`) from its least to its most value, both included, with no
+upper bound unless `most` is given.  Both refuse an int too large for a
+float, which would overflow later in float arithmetic, and both raise
 `DomainError(f"{what}, got {x}")`: the message names the rule and the value,
 or, for an int too long to print, its size (`_shown`).
 
@@ -62,10 +63,10 @@ def _positive(x, what: str) -> None:
         raise DomainError(f"{what}, got {_shown(x)}")
 
 
-def _index(n, what: str, least: int = 0) -> None:
-    """Raise DomainError unless n is an integer, n ≥ least and n fits a float;
-    a float n is refused even where it is integral."""
-    if not (hasattr(n, "__index__") and n >= least and _finite(n)):
+def _index(n, what: str, least: int = 0, most: float = math.inf) -> None:
+    """Raise DomainError unless n is an integer, least ≤ n ≤ most and n fits a
+    float; a float n is refused even where it is integral."""
+    if not (hasattr(n, "__index__") and least <= n <= most and _finite(n)):
         raise DomainError(f"{what}, got {_shown(n, repr)}")
 
 

@@ -64,7 +64,8 @@ from .hartree import (
 )
 
 # numerators this far (relatively) below the largest one are cancellation
-# debris from the A-coefficient subtraction, not physics
+# debris from the A-coefficient subtraction, not physics; this cut is the one
+# numerator filter, and it drops every zero numerator too
 _NUMERATOR_DUST = 1e-9
 
 
@@ -162,22 +163,19 @@ def second_order(model: OscillatorModel, n: int) -> PerturbationReport:
     a_phi2 = sol.A * (s * s + (n + 0.5) / sol.omega)
     b_sigma = sol.B * s
     bound = 1e-9 * max(abs(sol.C + a_phi2 - b_sigma), abs(a_phi2), abs(b_sigma), abs(sol.C))
-    if not abs(column[n]) <= bound:
-        raise NonConvergence(f"first-order term {model.lam * column[n]:.3e} of level {n}"
+    first = column.pop(n)
+    if not abs(first) <= bound:
+        raise NonConvergence(f"first-order term {model.lam * first:.3e} of level {n}"
                              f" exceeds {model.lam * bound:.3e}")
 
-    raw = []
-    for m, element in column.items():
-        if m == n:
-            continue
-        num = model.lam * element
-        if num != 0.0:
-            raw.append((m, num))
-    cutoff = _NUMERATOR_DUST * max((abs(num) for _, num in raw), default=0.0)
+    # the column now holds the 2k or more neighbours of n; since λ > 0,
+    # λ·max|⟨m|H′|n⟩| is the largest |numerator| to the bit
+    cutoff = _NUMERATOR_DUST * (model.lam * max(map(abs, column.values())))
 
     contributions = []
     delta = 0.0
-    for m, num in raw:
+    for m, element in column.items():
+        num = model.lam * element
         if abs(num) <= cutoff:
             continue
         # m is a level of the column, an int ≥ 0

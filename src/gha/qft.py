@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NonConvergence, NonFiniteValue, _in_range, _positive, _shown
+from .errors import DomainError, NonConvergence, NonFiniteValue, _in_range, _index, _positive, _shown
 
 _FOUR_PI2 = 4.0 * math.pi * math.pi
 _LN2 = math.log(2.0)
@@ -161,8 +161,7 @@ def stevenson(n: int, M2: float, cutoff: float) -> float:
     Closed forms for Λ ≥ M/2.  Below that they cancel to a relative error of
     about ε(M/Λ)³, and the heavy-mass series takes over.
     """
-    if n not in (-1, 0, 1):
-        raise DomainError(f"only n in {{-1, 0, 1}} supported, got {_shown(n)}")
+    _index(n, "only n in {-1, 0, 1} supported", -1, 1)
     _positive(M2, "M2 must be positive and finite")
     _positive(cutoff, "cutoff must be positive and finite")
     return _cutoff_integrals((n,), M2, cutoff)[0]

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Optional, Tuple
 
-from .errors import DomainError, _shown
+from .errors import DomainError, _index, _shown
 from .hartree import OscillatorModel, classical_well_depth, solve_level
 from .hipt import second_order
 from .oracle import converged_levels
@@ -343,13 +343,12 @@ def _build_tables():
 
 def reference_table(table_id: int) -> ReferenceTable:
     """The embedded table `table_id`; all four are built on the first call."""
-    tables = _build_tables()
-    if table_id not in tables:
-        raise DomainError(f"no reference table {_shown(table_id)}; valid ids are 1..4")
-    return tables[table_id]
+    _index(table_id, "reference table id must be an integer in 1..4", 1, 4)
+    return _build_tables()[table_id]
 
 
-@functools.cache
+# typed, so that a float id misses the entry of the equal int and is refused
+@functools.lru_cache(maxsize=None, typed=True)
 def _plan(table_id: int):
     """The replay plan of one table, built on its first `run_table`: its
     power, g and report scale, then plain tuples that a run reads in order.

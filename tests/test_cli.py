@@ -228,6 +228,19 @@ def test_qft_potential(capsys):
     assert "--points" in captured.err
 
 
+def test_qft_potential_refuses_points_past_its_budget(capsys):
+    # the count is refused before any point is evaluated
+    with mock.patch("gha.qft.effective_potential", side_effect=AssertionError):
+        assert main(["qft", "potential", "--mass2", "1", "--lambda", "0.1",
+                     "--cutoff", "10", "--points", "10001"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: qft potential: --points must lie in 2..10000, got 10001\n"
+    doc = run_json(capsys, ["qft", "potential", "--mass2", "1", "--lambda", "0.1",
+                            "--cutoff", "10", "--points", "10000"])
+    assert len(doc["rows"]) == 10000
+
+
 @pytest.mark.parametrize("sigma_max", ["-1", "0", "nan"])
 def test_qft_potential_rejects_nonpositive_sigma_max(capsys, sigma_max):
     assert main([

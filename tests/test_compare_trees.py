@@ -22,7 +22,7 @@ def compare(parent, change):
 HARTREE_PROBES = ("hartree.solve_level", "hipt.second_order", "hartree.critical_coupling",
                   "hartree.classical_well_depth", "hartree.gap_residual_scale")
 QFT_PROBES = ("qft.solve_mass_gap", "qft.renormalized", "qft.effective_potential",
-              "qft.static_potential")
+              "qft.stevenson", "qft.static_potential")
 VACUUM_PROBES = ("vacuum.vacuum_structure",)
 # the probes that certify levels, on normal-range draws and on doublets
 LEVEL_PROBES = ("oracle.converged_levels", "oracle.converged_levels.doublets")
@@ -79,7 +79,7 @@ def test_a_perturbed_qft_constant_shows_in_the_qft_probes_alone(tmp_path):
     rows = rows_of(out)
     assert all(bad == 0 for name in HARTREE_PROBES + VACUUM_PROBES + ORACLE_PROBES
                for bad, *_ in rows[name]), out
-    # 1/(4π²) scales every cutoff integral and U(r), so all four probes move values
+    # 1/(4π²) scales every cutoff integral and U(r), so all five probes move values
     for name in QFT_PROBES:
         assert sum(value for *_, value in rows[name]) > 0, (name, out)
         assert f"examples of {name}, value mismatches:" in out, out
@@ -123,7 +123,7 @@ def test_a_perturbed_constant_shows_as_mismatches(tmp_path):
     assert code == 1 and total > 0, out
     # each mismatch changes the class, only the message or only the value
     rows = re.findall(r"^[\w.]+ +\d+ +\d+ +(\d+) +(\d+) +(\d+) +(\d+) +\w+ +\w+$", out, re.M)
-    assert len(rows) == 39, out
+    assert len(rows) == 42, out
     split = [[int(count) for count in row] for row in rows]
     assert all(bad == sum(kinds) for bad, *kinds in split), out
     assert sum(bad for bad, *_ in split) == total, out

@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gha import hartree, oracle, qft, tables
-from gha.errors import GhaError, NonConvergence, NonFiniteValue, PhaseUnavailable
+from gha.errors import DomainError, GhaError, NonConvergence, NonFiniteValue, PhaseUnavailable
 from gha.hartree import (
     HartreeSolution,
     OscillatorModel,
@@ -512,3 +512,37 @@ def test_every_public_door_returns_a_value_or_raises_a_gha_error(door):
         return
     held = list(_held_floats(value))
     assert all(math.isfinite(x) for x in held), (value, held)
+
+
+# name -> a call of one integer parameter x, every other argument valid
+_INTEGER_PARAMETERS = {
+    "solve_level": lambda x: solve_level(OscillatorModel(4, 1.0, 1.0), x),
+    "second_order": lambda x: second_order(OscillatorModel(4, 1.0, 1.0), x),
+    "moment.j": lambda x: moment(x, 1),
+    "moment.n": lambda x: moment(1, x),
+    "converged_levels": lambda x: oracle.converged_levels(OscillatorModel(4, 1.0, 1.0), x, 1e-7),
+    "hamiltonian_matrix": lambda x: oracle.hamiltonian_matrix(
+        OscillatorModel(4, 1.0, 1.0), oracle._TruncatedBasis(x, 1.0)),
+    "gap_residual_scale": lambda x: gap_residual_scale(OscillatorModel(4, 1.0, 1.0), x, Phase.AHO),
+    "general_gap_residuals": lambda x: general_gap_residuals(
+        OscillatorModel(4, 1.0, 1.0), x, 1.0, 0.0),
+    "stevenson": lambda x: qft.stevenson(x, 1.0, 10.0),
+    "reference_table": tables.reference_table,
+    "run_table": tables.run_table,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INTEGER_PARAMETERS))
+def test_every_integer_parameter_refuses_a_float(name):
+    # the door contract for integral floats: an integer parameter takes an
+    # int, never a float, even one equal to an int that it admits
+    call = _INTEGER_PARAMETERS[name]
+    for x in (0.0, 1.0, 2.0, 2.5):
+        if x.is_integer():
+            # the equal int first, so that a memo holds its entry, if admitted
+            try:
+                call(int(x))
+            except DomainError:
+                pass
+        with pytest.raises(DomainError, match=f", got {x}$"):
+            call(x)

@@ -34,9 +34,9 @@ def find_row(report, lam, n, prov):
 
 
 def test_unknown_table_rejected():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^reference table id must be an integer in 1\.\.4, got 5$"):
         reference_table(5)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^reference table id must be an integer in 1\.\.4, got 0$"):
         run_table(0)
 
 

@@ -20,7 +20,9 @@ m·10^{(n−20)/2} and σ² = (power − 4)/4 · m²/λ.  So Λ/m runs from 1e-1
 where the cutoff integrals take their heavy-mass series, to 1e10, where
 they take their closed forms; a third of the draws has σ = 0, and the
 others have 12λσ² = 6m² or 12m².  Over the whole range I₀ is subnormal on
-some draws and overflows on others.  `static_potential` takes r = |g| and
+some draws and overflows on others.  `stevenson` takes the order n mod 3 − 1
+at M² = m² and the same Λ, so it reaches the closed forms, the heavy-mass
+series and overflow for each order.  `static_potential` takes r = |g| and
 m_R = λ, and `vacuum_structure` takes ω = λ.  Over the whole range,
 `classical_well_depth`, `gap_residual_scale`, `static_potential` and
 `vacuum_structure` each reach both values and `NonFiniteValue`.
@@ -183,6 +185,12 @@ def _residual_scale(gha, power: int, g: float, lam: float, n: int):
                                           gha.hartree.Phase[phase])
 
 
+def _integral(gha, power: int, g: float, lam: float, n: int):
+    """`stevenson` of order n mod 3 − 1 at the M² and Λ of `field_point`."""
+    m2, _, cutoff, _ = field_point(power, g, lam, n)
+    return gha.qft.stevenson(n % 3 - 1, m2, cutoff)
+
+
 def _field(gha, draw):
     """The field theory and the shift σ of the `gha.qft` probes at one draw."""
     m2, lam, cutoff, sigma = field_point(*draw)
@@ -204,6 +212,7 @@ PROBES = {
     "qft.solve_mass_gap": lambda gha, *draw: gha.qft.solve_mass_gap(*_field(gha, draw)),
     "qft.renormalized": lambda gha, *draw: gha.qft.renormalized(_field(gha, draw)[0]),
     "qft.effective_potential": lambda gha, *draw: gha.qft.effective_potential(*_field(gha, draw)),
+    "qft.stevenson": _integral,
     "qft.static_potential": lambda gha, power, g, lam, n: gha.qft.static_potential(abs(g), lam),
     "vacuum.vacuum_structure": lambda gha, power, g, lam, n: gha.vacuum.vacuum_structure(lam),
     "oracle.converged_levels": _levels,
